@@ -11,10 +11,19 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .linkmodel import InvalidSpecError, OverheadModel, aggregate_rate, camera_stream_rate, feasible
+from .linkmodel import (
+    PCIE_ALLOWED_LANES,
+    PCIE_GENERATIONS,
+    InvalidSpecError,
+    OverheadModel,
+    aggregate_rate,
+    camera_stream_rate,
+    feasible,
+)
 from .metrics import (
     IncomparableRunsError,
     budget_table,
@@ -85,10 +94,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_budget(args) -> int:
-    if args.gen is not None and args.gen not in (1, 2, 3, 4, 5):
+    if args.gen is not None and args.gen not in PCIE_GENERATIONS:
         print(f"error: --gen must be 1..5, got {args.gen}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.lanes is not None and args.lanes not in (1, 2, 4, 8, 16):
+    if args.lanes is not None and args.lanes not in PCIE_ALLOWED_LANES:
         print(f"error: --lanes must be one of 1/2/4/8/16, got {args.lanes}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -104,15 +113,15 @@ def _cmd_budget(args) -> int:
     else:
         efficiency = 1.0
 
-    generations = (args.gen,) if args.gen is not None else (1, 2, 3, 4, 5)
-    lanes = (args.lanes,) if args.lanes is not None else (1, 2, 4, 8, 16)
+    generations = (args.gen,) if args.gen is not None else PCIE_GENERATIONS
+    lanes = (args.lanes,) if args.lanes is not None else PCIE_ALLOWED_LANES
     if args.presets is not None:
         include_presets = args.presets
     else:
         # A narrowed query prints just the asked-for rows unless --all.
         include_presets = args.all or (args.gen is None and args.lanes is None)
     if args.all:
-        generations, lanes = (1, 2, 3, 4, 5), (1, 2, 4, 8, 16)
+        generations, lanes = PCIE_GENERATIONS, PCIE_ALLOWED_LANES
 
     try:
         rows = budget_table(
@@ -153,18 +162,7 @@ def _cmd_simulate(args) -> int:
     stem = args.output if args.output is not None else f"{args.scenario.rsplit('.', 1)[0]}-report"
     configs = scenario.configs()
     if args.seed is not None:
-        from .simcore import SimConfig
-
-        configs = [
-            SimConfig(
-                seed=args.seed + i,
-                n_frames=c.n_frames,
-                duration_ns=c.duration_ns,
-                drop_policy=c.drop_policy,
-                clock=c.clock,
-            )
-            for i, c in enumerate(configs)
-        ]
+        configs = [dataclasses.replace(c, seed=args.seed + i) for i, c in enumerate(configs)]
 
     multi = len(scenario.pipelines) > 1
     if multi:

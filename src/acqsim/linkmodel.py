@@ -86,9 +86,6 @@ _CLHS_LANE_GBPS = Fraction(103, 10)
 ENVELOPE_RESOLUTION_PX = (1_000_000, 8_000_000)
 ENVELOPE_FRAME_RATE_FPS = (50.0, 50_000.0)
 
-# Absolute tolerance for comparing data rates, Gb/s.
-RATE_TOLERANCE_GBPS = 1e-9
-
 
 # --- Domain types ---------------------------------------------------------
 
@@ -438,14 +435,6 @@ def camera_from_dict(d: dict) -> CameraSpec:
         )
     except KeyError as exc:
         raise InvalidSpecError(f"camera spec missing field {exc}") from exc
-
-
-def overhead_to_dict(o: OverheadModel) -> dict:
-    return {
-        "max_payload_bytes": o.max_payload_bytes,
-        "header_overhead_bytes": o.header_overhead_bytes,
-        "flow_control_factor": o.flow_control_factor,
-    }
 
 
 def overhead_from_dict(d: dict) -> OverheadModel:

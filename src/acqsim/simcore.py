@@ -126,14 +126,6 @@ def transmission_time(size_bytes: int, link: Link) -> int:
     return serialization_time_ns(size_bytes, link) + propagation_delay_ns(link)
 
 
-def _drained_bytes(link: Link, dt_ns: int) -> int:
-    """Whole bytes a link moves in dt_ns at its effective rate."""
-    if dt_ns <= 0:
-        return 0
-    rate = effective_rate_fraction(link)
-    return int(rate * dt_ns // 8)
-
-
 # --- Engine internals ------------------------------------------------------
 
 
@@ -157,12 +149,16 @@ class _HolderState:
 
 
 class _LinkState:
-    __slots__ = ("free_at", "in_flight", "busy_ns")
+    __slots__ = ("free_at", "in_flight", "busy_ns", "ser_ns", "prop_ns", "rate")
 
-    def __init__(self):
+    def __init__(self, link: Link, size_bytes: int):
         self.free_at = 0
         self.in_flight = None
         self.busy_ns = 0
+        # Every frame has the camera's size, so these are fixed for the run.
+        self.ser_ns = serialization_time_ns(size_bytes, link)
+        self.prop_ns = propagation_delay_ns(link)
+        self.rate = effective_rate_fraction(link)  # bits per ns
 
 
 @dataclass
@@ -188,6 +184,7 @@ class _Engine:
         self.clock_rng = Random(f"{cfg.seed}:clock")
         self.proc_rng = Random(f"{cfg.seed}:processing")
 
+        self.frame_size = topo.camera.frame_size_bytes
         self.holders: dict[int, _HolderState] = {}
         self.links: dict[int, _LinkState] = {}
         self.proc_free_at = 0
@@ -195,12 +192,11 @@ class _Engine:
             if isinstance(s, (Sensor, BufferStage, FrameGrabber, HostMemory)):
                 self.holders[i] = _HolderState()
             elif isinstance(s, LinkStage):
-                self.links[i] = _LinkState()
+                self.links[i] = _LinkState(s.link, self.frame_size)
 
         fps = topo.camera.frame_rate
         # Sub-ns frame periods clamp to the 1 ns clock tick.
         self.period_ns = max(1, round(1e9 / fps)) if fps > 0 else None
-        self.frame_size = topo.camera.frame_size_bytes
 
     # -- event plumbing --
 
@@ -301,7 +297,8 @@ class _Engine:
                 # first_byte + fixed latency, so only the residue is held.
                 s_would = max(first_byte + stage.fixed_latency_ns, link_state.free_at)
                 if s_would < t:
-                    drained = _drained_bytes(self.stages[idx + 1].link, t - s_would)
+                    # Whole bytes the link has moved since forwarding began.
+                    drained = int(link_state.rate * (t - s_would) // 8)
                     contribution = max(0, rec.size_bytes - drained)
 
         capacity = stage.capacity_bytes
@@ -400,9 +397,7 @@ class _Engine:
         h.fifo.popleft()
         rec = q.frame
         ls.in_flight = rec
-        link_stage: LinkStage = self.stages[link_idx]
-        ser = serialization_time_ns(rec.size_bytes, link_stage.link)
-        prop = propagation_delay_ns(link_stage.link)
+        ser, prop = ls.ser_ns, ls.prop_ns
         # Cut-through may start retroactively (first bytes went out while
         # the tail was still arriving) but can never finish before the
         # whole frame has arrived.

@@ -1,6 +1,8 @@
 """Engine behavior: transmission times, forwarding modes, drops, traces."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -133,23 +135,52 @@ class TestForwardingSemantics:
         report = run(self.two_hop(CUT_THROUGH), SimConfig(seed=1, n_frames=1))
         assert report.frames[0].latency_ns == 4_000_000
 
-    def test_cut_through_slower_downstream(self):
-        # 8 Gb/s in, 4 Gb/s out: egress limited by the slow side only.
-        stages = (
+    @staticmethod
+    def cut_through_into(out_link):
+        return (
             Sensor(),
             BufferStage(64 * MIB, forwarding=STORE_AND_FORWARD),
             LinkStage(PCIeLink(1, 4)),
             BufferStage(64 * MIB, forwarding=CUT_THROUGH),
-            LinkStage(PCIeLink(1, 2)),
+            LinkStage(out_link),
             HostMemory(),
             Processor(),
         )
+
+    @staticmethod
+    def residue(out_rate: Fraction) -> int:
+        """Bytes the cut-through buffer holds of one 1e6 B frame.
+
+        The frame arrives over gen 1 x4 (8 bits/ns) from t = 0 until
+        ceil(8e6 / 8) ns; the outgoing link drains it from t = 0, so only
+        the bytes it has not yet moved stay in the buffer.
+        """
+        size = CAM_1MPX.frame_size_bytes
+        full_arrival = math.ceil(Fraction(8 * size) / 8)
+        return size - math.floor(out_rate * full_arrival / 8)
+
+    def test_cut_through_slower_downstream(self):
+        # 8 Gb/s in, 4 Gb/s out: egress limited by the slow side only.
+        stages = self.cut_through_into(PCIeLink(1, 2))
         topo = Topology("mismatch", stages, CAM_1MPX, RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=1))
         assert report.frames[0].latency_ns == 2_000_000
         sf_stages = stages[:3] + (BufferStage(64 * MIB, forwarding=STORE_AND_FORWARD),) + stages[4:]
         sf_report = run(Topology("mismatch-sf", sf_stages, CAM_1MPX, RELAXED), SimConfig(seed=1, n_frames=1))
         assert sf_report.frames[0].latency_ns == 3_000_000
+
+        # gen 1 x2 = 2 lanes x 2.5 GT/s x 8/10 = 4 bits/ns.
+        assert self.residue(Fraction(4)) == 500_000
+        assert report.frames[0].buffer_bytes[3] == 500_000
+        assert report.aggregates.high_water_bytes[3] == 500_000
+
+        # gen 3 x1 = 8 GT/s x 128/130: a non-integer rate, so the floor on
+        # drained bytes shows in the residue.
+        assert self.residue(8 * Fraction(128, 130)) == 15_385
+        g3_topo = Topology("mismatch-g3", self.cut_through_into(PCIeLink(3, 1)), CAM_1MPX, RELAXED)
+        g3_report = run(g3_topo, SimConfig(seed=1, n_frames=1))
+        assert g3_report.frames[0].buffer_bytes[3] == 15_385
+        assert g3_report.aggregates.high_water_bytes[3] == 15_385
 
     def test_cut_through_latency_parameter(self):
         stages = (
