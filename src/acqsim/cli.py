@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 
@@ -267,13 +268,17 @@ def main(argv=None) -> int:
         print(parser.format_usage(), end="", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "budget":
-        return _cmd_budget(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    return EXIT_CONFIG  # pragma: no cover
+    commands = {"budget": _cmd_budget, "simulate": _cmd_simulate, "compare": _cmd_compare}
+    # The frame graphs a command builds hold no reference cycles
+    # (tests/test_simcore.py::TestReferenceCycles), so collector passes over
+    # them reclaim nothing; pause it for the command, then restore it.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return commands[args.command](args)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -383,12 +383,6 @@ _FRAME_COLUMNS = (
 )
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
-
-
 def export_tabular(report: SimReport) -> str:
     """Flat per-frame table, a blank line, then a metric/value block."""
     out = io.StringIO()
@@ -406,14 +400,14 @@ def export_tabular(report: SimReport) -> str:
             r.camera_timestamp_ns,
             int(r.timestamp_clamped),
             r.disposition,
-            _cell(r.drop_stage),
-            _cell(r.drop_reason),
-            _cell(r.drop_time_ns),
-            _cell(r.latency_ns),
+            r.drop_stage,
+            r.drop_reason,
+            r.drop_time_ns,
+            r.latency_ns,
         ]
         for i in range(n_stages):
             span = r.stage_times[i]
-            row += [_cell(span.ingress_ns), _cell(span.egress_ns), _cell(r.buffer_bytes.get(i))]
+            row += [span.ingress_ns, span.egress_ns, r.buffer_bytes.get(i)]
         w.writerow(row)
     w.writerow([])
     w.writerow(["metric", "value"])

@@ -10,7 +10,7 @@ seed + i so jitter streams differ per camera.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .linkmodel import (
@@ -75,16 +75,7 @@ class Scenario:
 
     def configs(self) -> list[SimConfig]:
         base = self.base_config
-        return [
-            SimConfig(
-                seed=base.seed + i,
-                n_frames=base.n_frames,
-                duration_ns=base.duration_ns,
-                drop_policy=base.drop_policy,
-                clock=base.clock,
-            )
-            for i in range(len(self.pipelines))
-        ]
+        return [replace(base, seed=base.seed + i) for i in range(len(self.pipelines))]
 
 
 def _require(d: dict, key: str, context: str):
@@ -148,13 +139,18 @@ def parse_scenario(doc: dict) -> Scenario:
     processing = _parse_processing(doc.get("processing_time_ns"))
 
     sim = _require(doc, "sim", "scenario")
+    if not isinstance(sim, dict):
+        raise ScenarioError("'sim' must be an object")
     if "seed" not in sim:
         raise ScenarioError("sim requires an explicit 'seed'")
+    seed = sim["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ScenarioError(f"sim 'seed' must be an integer, got {seed!r}")
     if ("n_frames" in sim) == ("duration_ns" in sim):
         raise ScenarioError("sim requires exactly one of 'n_frames' or 'duration_ns'")
     try:
         base_config = SimConfig(
-            seed=sim["seed"],
+            seed=seed,
             n_frames=sim.get("n_frames"),
             duration_ns=sim.get("duration_ns"),
             drop_policy=sim.get("drop_policy", "drop_newest"),

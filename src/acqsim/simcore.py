@@ -218,6 +218,9 @@ class _Engine:
             self.now = t
             last_t = t
             fn()
+        # Events left past a duration cutoff hold closures over the engine;
+        # dropping them keeps the run free of reference cycles.
+        self.heap.clear()
         elapsed = cfg.duration_ns if cfg.duration_ns is not None else last_t
         return RunResult(
             frames=self.records,

@@ -1,6 +1,8 @@
 """Scenario schema handling and the command-line surface (exit codes)."""
 
+import gc
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,8 @@ from acqsim import (
 from acqsim.cli import main
 from acqsim.scenario import load_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def base_doc(**overrides):
@@ -110,6 +113,9 @@ class TestScenarioParsing:
             lambda d: d.update(architecture="ring"),
             lambda d: d.update(cameras=[]) or d.pop("camera"),
             lambda d: d.update(pcie={"kind": "pcie", "generation": 9, "lanes": 1}),
+            lambda d: d.update(sim=5),
+            lambda d: d["sim"].update(seed="x"),
+            lambda d: d["sim"].update(seed=True),
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
@@ -185,6 +191,22 @@ class TestSimulateCommand:
 
     def test_missing_scenario_exits_1(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json"), "--output", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("sim", [5, {"seed": "x", "n_frames": 1}, {"seed": True, "n_frames": 1}])
+    def test_bad_sim_block_exits_1_without_traceback(self, tmp_path, sim):
+        path = tmp_path / "bad-sim.json"
+        path.write_text(json.dumps(base_doc(sim=sim)), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "acqsim", "simulate", str(path), "-o", str(tmp_path / "x")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_unwritable_output_exits_3(self, capsys):
         code = main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "--output", "/nonexistent-dir/x"])
@@ -282,3 +304,27 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "7.877" in proc.stdout
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_collector_state(tmp_path, capsys, enabled):
+    stem = str(tmp_path / "direct")
+    commands = [
+        (["simulate", str(SCENARIOS / "direct-1mpx.json"), "-o", stem], 0),
+        (["compare", stem + ".json", stem + ".json"], 0),
+        (["simulate", "--no-such-flag"], 1),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for argv, code in commands:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            assert main(argv) == code
+            assert gc.isenabled() is enabled, argv
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()

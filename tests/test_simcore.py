@@ -1,5 +1,6 @@
 """Engine behavior: transmission times, forwarding modes, drops, traces."""
 
+import gc
 import math
 import warnings
 from fractions import Fraction
@@ -24,6 +25,9 @@ from acqsim import (
     Topology,
     build_classic,
     build_direct,
+    export_structured,
+    export_tabular,
+    import_structured,
     occupancy_trace,
     run,
     transmission_time,
@@ -364,3 +368,47 @@ class TestRecordsAndTraces:
         report = run(topo, SimConfig(seed=1, n_frames=4))
         for busy in report.link_busy_ns.values():
             assert 0 < busy <= report.elapsed_ns
+
+
+class TestReferenceCycles:
+    """A run and its reports hold no reference cycles.
+
+    ``acqsim.cli.main`` pauses the cyclic collector while a command runs,
+    so anything a run left in a cycle would stay alive until the command
+    ends, e.g. every earlier pipeline of a multi-camera scenario.
+    """
+
+    def assert_acyclic(self, topo, cfg):
+        gc.collect()
+        gc.disable()
+        try:
+            report = run(topo, cfg)
+            structured = export_structured(report)
+            tabular = export_tabular(report)
+            back = import_structured(structured)
+            in_flight = report.aggregates.in_flight
+            del report, structured, tabular, back
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        return in_flight
+
+    def test_frame_count_run(self):
+        topo = build_classic(CAM_1MPX, CL_FULL, PCIeLink(3, 4), 64 * MIB, deadlines=RELAXED)
+        self.assert_acyclic(topo, SimConfig(seed=1, n_frames=200))
+
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    def test_duration_cutoff_with_frames_in_flight(self):
+        # The overload-oldest benchmark shape: 32 KiB frames into a
+        # half-rate link, cut off by duration with events still queued.
+        camera = quiet_cam(32_768, 8, 30517.578125)
+        topo = build_classic(
+            camera,
+            PCIeLink(1, 4),
+            PCIeLink(1, 2),
+            MIB,
+            processing=ProcessingModel.normal(20_000.0, 2_000.0),
+            deadlines=RELAXED,
+        )
+        cfg = SimConfig(seed=1, duration_ns=300 * 32_768 - 1, drop_policy=DROP_OLDEST)
+        assert self.assert_acyclic(topo, cfg) > 0
