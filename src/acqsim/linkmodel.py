@@ -12,6 +12,7 @@ transmission times with a true ceiling (see simcore).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,8 +104,8 @@ class CameraSpec:
             raise InvalidSpecError(f"resolution_pixels must be >= 1, got {self.resolution_pixels}")
         if not 1 <= self.bit_depth <= 64:
             raise InvalidSpecError(f"bit_depth must be in [1, 64], got {self.bit_depth}")
-        if self.frame_rate < 0:
-            raise InvalidSpecError(f"frame_rate must be >= 0, got {self.frame_rate}")
+        if not 0 <= self.frame_rate < math.inf:
+            raise InvalidSpecError(f"frame_rate must be finite and >= 0, got {self.frame_rate}")
         lo, hi = ENVELOPE_RESOLUTION_PX
         if not lo <= self.resolution_pixels <= hi:
             warnings.warn(
@@ -274,6 +275,11 @@ class USB3If:
 
 Link = Union[PCIeLink, CameraLinkIf, CoaXPressIf, GigEVisionIf, CLHSIf, USB3If]
 
+# Link classes by the "kind" tag that names them in JSON.
+LINK_KINDS = {
+    cls.kind: cls for cls in (PCIeLink, CameraLinkIf, CoaXPressIf, GigEVisionIf, CLHSIf, USB3If)
+}
+
 
 # --- Rate arithmetic ------------------------------------------------------
 
@@ -384,62 +390,4 @@ def min_lanes(cam: CameraSpec, generation: int, overhead: OverheadModel) -> int:
     raise NoFeasibleWidthError(
         f"camera demands {float(demand):.3f} Gb/s, above gen {generation} x16 "
         f"capacity {float(16 * lane_rate):.3f} Gb/s"
-    )
-
-
-# --- Serialization --------------------------------------------------------
-
-_LINK_KINDS = {
-    "pcie": PCIeLink,
-    "camera_link": CameraLinkIf,
-    "coaxpress": CoaXPressIf,
-    "gige_vision": GigEVisionIf,
-    "clhs": CLHSIf,
-    "usb3": USB3If,
-}
-
-
-def link_to_dict(link: Link) -> dict:
-    d = {"kind": link.kind}
-    for field in type(link).__dataclass_fields__:
-        d[field] = getattr(link, field)
-    return d
-
-
-def link_from_dict(d: dict) -> Link:
-    d = dict(d)
-    kind = d.pop("kind", None)
-    cls = _LINK_KINDS.get(kind)
-    if cls is None:
-        raise InvalidSpecError(f"unknown link kind: {kind!r}")
-    try:
-        return cls(**d)
-    except TypeError as exc:
-        raise InvalidSpecError(f"bad fields for link kind {kind!r}: {exc}") from exc
-
-
-def camera_to_dict(cam: CameraSpec) -> dict:
-    return {
-        "resolution_pixels": cam.resolution_pixels,
-        "bit_depth": cam.bit_depth,
-        "frame_rate": cam.frame_rate,
-    }
-
-
-def camera_from_dict(d: dict) -> CameraSpec:
-    try:
-        return CameraSpec(
-            resolution_pixels=d["resolution_pixels"],
-            bit_depth=d["bit_depth"],
-            frame_rate=d["frame_rate"],
-        )
-    except KeyError as exc:
-        raise InvalidSpecError(f"camera spec missing field {exc}") from exc
-
-
-def overhead_from_dict(d: dict) -> OverheadModel:
-    return OverheadModel(
-        max_payload_bytes=d.get("max_payload_bytes", 256),
-        header_overhead_bytes=d.get("header_overhead_bytes", 28),
-        flow_control_factor=d.get("flow_control_factor", 1.0),
     )

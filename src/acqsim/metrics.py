@@ -37,15 +37,18 @@ from .simcore import (
     SimConfig,
     StageSpan,
 )
-from .timing import (
-    DeadlineSpec,
-    DeadlineViolation,
-    check_deadlines,
-    clock_from_dict,
-    clock_to_dict,
-    timestamp_rms,
+from .timing import DeadlineSpec, DeadlineViolation, check_deadlines, timestamp_rms
+from .topology import (
+    INT_KEYED,
+    JSON_FORMS,
+    Topology,
+    copy_count,
+    from_dict,
+    many,
+    one,
+    to_dict,
+    topology_digest,
 )
-from .topology import Topology, copy_count, topology_digest, topology_from_dict, topology_to_dict
 
 SCHEMA_VERSION = 1
 
@@ -209,26 +212,6 @@ def build_report(topology: Topology, config: SimConfig, result: RunResult) -> Si
 # --- Structured (JSON) export ----------------------------------------------
 
 
-def _config_to_dict(c: SimConfig) -> dict:
-    return {
-        "seed": c.seed,
-        "n_frames": c.n_frames,
-        "duration_ns": c.duration_ns,
-        "drop_policy": c.drop_policy,
-        "clock": clock_to_dict(c.clock),
-    }
-
-
-def _config_from_dict(d: dict) -> SimConfig:
-    return SimConfig(
-        seed=d["seed"],
-        n_frames=d.get("n_frames"),
-        duration_ns=d.get("duration_ns"),
-        drop_policy=d.get("drop_policy", "drop_newest"),
-        clock=clock_from_dict(d.get("clock", {})),
-    )
-
-
 def _frame_to_dict(r: FrameRecord) -> dict:
     return {
         "frame_id": r.frame_id,
@@ -261,97 +244,26 @@ def _frame_from_dict(d: dict) -> FrameRecord:
     )
 
 
-def _violation_to_dict(v: DeadlineViolation) -> dict:
-    return {
-        "kind": v.kind,
-        "frame_id": v.frame_id,
-        "measured_ns": v.measured_ns,
-        "budget_ns": v.budget_ns,
-    }
-
-
-def _violation_from_dict(d: dict) -> DeadlineViolation:
-    return DeadlineViolation(
-        kind=d["kind"],
-        frame_id=d["frame_id"],
-        measured_ns=d["measured_ns"],
-        budget_ns=d["budget_ns"],
-    )
-
-
-def _aggregates_to_dict(a: Aggregates) -> dict:
-    return {
-        "empty": a.empty,
-        "generated": a.generated,
-        "delivered": a.delivered,
-        "dropped": a.dropped,
-        "in_flight": a.in_flight,
-        "throughput_gbps": a.throughput_gbps,
-        "latency_min_ns": a.latency_min_ns,
-        "latency_mean_ns": a.latency_mean_ns,
-        "latency_p50_ns": a.latency_p50_ns,
-        "latency_p99_ns": a.latency_p99_ns,
-        "latency_max_ns": a.latency_max_ns,
-        "copy_count": a.copy_count,
-        "high_water_bytes": {str(k): v for k, v in a.high_water_bytes.items()},
-        "timestamp_rms_ns": a.timestamp_rms_ns,
-        "violations": [_violation_to_dict(v) for v in a.violations],
-    }
-
-
-def _aggregates_from_dict(d: dict) -> Aggregates:
-    return Aggregates(
-        empty=d["empty"],
-        generated=d["generated"],
-        delivered=d["delivered"],
-        dropped=d["dropped"],
-        in_flight=d["in_flight"],
-        throughput_gbps=d["throughput_gbps"],
-        latency_min_ns=d["latency_min_ns"],
-        latency_mean_ns=d["latency_mean_ns"],
-        latency_p50_ns=d["latency_p50_ns"],
-        latency_p99_ns=d["latency_p99_ns"],
-        latency_max_ns=d["latency_max_ns"],
-        copy_count=d["copy_count"],
-        high_water_bytes={int(k): v for k, v in d["high_water_bytes"].items()},
-        timestamp_rms_ns=d["timestamp_rms_ns"],
-        violations=[_violation_from_dict(v) for v in d["violations"]],
-    )
-
-
-def report_to_dict(report: SimReport) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        "scenario": report.scenario,
-        "digest": report.digest,
-        "topology": topology_to_dict(report.topology),
-        "config": _config_to_dict(report.config),
-        "elapsed_ns": report.elapsed_ns,
-        "frames": [_frame_to_dict(r) for r in report.frames],
-        "occupancy": {str(k): [[t, b] for t, b in v] for k, v in report.occupancy.items()},
-        "link_busy_ns": {str(k): v for k, v in report.link_busy_ns.items()},
-        "aggregates": _aggregates_to_dict(report.aggregates),
-    }
-
-
-def report_from_dict(d: dict) -> SimReport:
-    return SimReport(
-        schema_version=d["schema_version"],
-        scenario=d["scenario"],
-        digest=d["digest"],
-        topology=topology_from_dict(d["topology"]),
-        config=_config_from_dict(d["config"]),
-        elapsed_ns=d["elapsed_ns"],
-        frames=[_frame_from_dict(r) for r in d["frames"]],
-        occupancy={int(k): [(t, b) for t, b in v] for k, v in d["occupancy"].items()},
-        link_busy_ns={int(k): v for k, v in d["link_busy_ns"].items()},
-        aggregates=_aggregates_from_dict(d["aggregates"]),
-    )
+JSON_FORMS[Aggregates] = {"high_water_bytes": INT_KEYED, "violations": many(DeadlineViolation)}
+JSON_FORMS[SimReport] = {
+    "topology": one(Topology),
+    "config": one(SimConfig),
+    "frames": (
+        lambda frames: [_frame_to_dict(r) for r in frames],
+        lambda docs: [_frame_from_dict(d) for d in docs],
+    ),
+    "occupancy": (
+        lambda occ: {str(k): v for k, v in occ.items()},
+        lambda occ: {int(k): [(t, b) for t, b in v] for k, v in occ.items()},
+    ),
+    "link_busy_ns": INT_KEYED,
+    "aggregates": one(Aggregates),
+}
 
 
 def export_structured(report: SimReport) -> str:
     """Canonical JSON: sorted keys, compact, shortest-round-trip floats."""
-    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(to_dict(report), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def export(report: SimReport, format: str) -> str:
@@ -364,7 +276,7 @@ def export(report: SimReport, format: str) -> str:
 
 
 def import_structured(text: str) -> SimReport:
-    return report_from_dict(json.loads(text))
+    return from_dict(SimReport, json.loads(text))
 
 
 # --- Tabular (CSV) export ---------------------------------------------------

@@ -13,53 +13,60 @@ import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .linkmodel import (
-    InvalidSpecError,
-    OverheadModel,
-    camera_from_dict,
-    link_from_dict,
-    overhead_from_dict,
-)
+from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, OverheadModel
 from .simcore import SimConfig
-from .timing import clock_from_dict, deadlines_from_dict
+from .timing import DeadlineSpec
 from .topology import (
-    CUT_THROUGH,
-    STORE_AND_FORWARD,
     DEFAULT_BUFFER_CAPACITY,
-    LinkStage,
+    STAGE_KINDS,
     ProcessingModel,
     Topology,
     build_classic,
     build_direct,
-    processing_from_dict,
-    stage_from_dict,
+    check_json_types,
+    from_dict,
+    scalar_checks,
     validate,
 )
 
 SCENARIO_SCHEMA_VERSION = 1
 
+# Every top-level key, with the JSON type of each scalar; the values
+# marked None are objects or arrays, decoded by from_dict.
 _TOP_LEVEL_KEYS = {
-    "schema_version",
-    "name",
-    "camera",
-    "cameras",
-    "architecture",
-    "pcie",
-    "camera_interface",
-    "grabber_capacity_bytes",
-    "grabber_latency_ns",
+    "schema_version": "int",
+    "name": "str",
+    "camera": None,
+    "cameras": None,
+    "architecture": "str",
+    "pcie": None,
+    "camera_interface": None,
+    "grabber_capacity_bytes": "int",
+    "grabber_latency_ns": "int",
+    "camera_buffer_capacity_bytes": "int",
+    "camera_buffer_forwarding": "str",
+    "sensor_latency_ns": "int",
+    "host_latency_ns": "int",
+    "processing_time_ns": None,  # an integer or a ProcessingModel object
+    "processor_latency_ns": "int",
+    "stages": None,
+    "overhead": None,
+    "clock": None,
+    "deadlines": None,
+    "sim": None,
+}
+_TOP_LEVEL_CHECKS = scalar_checks(_TOP_LEVEL_KEYS)
+
+# Top-level keys passed on to build_classic and build_direct as they are;
+# an absent key takes the builder's default (the forwarding default is
+# store-and-forward for classic, cut-through for direct).
+_BUILDER_KEYS = (
     "camera_buffer_capacity_bytes",
     "camera_buffer_forwarding",
     "sensor_latency_ns",
     "host_latency_ns",
-    "processing_time_ns",
     "processor_latency_ns",
-    "stages",
-    "overhead",
-    "clock",
-    "deadlines",
-    "sim",
-}
+)
 
 
 class ScenarioError(ValueError):
@@ -84,36 +91,43 @@ def _require(d: dict, key: str, context: str):
     return d[key]
 
 
-def _link_with_overhead(link_dict: dict, overhead: Optional[OverheadModel]):
-    """Parse a link; PCIe links inherit the overhead-derived efficiency
-    when they do not state a protocol efficiency of their own."""
-    if not isinstance(link_dict, dict):
-        raise ScenarioError("link specification must be an object")
-    d = dict(link_dict)
-    if overhead is not None and d.get("kind") == "pcie" and "protocol_efficiency" not in d:
-        d["protocol_efficiency"] = overhead.efficiency
-    try:
-        return link_from_dict(d)
-    except InvalidSpecError as exc:
-        raise ScenarioError(str(exc)) from exc
+def _with_overhead(doc, overhead: Optional[OverheadModel]):
+    """A link or link-stage document in which a PCIe link that states no
+    protocol efficiency of its own inherits the overhead-derived one."""
+    if overhead is None or not isinstance(doc, dict):
+        return doc
+    if doc.get("kind") == "link" and "link" in doc:
+        return {**doc, "link": _with_overhead(doc["link"], overhead)}
+    if doc.get("kind") == "pcie" and "protocol_efficiency" not in doc:
+        return {**doc, "protocol_efficiency": overhead.efficiency}
+    return doc
 
 
 def _parse_processing(value) -> ProcessingModel:
     if value is None:
-        return ProcessingModel.fixed(0)
-    if isinstance(value, int):
+        return ProcessingModel()
+    if type(value) is int:
         return ProcessingModel.fixed(value)
     if isinstance(value, dict):
-        return processing_from_dict(value)
-    raise ScenarioError("processing_time_ns must be an integer or a distribution object")
+        return from_dict(ProcessingModel, value)
+    raise ScenarioError(f"processing_time_ns must be an integer or a distribution object, got {value!r}")
 
 
 def parse_scenario(doc: dict) -> Scenario:
+    """Decode a scenario document; every malformed part raises ScenarioError."""
+    try:
+        return _parse(doc)
+    except InvalidSpecError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
+def _parse(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
+    unknown = set(doc) - set(_TOP_LEVEL_KEYS)
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
+    check_json_types("scenario", _TOP_LEVEL_CHECKS, doc)
     version = doc.get("schema_version")
     if version != SCENARIO_SCHEMA_VERSION:
         raise ScenarioError(
@@ -123,19 +137,13 @@ def parse_scenario(doc: dict) -> Scenario:
 
     if ("camera" in doc) == ("cameras" in doc):
         raise ScenarioError("set exactly one of 'camera' or 'cameras'")
-    try:
-        if "camera" in doc:
-            cameras = [camera_from_dict(doc["camera"])]
-        else:
-            cameras = [camera_from_dict(c) for c in doc["cameras"]]
-    except InvalidSpecError as exc:
-        raise ScenarioError(str(exc)) from exc
-    if not cameras:
-        raise ScenarioError("'cameras' must name at least one camera")
+    camera_docs = [doc["camera"]] if "camera" in doc else doc["cameras"]
+    if not isinstance(camera_docs, list) or not camera_docs:
+        raise ScenarioError("'cameras' must be a non-empty array of cameras")
+    cameras = [from_dict(CameraSpec, c) for c in camera_docs]
 
-    overhead = overhead_from_dict(doc["overhead"]) if "overhead" in doc else None
-    clock = clock_from_dict(doc.get("clock", {}))
-    deadlines = deadlines_from_dict(doc.get("deadlines", {}))
+    overhead = from_dict(OverheadModel, doc["overhead"]) if "overhead" in doc else None
+    deadlines = from_dict(DeadlineSpec, doc.get("deadlines", {}))
     processing = _parse_processing(doc.get("processing_time_ns"))
 
     sim = _require(doc, "sim", "scenario")
@@ -143,85 +151,47 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError("'sim' must be an object")
     if "seed" not in sim:
         raise ScenarioError("sim requires an explicit 'seed'")
-    seed = sim["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError(f"sim 'seed' must be an integer, got {seed!r}")
-    if ("n_frames" in sim) == ("duration_ns" in sim):
-        raise ScenarioError("sim requires exactly one of 'n_frames' or 'duration_ns'")
-    try:
-        base_config = SimConfig(
-            seed=seed,
-            n_frames=sim.get("n_frames"),
-            duration_ns=sim.get("duration_ns"),
-            drop_policy=sim.get("drop_policy", "drop_newest"),
-            clock=clock,
-        )
-    except InvalidSpecError as exc:
-        raise ScenarioError(str(exc)) from exc
+    if "clock" in sim:
+        raise ScenarioError("'clock' is a top-level key, not a sim key")
+    base_config = from_dict(SimConfig, {**sim, "clock": doc.get("clock", {})})
 
     architecture = _require(doc, "architecture", "scenario")
-    pipelines = []
-    for i, cam in enumerate(cameras):
-        pipeline_name = name if len(cameras) == 1 else f"{name}-cam{i}"
-        try:
-            if architecture == "direct":
-                topo = build_direct(
-                    cam,
-                    _link_with_overhead(_require(doc, "pcie", "direct architecture"), overhead),
-                    name=pipeline_name,
-                    camera_buffer_capacity_bytes=doc.get(
-                        "camera_buffer_capacity_bytes", DEFAULT_BUFFER_CAPACITY
-                    ),
-                    camera_buffer_forwarding=doc.get("camera_buffer_forwarding", CUT_THROUGH),
-                    sensor_latency_ns=doc.get("sensor_latency_ns", 0),
-                    host_latency_ns=doc.get("host_latency_ns", 0),
-                    processing=processing,
-                    processor_latency_ns=doc.get("processor_latency_ns", 0),
-                    deadlines=deadlines,
-                )
-            elif architecture == "classic":
-                topo = build_classic(
-                    cam,
-                    _link_with_overhead(
-                        _require(doc, "camera_interface", "classic architecture"), overhead
-                    ),
-                    _link_with_overhead(_require(doc, "pcie", "classic architecture"), overhead),
-                    doc.get("grabber_capacity_bytes", DEFAULT_BUFFER_CAPACITY),
-                    name=pipeline_name,
-                    camera_buffer_capacity_bytes=doc.get(
-                        "camera_buffer_capacity_bytes", DEFAULT_BUFFER_CAPACITY
-                    ),
-                    camera_buffer_forwarding=doc.get("camera_buffer_forwarding", STORE_AND_FORWARD),
-                    sensor_latency_ns=doc.get("sensor_latency_ns", 0),
-                    grabber_latency_ns=doc.get("grabber_latency_ns", 0),
-                    host_latency_ns=doc.get("host_latency_ns", 0),
-                    processing=processing,
-                    processor_latency_ns=doc.get("processor_latency_ns", 0),
-                    deadlines=deadlines,
-                )
-            elif architecture == "custom":
-                stage_docs = _require(doc, "stages", "custom architecture")
-                stages = []
-                for sd in stage_docs:
-                    if not isinstance(sd, dict):
-                        raise ScenarioError("stage specification must be an object")
-                    if sd.get("kind") == "link":
-                        stages.append(LinkStage(link=_link_with_overhead(sd.get("link", {}), overhead)))
-                    else:
-                        stages.append(stage_from_dict(sd))
-                topo = Topology(
-                    name=pipeline_name, stages=tuple(stages), camera=cam, deadlines=deadlines
-                )
-            else:
-                raise ScenarioError(f"unknown architecture {architecture!r}")
-        except InvalidSpecError as exc:
-            raise ScenarioError(str(exc)) from exc
-        problems = validate(topo)
-        if problems:
-            rules = "; ".join(v.rule for v in problems)
-            raise ScenarioError(f"scenario resolves to an invalid topology: {rules}")
-        pipelines.append(topo)
+    if architecture == "custom":
+        stage_docs = _require(doc, "stages", "custom architecture")
+        if not isinstance(stage_docs, list):
+            raise ScenarioError("'stages' must be an array of stages")
+        stages = tuple(from_dict(STAGE_KINDS, _with_overhead(sd, overhead)) for sd in stage_docs)
+        topo = Topology(name=name, stages=stages, camera=cameras[0], deadlines=deadlines)
+    elif architecture in ("classic", "direct"):
+        kwargs = {key: doc[key] for key in _BUILDER_KEYS if key in doc}
+        kwargs.update(name=name, processing=processing, deadlines=deadlines)
+        pcie_doc = _require(doc, "pcie", f"{architecture} architecture")
+        pcie = from_dict(LINK_KINDS, _with_overhead(pcie_doc, overhead))
+        if architecture == "direct":
+            topo = build_direct(cameras[0], pcie, **kwargs)
+        else:
+            ci_doc = _require(doc, "camera_interface", "classic architecture")
+            topo = build_classic(
+                cameras[0],
+                from_dict(LINK_KINDS, _with_overhead(ci_doc, overhead)),
+                pcie,
+                doc.get("grabber_capacity_bytes", DEFAULT_BUFFER_CAPACITY),
+                grabber_latency_ns=doc.get("grabber_latency_ns", 0),
+                **kwargs,
+            )
+    else:
+        raise ScenarioError(f"unknown architecture {architecture!r}")
+    problems = validate(topo)
+    if problems:
+        rules = "; ".join(v.rule for v in problems)
+        raise ScenarioError(f"scenario resolves to an invalid topology: {rules}")
 
+    # The stages do not depend on the camera: each camera gets its own
+    # pipeline by swapping the camera and the name.
+    if len(cameras) == 1:
+        pipelines = [topo]
+    else:
+        pipelines = [replace(topo, name=f"{name}-cam{i}", camera=cam) for i, cam in enumerate(cameras)]
     return Scenario(name=name, cameras=cameras, pipelines=pipelines, base_config=base_config)
 
 

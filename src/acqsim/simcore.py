@@ -35,6 +35,7 @@ from .linkmodel import (
 from .timing import ClockModel, sample_timestamp_detailed
 from .topology import (
     CUT_THROUGH,
+    JSON_FORMS,
     BufferStage,
     FrameGrabber,
     HostMemory,
@@ -42,6 +43,7 @@ from .topology import (
     Processor,
     Sensor,
     Topology,
+    one,
     validate,
 )
 
@@ -111,6 +113,9 @@ class SimConfig:
             raise InvalidSpecError("duration_ns must be >= 0")
         if self.drop_policy not in (DROP_NEWEST, DROP_OLDEST):
             raise InvalidSpecError(f"unknown drop policy {self.drop_policy!r}")
+
+
+JSON_FORMS[SimConfig] = {"clock": one(ClockModel)}
 
 
 def serialization_time_ns(size_bytes: int, link: Link) -> int:

@@ -112,35 +112,3 @@ def check_deadlines(report_or_frames, deadlines: DeadlineSpec) -> list[DeadlineV
         if rms > deadlines.timestamp_rms_ns:
             violations.append(DeadlineViolation("timestamp", None, rms, deadlines.timestamp_rms_ns))
     return violations
-
-
-def deadlines_to_dict(d: DeadlineSpec) -> dict:
-    return {
-        "safety_ns": d.safety_ns,
-        "control_ns": d.control_ns,
-        "timestamp_rms_ns": d.timestamp_rms_ns,
-    }
-
-
-def deadlines_from_dict(d: dict) -> DeadlineSpec:
-    return DeadlineSpec(
-        safety_ns=d.get("safety_ns", 100_000),
-        control_ns=d.get("control_ns", 20_000_000),
-        timestamp_rms_ns=d.get("timestamp_rms_ns", 50.0),
-    )
-
-
-def clock_to_dict(c: ClockModel) -> dict:
-    return {
-        "offset_ns": c.offset_ns,
-        "drift_ppm": c.drift_ppm,
-        "jitter_sigma_ns": c.jitter_sigma_ns,
-    }
-
-
-def clock_from_dict(d: dict) -> ClockModel:
-    return ClockModel(
-        offset_ns=d.get("offset_ns", 0.0),
-        drift_ppm=d.get("drift_ppm", 0.0),
-        jitter_sigma_ns=d.get("jitter_sigma_ns", 0.0),
-    )

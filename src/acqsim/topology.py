@@ -15,27 +15,29 @@ memory (camera buffer, grabber, host RAM): 3 hops classic, 2 direct.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional, Union
+from typing import Optional
 
-from .linkmodel import (
-    CameraSpec,
-    InvalidSpecError,
-    Link,
-    camera_from_dict,
-    camera_to_dict,
-    link_from_dict,
-    link_to_dict,
-)
-from .timing import DeadlineSpec, deadlines_from_dict, deadlines_to_dict
+from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, Link
+from .timing import DeadlineSpec
 
 STORE_AND_FORWARD = "store_and_forward"
 CUT_THROUGH = "cut_through"
 
 DEFAULT_BUFFER_CAPACITY = 64 * 1024 * 1024  # 64 MiB, holds any in-envelope frame
+
+# The parameters each processing distribution reads; the others stay zero.
+_PROCESSING_PARAMS = {
+    "fixed": ("fixed_ns",),
+    "uniform": ("low_ns", "high_ns"),
+    "normal": ("mean_ns", "sigma_ns"),
+}
 
 
 @dataclass(frozen=True)
@@ -50,17 +52,22 @@ class ProcessingModel:
     sigma_ns: float = 0.0
 
     def __post_init__(self):
+        params = _PROCESSING_PARAMS.get(self.distribution)
+        if params is None:
+            raise InvalidSpecError(f"unknown processing distribution {self.distribution!r}")
+        unused = [
+            n for p in _PROCESSING_PARAMS.values() if p is not params for n in p if getattr(self, n)
+        ]
+        if unused:
+            raise InvalidSpecError(f"{self.distribution} processing takes no {', '.join(unused)}")
         if self.distribution == "fixed":
             if self.fixed_ns < 0:
                 raise InvalidSpecError("fixed processing time must be >= 0")
         elif self.distribution == "uniform":
             if not 0 <= self.low_ns <= self.high_ns:
                 raise InvalidSpecError("uniform processing time needs 0 <= low <= high")
-        elif self.distribution == "normal":
-            if self.sigma_ns < 0 or self.mean_ns < 0:
-                raise InvalidSpecError("normal processing time needs mean, sigma >= 0")
-        else:
-            raise InvalidSpecError(f"unknown processing distribution {self.distribution!r}")
+        elif self.sigma_ns < 0 or self.mean_ns < 0:
+            raise InvalidSpecError("normal processing time needs mean, sigma >= 0")
 
     @classmethod
     def fixed(cls, ns: int) -> "ProcessingModel":
@@ -174,8 +181,6 @@ class Processor:
         if self.fixed_latency_ns < 0:
             raise InvalidSpecError("fixed_latency_ns must be >= 0")
 
-
-Stage = Union[Sensor, BufferStage, LinkStage, FrameGrabber, HostMemory, Processor]
 
 # Stages that can hold a complete frame and feed a downstream link.
 EMITTER_KINDS = (Sensor, BufferStage, FrameGrabber)
@@ -292,103 +297,132 @@ def build_direct(
     return Topology(name=name, stages=stages, camera=cam, deadlines=deadlines or DeadlineSpec())
 
 
-# --- Serialization ---------------------------------------------------------
+# --- JSON codec ------------------------------------------------------------
+#
+# A record crosses the JSON boundary as one key per dataclass field, plus
+# the class's "kind" tag for links and stages.  JSON_FORMS lists, per
+# class, only the fields whose JSON form differs from the Python value,
+# as (encode, decode) pairs; simcore and metrics add their own records.
+
+STAGE_KINDS = {
+    cls.kind: cls for cls in (Sensor, BufferStage, LinkStage, FrameGrabber, HostMemory, Processor)
+}
+_TAGGED = frozenset(LINK_KINDS.values()) | frozenset(STAGE_KINDS.values())
+
+# JSON types a scalar annotation accepts.  type() is matched exactly, so a
+# bool is never an int; float values must also be finite.
+_SCALARS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a finite number"),
+    "str": ((str,), "a string"),
+    "bool": ((bool,), "a boolean"),
+    "Optional[int]": ((int, type(None)), "an integer or null"),
+    "Optional[str]": ((str, type(None)), "a string or null"),
+}
 
 
-def processing_to_dict(p: ProcessingModel) -> dict:
-    if p.distribution == "fixed":
-        return {"distribution": "fixed", "fixed_ns": p.fixed_ns}
-    if p.distribution == "uniform":
-        return {"distribution": "uniform", "low_ns": p.low_ns, "high_ns": p.high_ns}
-    return {"distribution": "normal", "mean_ns": p.mean_ns, "sigma_ns": p.sigma_ns}
+def scalar_checks(annotations: dict) -> tuple:
+    """(key, JSON types, description) for each scalar annotation of a key -> annotation map."""
+    return tuple((key, *_SCALARS[a]) for key, a in annotations.items() if a in _SCALARS)
 
 
-def processing_from_dict(d: dict) -> ProcessingModel:
-    dist = d.get("distribution", "fixed")
-    if dist == "fixed":
-        return ProcessingModel.fixed(d.get("fixed_ns", 0))
-    if dist == "uniform":
-        return ProcessingModel.uniform(d["low_ns"], d["high_ns"])
-    if dist == "normal":
-        return ProcessingModel.normal(d["mean_ns"], d["sigma_ns"])
-    raise InvalidSpecError(f"unknown processing distribution {dist!r}")
+def check_json_types(owner: str, checks: tuple, d: dict) -> None:
+    """Raise InvalidSpecError unless each key of d that checks names holds its JSON type."""
+    for key, types, what in checks:
+        if key in d:
+            value = d[key]
+            t = type(value)
+            if t not in types or (t is float and not math.isfinite(value)):
+                raise InvalidSpecError(f"{owner} {key!r} must be {what}, got {value!r}")
 
 
-def stage_to_dict(s: Stage) -> dict:
-    if isinstance(s, Sensor):
-        return {"kind": s.kind, "fixed_latency_ns": s.fixed_latency_ns}
-    if isinstance(s, BufferStage):
-        return {
-            "kind": s.kind,
-            "capacity_bytes": s.capacity_bytes,
-            "forwarding": s.forwarding,
-            "fixed_latency_ns": s.fixed_latency_ns,
-        }
-    if isinstance(s, LinkStage):
-        return {"kind": s.kind, "link": link_to_dict(s.link)}
-    if isinstance(s, FrameGrabber):
-        return {
-            "kind": s.kind,
-            "capacity_bytes": s.capacity_bytes,
-            "fixed_latency_ns": s.fixed_latency_ns,
-        }
-    if isinstance(s, HostMemory):
-        return {"kind": s.kind, "fixed_latency_ns": s.fixed_latency_ns}
-    if isinstance(s, Processor):
-        return {
-            "kind": s.kind,
-            "processing": processing_to_dict(s.processing),
-            "fixed_latency_ns": s.fixed_latency_ns,
-        }
-    raise InvalidSpecError(f"unknown stage type {type(s).__name__}")
+@functools.cache
+def _field_checks(cls) -> tuple:
+    """The scalar checks of a record class's fields."""
+    return scalar_checks({f.name: f.type for f in dataclasses.fields(cls)})
 
 
-def stage_from_dict(d: dict) -> Stage:
-    kind = d.get("kind")
-    if kind == "sensor":
-        return Sensor(fixed_latency_ns=d.get("fixed_latency_ns", 0))
-    if kind == "buffer":
-        return BufferStage(
-            capacity_bytes=d["capacity_bytes"],
-            forwarding=d.get("forwarding", STORE_AND_FORWARD),
-            fixed_latency_ns=d.get("fixed_latency_ns", 0),
-        )
-    if kind == "link":
-        return LinkStage(link=link_from_dict(d["link"]))
-    if kind == "frame_grabber":
-        return FrameGrabber(
-            capacity_bytes=d["capacity_bytes"],
-            fixed_latency_ns=d.get("fixed_latency_ns", 0),
-        )
-    if kind == "host_memory":
-        return HostMemory(fixed_latency_ns=d.get("fixed_latency_ns", 0))
-    if kind == "processor":
-        return Processor(
-            processing=processing_from_dict(d.get("processing", {})),
-            fixed_latency_ns=d.get("fixed_latency_ns", 0),
-        )
-    raise InvalidSpecError(f"unknown stage kind {kind!r}")
+def to_dict(obj) -> dict:
+    """The JSON object of a record: one key per field (in the form JSON_FORMS
+    gives it), plus "kind" for links and stages."""
+    cls = type(obj)
+    if cls is ProcessingModel:  # sparse: only its own distribution's parameters
+        names = ("distribution", *_PROCESSING_PARAMS[obj.distribution])
+        d = {name: getattr(obj, name) for name in names}
+    else:
+        d = dict(vars(obj))  # a dataclass instance holds exactly its fields
+    forms = JSON_FORMS.get(cls)
+    if forms:
+        for name, (encode, _) in forms.items():
+            d[name] = encode(d[name])
+    if cls in _TAGGED:
+        d["kind"] = cls.kind
+    return d
 
 
-def topology_to_dict(t: Topology) -> dict:
-    return {
-        "name": t.name,
-        "camera": camera_to_dict(t.camera),
-        "deadlines": deadlines_to_dict(t.deadlines),
-        "stages": [stage_to_dict(s) for s in t.stages],
-    }
+def from_dict(cls_or_kinds, d):
+    """Decode a JSON object into a record of the given class, or of the
+    class its "kind" names in a kinds table (LINK_KINDS, STAGE_KINDS).
+
+    Unknown or missing keys and wrongly typed values raise InvalidSpecError.
+    """
+    if not isinstance(d, dict):
+        what = "a link or stage" if isinstance(cls_or_kinds, dict) else cls_or_kinds.__name__
+        raise InvalidSpecError(f"{what} must be a JSON object, got {d!r}")
+    if isinstance(cls_or_kinds, dict):
+        d = dict(d)
+        kind = d.pop("kind", None)
+        cls = cls_or_kinds.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise InvalidSpecError(f"unknown kind {kind!r} (expected one of {sorted(cls_or_kinds)})")
+    else:
+        cls = cls_or_kinds
+    check_json_types(cls.__name__, _field_checks(cls), d)
+    forms = JSON_FORMS.get(cls)
+    if forms:
+        d = dict(d)
+        for name, (_, decode) in forms.items():
+            if name in d:
+                d[name] = decode(d[name])
+    try:
+        return cls(**d)
+    except TypeError as exc:  # an unknown or a missing key
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+        detail = f"unknown keys {unknown}" if unknown else str(exc)
+        raise InvalidSpecError(f"{cls.__name__}: {detail}") from exc
 
 
-def topology_from_dict(d: dict) -> Topology:
-    return Topology(
-        name=d["name"],
-        stages=tuple(stage_from_dict(s) for s in d["stages"]),
-        camera=camera_from_dict(d["camera"]),
-        deadlines=deadlines_from_dict(d.get("deadlines", {})),
+def one(cls_or_kinds) -> tuple:
+    """JSON form of a field holding one record."""
+    return to_dict, functools.partial(from_dict, cls_or_kinds)
+
+
+def many(cls_or_kinds, container=list) -> tuple:
+    """JSON form of a field holding a sequence of records."""
+    return (
+        lambda records: [to_dict(r) for r in records],
+        lambda docs: container([from_dict(cls_or_kinds, doc) for doc in docs]),
     )
+
+
+# JSON form of a map keyed by stage index: JSON object keys are strings.
+INT_KEYED = (
+    lambda m: {str(k): v for k, v in m.items()},
+    lambda m: {int(k): v for k, v in m.items()},
+)
+
+JSON_FORMS: dict = {
+    Topology: {
+        "camera": one(CameraSpec),
+        "deadlines": one(DeadlineSpec),
+        "stages": many(STAGE_KINDS, tuple),
+    },
+    LinkStage: {"link": one(LINK_KINDS)},
+    Processor: {"processing": one(ProcessingModel)},
+}
 
 
 def topology_digest(t: Topology) -> str:
     """Stable content hash of the canonical topology serialization."""
-    blob = json.dumps(topology_to_dict(t), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(to_dict(t), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

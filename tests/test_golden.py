@@ -2,7 +2,8 @@
 
 Rerun equality (same inputs, same bytes) is tested elsewhere; this file
 pins the bytes themselves across changes to the engine and the
-exporters.  Each entry is (scenario stem, pipeline index) ->
+exporters, and checks that importing each structured export writes it
+back unchanged.  Each entry is (scenario stem, pipeline index) ->
 (sha256 of export_structured, sha256 of export_tabular), run at the
 scenario file's own seed.  A change to exported bytes needs a schema
 doc edit and a schema_version bump, and then new digests here.
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from acqsim import export_structured, export_tabular, load_scenario, run
+from acqsim import export_structured, export_tabular, import_structured, load_scenario, run
 
 pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 
@@ -69,4 +70,6 @@ def test_export_digests(key):
     stem, index = key
     scenario = load_scenario(SCENARIOS / f"{stem}.json")
     report = run(scenario.pipelines[index], scenario.configs()[index])
-    assert (_sha256(export_structured(report)), _sha256(export_tabular(report))) == GOLDEN[key]
+    text = export_structured(report)
+    assert (_sha256(text), _sha256(export_tabular(report))) == GOLDEN[key]
+    assert export_structured(import_structured(text)) == text

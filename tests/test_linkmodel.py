@@ -25,7 +25,8 @@ from acqsim import (
     min_lanes,
     raw_lane_rate,
 )
-from acqsim.linkmodel import link_from_dict, link_to_dict
+from acqsim.linkmodel import LINK_KINDS
+from acqsim.topology import from_dict, to_dict
 
 
 def cam(px, depth, fps):
@@ -184,11 +185,11 @@ class TestLinkValidation:
             USB3If(cable_length_m=3.0),
         ]
         for link in links:
-            assert link_from_dict(link_to_dict(link)) == link
+            assert from_dict(LINK_KINDS, to_dict(link)) == link
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpecError):
-            link_from_dict({"kind": "firewire"})
+            from_dict(LINK_KINDS, {"kind": "firewire"})
 
 
 class TestOverheadModel:

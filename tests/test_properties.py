@@ -29,7 +29,7 @@ from acqsim import (
     validate,
 )
 from acqsim.linkmodel import NoFeasibleWidthError
-from acqsim.topology import BufferStage, FrameGrabber, topology_from_dict, topology_to_dict
+from acqsim.topology import BufferStage, FrameGrabber, Topology, from_dict, to_dict
 from conftest import make_camera, make_config, make_link, make_topology
 
 pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
@@ -130,7 +130,7 @@ class TestTopologyProperties:
     @given(st.randoms(use_true_random=False))
     def test_serialization_round_trip(self, rng):
         topo = make_topology(rng)
-        assert topology_from_dict(topology_to_dict(topo)) == topo
+        assert from_dict(Topology, to_dict(topo)) == topo
 
 
 class TestTimingProperties:

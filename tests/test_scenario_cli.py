@@ -35,6 +35,24 @@ def base_doc(**overrides):
     return doc
 
 
+def custom_doc(extra_stage_keys=None, processing=None):
+    """A valid custom chain; the buffer stage gains extra_stage_keys and the
+    processor takes `processing` when given."""
+    processor = {"kind": "processor"}
+    if processing is not None:
+        processor["processing"] = processing
+    return base_doc(
+        architecture="custom",
+        stages=[
+            {"kind": "sensor"},
+            {"kind": "buffer", "capacity_bytes": 4096, **(extra_stage_keys or {})},
+            {"kind": "link", "link": {"kind": "usb3"}},
+            {"kind": "host_memory"},
+            processor,
+        ],
+    )
+
+
 class TestScenarioParsing:
     def test_direct_minimal(self):
         sc = parse_scenario(base_doc())
@@ -116,6 +134,34 @@ class TestScenarioParsing:
             lambda d: d.update(sim=5),
             lambda d: d["sim"].update(seed="x"),
             lambda d: d["sim"].update(seed=True),
+            # Unknown keys inside objects.
+            lambda d: d.update(clock={"jitter_sigma": 20}),
+            lambda d: d.update(deadlines={"safety": 5}),
+            lambda d: d.update(overhead={"max_payload": 256}),
+            lambda d: d["camera"].update(fps=1000),
+            lambda d: d.update(custom_doc(extra_stage_keys={"forwarding_mode": "cut_through"})),
+            lambda d: d.update(processing_time_ns={"distribution": "fixed", "fixed": 5}),
+            lambda d: d.update(processing_time_ns={"distribution": "fixed", "low_ns": 5}),
+            lambda d: d["sim"].update(clock={"jitter_sigma_ns": 20.0}),
+            # Objects and arrays of the wrong shape.
+            lambda d: d.update(camera=[]),
+            lambda d: d.update(cameras=3) or d.pop("camera"),
+            lambda d: d.update(clock="x"),
+            lambda d: d.update(overhead=5),
+            lambda d: d.update(custom_doc(processing=7)),
+            lambda d: d.update(architecture="custom", stages=5),
+            # Values of the wrong type or out of range.
+            lambda d: d["camera"].update(resolution_pixels="1000000"),
+            lambda d: d["camera"].update(frame_rate=float("inf")),
+            lambda d: d["camera"].update(frame_rate=float("nan")),
+            lambda d: d.update(deadlines={"safety_ns": 0}),
+            lambda d: d.update(processing_time_ns=True),
+            lambda d: d["sim"].update(n_frames=1.5),
+            lambda d: d["sim"].update(n_frames=True),
+            lambda d: d.update(sim={"seed": 5, "duration_ns": 2.5}),
+            lambda d: d["pcie"].update(lanes=True),
+            lambda d: d.update(sensor_latency_ns=1.5),
+            lambda d: d.update(schema_version=True),
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
@@ -194,8 +240,20 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("sim", [5, {"seed": "x", "n_frames": 1}, {"seed": True, "n_frames": 1}])
     def test_bad_sim_block_exits_1_without_traceback(self, tmp_path, sim):
-        path = tmp_path / "bad-sim.json"
-        path.write_text(json.dumps(base_doc(sim=sim)), encoding="utf-8")
+        self._assert_clean_config_error(tmp_path, base_doc(sim=sim))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"camera": []}, {"clock": "x"}, {"processing_time_ns": True}],
+        ids=["camera-array", "clock-string", "processing-bool"],
+    )
+    def test_malformed_document_exits_1_without_traceback(self, tmp_path, overrides):
+        self._assert_clean_config_error(tmp_path, base_doc(**overrides))
+
+    @staticmethod
+    def _assert_clean_config_error(tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run(

@@ -1,33 +1,51 @@
 """Pipeline construction, validation rules, copy counting, serialization."""
 
+import json
 from random import Random
 
 import pytest
 
 from acqsim import (
+    Aggregates,
     BufferStage,
     CameraSpec,
     CameraLinkIf,
+    CLHSIf,
+    ClockModel,
+    CoaXPressIf,
+    DeadlineSpec,
+    DeadlineViolation,
     FrameGrabber,
+    GigEVisionIf,
     HostMemory,
     InvalidSpecError,
     LinkStage,
+    OverheadModel,
     PCIeLink,
     ProcessingModel,
     Processor,
     Sensor,
+    SimConfig,
+    SimReport,
     Topology,
+    USB3If,
     build_classic,
     build_direct,
     copy_count,
+    export_structured,
+    import_structured,
+    run,
     topology_digest,
     validate,
 )
+from acqsim.linkmodel import LINK_KINDS
 from acqsim.topology import (
     CUT_THROUGH,
+    JSON_FORMS,
+    STAGE_KINDS,
     STORE_AND_FORWARD,
-    topology_from_dict,
-    topology_to_dict,
+    from_dict,
+    to_dict,
 )
 
 CAM = CameraSpec(1_000_000, 8, 1000)
@@ -170,7 +188,7 @@ class TestSerialization:
             build_classic(CAM, CL, G3X4, 4096, grabber_latency_ns=7, processing=ProcessingModel.fixed(5)),
             build_direct(CAM, PCIeLink(5, 16, cable_length_m=300.0), host_latency_ns=3),
         ):
-            assert topology_from_dict(topology_to_dict(t)) == t
+            assert from_dict(Topology, to_dict(t)) == t
 
     def test_round_trip_custom(self):
         t = Topology(
@@ -186,7 +204,90 @@ class TestSerialization:
             ),
             CAM,
         )
-        assert topology_from_dict(topology_to_dict(t)) == t
+        assert from_dict(Topology, to_dict(t)) == t
+
+    @staticmethod
+    def codec_samples():
+        """(class or kinds table, record) for every record class the codec handles."""
+        topo = build_classic(
+            CAM, CL, G3X4, 64 * 1024 * 1024, processing=ProcessingModel.uniform(10, 20),
+            deadlines=DeadlineSpec(safety_ns=1_000, control_ns=2_000_000, timestamp_rms_ns=1.0),
+        )
+        config = SimConfig(seed=3, n_frames=3, clock=ClockModel(5.0, 1.5, 2.0))
+        report = run(topo, config)
+        assert report.aggregates.violations
+        links = [
+            PCIeLink(4, 8, cable_length_m=12.5, protocol_efficiency=0.9),
+            CameraLinkIf(config="medium", cable_length_m=5.0),
+            CoaXPressIf(speed_grade="cxp12", links=2),
+            GigEVisionIf(rate_preset="10g"),
+            CLHSIf(lanes=7),
+            USB3If(cable_length_m=3.0),
+        ]
+        stages = [
+            Sensor(fixed_latency_ns=11),
+            BufferStage(2048, forwarding=CUT_THROUGH, fixed_latency_ns=2),
+            LinkStage(CameraLinkIf("medium", cable_length_m=4.5)),
+            FrameGrabber(8192, fixed_latency_ns=1),
+            HostMemory(fixed_latency_ns=9),
+            Processor(processing=ProcessingModel.normal(10.0, 2.0), fixed_latency_ns=6),
+        ]
+        return (
+            [(LINK_KINDS, link) for link in links]
+            + [(STAGE_KINDS, stage) for stage in stages]
+            + [
+                (ProcessingModel, ProcessingModel.fixed(5)),
+                (ProcessingModel, ProcessingModel.uniform(1, 9)),
+                (ProcessingModel, ProcessingModel.normal(3.5, 0.5)),
+                (CameraSpec, CAM),
+                (OverheadModel, OverheadModel(512, 20, 0.75)),
+                (ClockModel, config.clock),
+                (DeadlineSpec, topo.deadlines),
+                (DeadlineViolation, report.aggregates.violations[0]),
+                (SimConfig, config),
+                (Aggregates, report.aggregates),
+                (Topology, topo),
+                (SimReport, report),
+            ]
+        )
+
+    def test_codec_round_trips_every_record(self):
+        samples = self.codec_samples()
+        covered = {type(record) for _, record in samples}
+        assert set(JSON_FORMS) | set(LINK_KINDS.values()) | set(STAGE_KINDS.values()) <= covered
+        for cls_or_kinds, record in samples:
+            doc = json.loads(json.dumps(to_dict(record)))
+            assert from_dict(cls_or_kinds, doc) == record
+
+    def test_codec_rejects_unknown_keys(self):
+        for cls_or_kinds, record in self.codec_samples():
+            doc = to_dict(record)
+            doc["unexpected"] = 1
+            with pytest.raises(InvalidSpecError, match="unexpected"):
+                from_dict(cls_or_kinds, doc)
+
+    def test_long_custom_chain_export_round_trips(self):
+        mib = 1024 * 1024
+        hops = []
+        for _ in range(5):
+            hops += [LinkStage(G3X4), FrameGrabber(64 * mib)]
+        stages = (Sensor(), BufferStage(64 * mib), *hops, LinkStage(G3X4), HostMemory(), Processor())
+        assert len(stages) == 15
+        report = run(Topology("long", stages, CAM), SimConfig(seed=2, n_frames=3))
+        text = export_structured(report)
+        assert import_structured(text) == report
+        assert export_structured(import_structured(text)) == text
+        # Int-keyed maps are written with string keys, so they sort as strings.
+        doc = json.loads(text)
+        for keys in (
+            list(doc["aggregates"]["high_water_bytes"]),
+            list(doc["occupancy"]),
+            list(doc["link_busy_ns"]),
+        ):
+            assert keys == sorted(keys)
+            assert any(len(k) == 2 for k in keys)
+        hw = list(doc["aggregates"]["high_water_bytes"])
+        assert hw.index("11") < hw.index("3")
 
     def test_digest_stability_and_sensitivity(self):
         a = build_direct(CAM, G3X4)
