@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
 import sys
 
 from .linkmodel import (
@@ -166,6 +167,12 @@ def _cmd_simulate(args) -> int:
         configs = [dataclasses.replace(c, seed=args.seed + i) for i, c in enumerate(configs)]
 
     multi = len(scenario.pipelines) > 1
+    bases = [f"{stem}-cam{i}" for i in range(len(configs))] if multi else [stem]
+    suffixes = {"structured": (".json",), "tabular": (".csv",), "both": (".json", ".csv")}[args.format]
+    for path in (base + suffix for base in bases for suffix in suffixes):
+        if os.path.exists(path) and os.path.samefile(path, args.scenario):
+            print(f"error: output {path} would overwrite the scenario file", file=sys.stderr)
+            return EXIT_CONFIG
     if multi:
         demand = aggregate_rate(scenario.cameras)
         print(f"aggregate camera demand: {demand:.3f} Gb/s over {len(scenario.cameras)} pipelines")
@@ -188,7 +195,7 @@ def _cmd_simulate(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
 
-        base = f"{stem}-cam{i}" if multi else stem
+        base = bases[i]
         try:
             if args.format in ("structured", "both"):
                 _write(base + ".json", export_structured(report))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .linkmodel import (
@@ -24,6 +24,7 @@ from .linkmodel import (
     CLHSIf,
     CoaXPressIf,
     GigEVisionIf,
+    InvalidSpecError,
     PCIeLink,
     USB3If,
     effective_link_rate,
@@ -43,6 +44,7 @@ from .topology import (
     JSON_FORMS,
     Topology,
     copy_count,
+    decode_int_keyed,
     from_dict,
     many,
     one,
@@ -228,20 +230,31 @@ def _frame_to_dict(r: FrameRecord) -> dict:
     }
 
 
+_FRAME_KEYS = sorted(f.name for f in fields(FrameRecord))
+_BAD_FRAME = f"a frame must be a JSON object with exactly the keys {_FRAME_KEYS}"
+
+
 def _frame_from_dict(d: dict) -> FrameRecord:
-    return FrameRecord(
-        frame_id=d["frame_id"],
-        size_bytes=d["size_bytes"],
-        generated_at_ns=d["generated_at_ns"],
-        camera_timestamp_ns=d["camera_timestamp_ns"],
-        timestamp_clamped=d["timestamp_clamped"],
-        stage_times=[StageSpan(a, b) for a, b in d["stage_times"]],
-        buffer_bytes={int(k): v for k, v in d["buffer_bytes"].items()},
-        disposition=d["disposition"],
-        drop_stage=d["drop_stage"],
-        drop_reason=d["drop_reason"],
-        drop_time_ns=d["drop_time_ns"],
-    )
+    # Counting keys is cheaper than comparing them: with the right count, a
+    # missing frame key (the KeyError below) means an unknown one is present.
+    if not isinstance(d, dict) or len(d) != len(_FRAME_KEYS):
+        raise InvalidSpecError(_BAD_FRAME)
+    try:
+        return FrameRecord(
+            frame_id=d["frame_id"],
+            size_bytes=d["size_bytes"],
+            generated_at_ns=d["generated_at_ns"],
+            camera_timestamp_ns=d["camera_timestamp_ns"],
+            timestamp_clamped=d["timestamp_clamped"],
+            stage_times=[StageSpan(a, b) for a, b in d["stage_times"]],
+            buffer_bytes={int(k): v for k, v in d["buffer_bytes"].items()},
+            disposition=d["disposition"],
+            drop_stage=d["drop_stage"],
+            drop_reason=d["drop_reason"],
+            drop_time_ns=d["drop_time_ns"],
+        )
+    except KeyError:
+        raise InvalidSpecError(_BAD_FRAME) from None
 
 
 JSON_FORMS[Aggregates] = {"high_water_bytes": INT_KEYED, "violations": many(DeadlineViolation)}
@@ -252,10 +265,7 @@ JSON_FORMS[SimReport] = {
         lambda frames: [_frame_to_dict(r) for r in frames],
         lambda docs: [_frame_from_dict(d) for d in docs],
     ),
-    "occupancy": (
-        lambda occ: {str(k): v for k, v in occ.items()},
-        lambda occ: {int(k): [(t, b) for t, b in v] for k, v in occ.items()},
-    ),
+    "occupancy": (INT_KEYED[0], lambda occ: decode_int_keyed(occ, lambda v: [(t, b) for t, b in v])),
     "link_busy_ns": INT_KEYED,
     "aggregates": one(Aggregates),
 }

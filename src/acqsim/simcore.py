@@ -1,8 +1,12 @@
 """Deterministic discrete-event engine for frame pipelines.
 
 Time is integer nanoseconds throughout; there is no floating-point time
-anywhere in the engine.  Ties on the event heap break by insertion order
-(FIFO), so a run is a pure function of (topology, config).
+anywhere in the engine.  Ties on the event heap break by global push
+order, so a run is a pure function of (topology, config).  A frame whose
+event was queued earlier is admitted before an equal-time release: when
+a transmission lasts exactly one frame period, the next frame's
+generation was queued before the previous frame's transmission end, so
+the buffer briefly holds both and its high water counts both frames.
 
 Stage hand-off convention recorded per frame: a stage's egress is the
 instant the frame's last byte leaves it, which equals the next stage's
@@ -18,11 +22,11 @@ exact integer math.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from random import Random
 from typing import Optional
 
@@ -134,23 +138,23 @@ def transmission_time(size_bytes: int, link: Link) -> int:
 # --- Engine internals ------------------------------------------------------
 
 
-@dataclass
-class _Queued:
-    frame: FrameRecord
-    arrival_ns: int       # full-arrival time at the holding stage
-    first_byte_ns: int    # first-byte arrival (for cut-through starts)
-    contribution: int     # bytes this frame holds in the stage's memory
-
-
 class _HolderState:
-    """State of a stage that can hold frames (sensor/buffer/grabber/host)."""
+    """State of a stage that can hold frames (sensor/buffer/grabber/host).
+
+    FIFO entries are (frame, full-arrival ns, first-byte ns, bytes held).
+    """
 
     __slots__ = ("occupancy", "trace", "fifo")
 
     def __init__(self):
         self.occupancy = 0
         self.trace: list[tuple[int, int]] = []
-        self.fifo: deque[_Queued] = deque()
+        self.fifo: deque[tuple] = deque()
+
+    def release(self, t: int, amount: int) -> None:
+        """Return amount bytes to the stage's free space at time t."""
+        self.occupancy -= amount
+        self.trace.append((t, self.occupancy))
 
 
 class _LinkState:
@@ -178,26 +182,39 @@ class RunResult:
 
 
 class _Engine:
+    """Heap entries are (time, seq, handler, args); the loop calls handler(*args)."""
+
     def __init__(self, topo: Topology, cfg: SimConfig):
-        self.topo = topo
         self.cfg = cfg
-        self.stages = topo.stages
+        self.stages = stages = topo.stages
         self.heap: list = []
         self.seq = 0
         self.now = 0
         self.records: list[FrameRecord] = []
         self.clock_rng = Random(f"{cfg.seed}:clock")
         self.proc_rng = Random(f"{cfg.seed}:processing")
-
-        self.frame_size = topo.camera.frame_size_bytes
-        self.holders: dict[int, _HolderState] = {}
-        self.links: dict[int, _LinkState] = {}
+        self.frame_size = size = topo.camera.frame_size_bytes
         self.proc_free_at = 0
-        for i, s in enumerate(self.stages):
-            if isinstance(s, (Sensor, BufferStage, FrameGrabber, HostMemory)):
-                self.holders[i] = _HolderState()
-            elif isinstance(s, LinkStage):
-                self.links[i] = _LinkState(s.link, self.frame_size)
+
+        # Per-stage tables.  `arrive` holds plain functions that take the
+        # engine first: bound methods kept on the engine would form a cycle.
+        arrive = {
+            BufferStage: _Engine._arrive_buffer,
+            FrameGrabber: _Engine._arrive_buffer,
+            HostMemory: _Engine._arrive_host,
+            Processor: _Engine._arrive_processor,
+        }
+        self.arrive = [arrive.get(type(s)) for s in stages]
+        self.links = [_LinkState(s.link, size) if isinstance(s, LinkStage) else None for s in stages]
+        self.holders = [None if isinstance(s, (LinkStage, Processor)) else _HolderState() for s in stages]
+        # Latency a frame waits before leaving; the sensor applies its own
+        # at readout, so it waits none here.
+        self.fixed = [0 if isinstance(s, (Sensor, LinkStage)) else s.fixed_latency_ns for s in stages]
+        self.cut_through = [isinstance(s, BufferStage) and s.forwarding == CUT_THROUGH for s in stages]
+        self.next_is_link = [isinstance(s, LinkStage) for s in stages[1:]] + [False]
+        # Validated chains end in the one processor.
+        self.proc_idx = len(stages) - 1
+        self.processing = stages[-1].processing
 
         fps = topo.camera.frame_rate
         # Sub-ns frame periods clamp to the 1 ns clock tick.
@@ -205,33 +222,32 @@ class _Engine:
 
     # -- event plumbing --
 
-    def push(self, t: int, fn) -> None:
+    def push(self, t: int, handler, args: tuple) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (t, self.seq, fn))
+        heappush(self.heap, (t, self.seq, handler, args))
 
     def run(self) -> RunResult:
         cfg = self.cfg
         if cfg.n_frames is not None and cfg.n_frames > 0 and self.period_ns is None:
             raise InvalidSpecError("cannot generate frames from a zero frame-rate camera")
         if self.period_ns is not None and cfg.n_frames != 0:
-            self.push(0, lambda: self._generate(0))
-        last_t = 0
-        while self.heap:
-            t, _, fn = heapq.heappop(self.heap)
-            if cfg.duration_ns is not None and t > cfg.duration_ns:
+            self.push(0, self._generate, (0,))
+        heap = self.heap
+        duration = cfg.duration_ns
+        while heap:
+            t, _, handler, args = heappop(heap)
+            if duration is not None and t > duration:
                 break
             self.now = t
-            last_t = t
-            fn()
-        # Events left past a duration cutoff hold closures over the engine;
-        # dropping them keeps the run free of reference cycles.
-        self.heap.clear()
-        elapsed = cfg.duration_ns if cfg.duration_ns is not None else last_t
+            handler(*args)
+        # Events left past a duration cutoff hold bound methods of the
+        # engine; dropping them keeps the run free of reference cycles.
+        heap.clear()
         return RunResult(
             frames=self.records,
-            elapsed_ns=elapsed,
-            occupancy={i: h.trace for i, h in self.holders.items()},
-            link_busy_ns={i: l.busy_ns for i, l in self.links.items()},
+            elapsed_ns=duration if duration is not None else self.now,
+            occupancy={i: h.trace for i, h in enumerate(self.holders) if h is not None},
+            link_busy_ns={i: l.busy_ns for i, l in enumerate(self.links) if l is not None},
             generated=len(self.records),
         )
 
@@ -240,9 +256,10 @@ class _Engine:
     def _generate(self, k: int) -> None:
         t = self.now
         stamp, clamped = sample_timestamp_detailed(self.cfg.clock, t, self.clock_rng)
+        size = self.frame_size
         rec = FrameRecord(
             frame_id=k,
-            size_bytes=self.frame_size,
+            size_bytes=size,
             generated_at_ns=t,
             camera_timestamp_ns=stamp,
             timestamp_clamped=clamped,
@@ -250,74 +267,60 @@ class _Engine:
             buffer_bytes={},
         )
         self.records.append(rec)
-        sensor: Sensor = self.stages[0]
-        egress = t + sensor.fixed_latency_ns
-        rec.stage_times[0].ingress_ns = t
-        rec.stage_times[0].egress_ns = egress
+        egress = t + self.stages[0].fixed_latency_ns
+        span = rec.stage_times[0]
+        span.ingress_ns = t
+        span.egress_ns = egress
 
         # Schedule the next frame before moving this one on, so generation
         # order stays the primary order at equal timestamps.
         nxt = k + 1
         if self.cfg.n_frames is None or nxt < self.cfg.n_frames:
-            self.push(t + self.period_ns, lambda: self._generate(nxt))
+            self.push(t + self.period_ns, self._generate, (nxt,))
 
-        if isinstance(self.stages[1], LinkStage):
+        if self.next_is_link[0]:
             # Sensor feeds the wire through an unbounded readout register;
             # its fixed latency is already applied at egress.
             h = self.holders[0]
-            h.occupancy += rec.size_bytes
+            h.occupancy += size
             h.trace.append((t, h.occupancy))
-            rec.buffer_bytes[0] = rec.size_bytes
-            h.fifo.append(_Queued(rec, egress, egress, rec.size_bytes))
+            rec.buffer_bytes[0] = size
+            h.fifo.append((rec, egress, egress, size))
             if egress > t:
-                self.push(egress, lambda: self._try_start(0))
+                self.push(egress, self._try_start, (0,))
             else:
                 self._try_start(0)
+        elif egress > t:
+            self.push(egress, self.arrive[1], (self, 1, rec, egress, egress))
         else:
-            if egress > t:
-                self.push(egress, lambda: self._arrive(1, rec, egress, egress))
-            else:
-                self._arrive(1, rec, egress, egress)
-
-    def _arrive(self, idx: int, rec: FrameRecord, t: int, first_byte: int) -> None:
-        """Frame fully present at stage idx at time t."""
-        stage = self.stages[idx]
-        if isinstance(stage, (BufferStage, FrameGrabber)):
-            self._arrive_buffer(idx, rec, t, first_byte)
-        elif isinstance(stage, HostMemory):
-            self._arrive_host(idx, rec, t)
-        elif isinstance(stage, Processor):
-            self._start_processing(idx, rec, max(t, self.proc_free_at))
-        else:  # pragma: no cover - validated topologies cannot reach here
-            raise InvalidTopologyError(f"frame arrived at non-receiving stage {stage.kind}")
+            self.arrive[1](self, 1, rec, egress, egress)
 
     def _arrive_buffer(self, idx: int, rec: FrameRecord, t: int, first_byte: int) -> None:
-        stage = self.stages[idx]
+        """Frame fully present at buffer or grabber idx at time t."""
         h = self.holders[idx]
-        next_is_link = isinstance(self.stages[idx + 1], LinkStage)
-        cut_through = isinstance(stage, BufferStage) and stage.forwarding == CUT_THROUGH
+        next_is_link = self.next_is_link[idx]
 
         contribution = rec.size_bytes
-        if cut_through and next_is_link:
+        if next_is_link and self.cut_through[idx]:
             link_state = self.links[idx + 1]
             if link_state.in_flight is None and not h.fifo:
                 # Head-of-line frame: forwarding may already have begun at
                 # first_byte + fixed latency, so only the residue is held.
-                s_would = max(first_byte + stage.fixed_latency_ns, link_state.free_at)
+                s_would = max(first_byte + self.fixed[idx], link_state.free_at)
                 if s_would < t:
                     # Whole bytes the link has moved since forwarding began.
                     drained = int(link_state.rate * (t - s_would) // 8)
                     contribution = max(0, rec.size_bytes - drained)
 
-        capacity = stage.capacity_bytes
+        capacity = self.stages[idx].capacity_bytes
         if h.occupancy + contribution > capacity:
             if self.cfg.drop_policy == DROP_OLDEST:
                 # Shed queued (not yet transmitting) frames, oldest first.
                 while h.fifo and h.occupancy + contribution > capacity:
-                    victim = h.fifo.popleft()
-                    h.occupancy -= victim.contribution
+                    victim, _, _, held = h.fifo.popleft()
+                    h.occupancy -= held
                     h.trace.append((t, h.occupancy))
-                    self._mark_dropped(victim.frame, idx, REASON_BACKPRESSURE, t)
+                    self._mark_dropped(victim, idx, REASON_BACKPRESSURE, t)
             if h.occupancy + contribution > capacity:
                 rec.stage_times[idx].ingress_ns = t
                 self._mark_dropped(rec, idx, REASON_OVERFLOW, t)
@@ -329,25 +332,24 @@ class _Engine:
         h.trace.append((t, h.occupancy))
 
         if next_is_link:
-            h.fifo.append(_Queued(rec, t, first_byte, contribution))
+            h.fifo.append((rec, t, first_byte, contribution))
             self._try_start(idx)
         else:
-            ready = t + stage.fixed_latency_ns
-            if ready > t:
-                self.push(ready, lambda: self._handoff_local(idx, rec, ready))
-            else:
-                self._handoff_local(idx, rec, t)
+            self._hold(idx, rec, t)
 
-    def _arrive_host(self, idx: int, rec: FrameRecord, t: int) -> None:
-        stage: HostMemory = self.stages[idx]
+    def _arrive_host(self, idx: int, rec: FrameRecord, t: int, first_byte: int) -> None:
         h = self.holders[idx]
         rec.stage_times[idx].ingress_ns = t
         rec.buffer_bytes[idx] = rec.size_bytes
         h.occupancy += rec.size_bytes
         h.trace.append((t, h.occupancy))
-        ready = t + stage.fixed_latency_ns
+        self._hold(idx, rec, t)
+
+    def _hold(self, idx: int, rec: FrameRecord, t: int) -> None:
+        """Keep an admitted frame for the stage's fixed latency, then hand it on."""
+        ready = t + self.fixed[idx]
         if ready > t:
-            self.push(ready, lambda: self._handoff_local(idx, rec, ready))
+            self.push(ready, self._handoff_local, (idx, rec, ready))
         else:
             self._handoff_local(idx, rec, t)
 
@@ -360,31 +362,19 @@ class _Engine:
         frame stays resident here until the processor picks it up.
         """
         nxt = idx + 1
-        if isinstance(self.stages[nxt], Processor):
-            start = max(t, self.proc_free_at)
-            rec.stage_times[idx].egress_ns = start
-            self._release(idx, rec, start)
-            self._start_processing(nxt, rec, start)
-        else:
-            rec.stage_times[idx].egress_ns = t
-            self._release(idx, rec, t)
-            self._arrive(nxt, rec, t, t)
+        start = max(t, self.proc_free_at) if nxt == self.proc_idx else t
+        rec.stage_times[idx].egress_ns = start
+        self._release(idx, rec, start)
+        self.arrive[nxt](self, nxt, rec, start, start)
 
     def _release(self, idx: int, rec: FrameRecord, t: int) -> None:
-        """Return the frame's bytes to the stage's free space at time t."""
-        h = self.holders.get(idx)
-        if h is None:
-            return
-        amount = rec.buffer_bytes.get(idx, 0)
-
-        def do_release():
-            h.occupancy -= amount
-            h.trace.append((t, h.occupancy))
-
+        """Return the frame's bytes to holder idx's free space at time t."""
+        h = self.holders[idx]
+        amount = rec.buffer_bytes[idx]
         if t > self.now:
-            self.push(t, do_release)
+            self.push(t, h.release, (t, amount))
         else:
-            do_release()
+            h.release(t, amount)
 
     def _try_start(self, idx: int) -> None:
         """Let the emitter at idx put its head-of-queue frame on the wire."""
@@ -393,56 +383,64 @@ class _Engine:
         ls = self.links[link_idx]
         if ls.in_flight is not None or not h.fifo:
             return
-        stage = self.stages[idx]
-        q = h.fifo[0]
-        fixed = 0 if isinstance(stage, Sensor) else stage.fixed_latency_ns
-        cut_through = isinstance(stage, BufferStage) and stage.forwarding == CUT_THROUGH
-        ready = (q.first_byte_ns if cut_through else q.arrival_ns) + fixed
+        rec, arrival, first_byte, _ = h.fifo[0]
+        fixed = self.fixed[idx]
+        ready = (first_byte if self.cut_through[idx] else arrival) + fixed
         if ready > self.now:
-            self.push(ready, lambda: self._try_start(idx))
+            self.push(ready, self._try_start, (idx,))
             return
 
         h.fifo.popleft()
-        rec = q.frame
         ls.in_flight = rec
-        ser, prop = ls.ser_ns, ls.prop_ns
         # Cut-through may start retroactively (first bytes went out while
         # the tail was still arriving) but can never finish before the
         # whole frame has arrived.
         start = max(ready, ls.free_at)
-        egress = max(start + ser, q.arrival_ns + fixed)
+        egress = max(start + ls.ser_ns, arrival + fixed)
         ls.free_at = egress
-        self.push(egress, lambda: self._tx_end(idx, link_idx, rec, egress, prop, ser))
-        arrival = egress + prop
-        first_byte = start + prop
-        nxt = link_idx + 1
-        self.push(arrival, lambda: self._arrive(nxt, rec, arrival, first_byte))
+        prop = ls.prop_ns
+        if prop:
+            nxt = link_idx + 1
+            self.push(egress, self._tx_end, (idx, rec, egress, None))
+            self.push(egress + prop, self.arrive[nxt], (self, nxt, rec, egress + prop, start + prop))
+        else:
+            # The arrival would follow the transmission end at the same time
+            # with the next sequence number, so nothing could run between
+            # them: one event does both.
+            self.push(egress, self._tx_end, (idx, rec, egress, start))
 
-    def _tx_end(self, idx: int, link_idx: int, rec: FrameRecord, egress: int, prop: int, ser: int) -> None:
-        if not isinstance(self.stages[idx], Sensor):
-            # A sensor's egress stays at readout completion; only its
-            # staging register drains over the wire.
-            rec.stage_times[idx].egress_ns = egress
-        rec.stage_times[link_idx].ingress_ns = egress
-        rec.stage_times[link_idx].egress_ns = egress + prop
-        self._release(idx, rec, egress)
+    def _tx_end(self, idx: int, rec: FrameRecord, egress: int, first_byte: Optional[int]) -> None:
+        """The link after idx finished sending; first_byte is set when the
+        frame's arrival past a zero-propagation link is fused in."""
+        link_idx = idx + 1
         ls = self.links[link_idx]
+        times = rec.stage_times
+        if idx:
+            # A sensor's (stage 0) egress stays at readout completion; only
+            # its staging register drains over the wire.
+            times[idx].egress_ns = egress
+        span = times[link_idx]
+        span.ingress_ns = egress
+        span.egress_ns = egress + ls.prop_ns
+        self.holders[idx].release(egress, rec.buffer_bytes[idx])
         ls.in_flight = None
         # Busy time counts completed transmissions, so a duration cutoff
         # mid-transfer cannot push the total past the simulated span.
-        ls.busy_ns += ser
+        ls.busy_ns += ls.ser_ns
         self._try_start(idx)
+        if first_byte is not None:
+            nxt = link_idx + 1
+            self.arrive[nxt](self, nxt, rec, egress, first_byte)
 
-    def _start_processing(self, idx: int, rec: FrameRecord, start: int) -> None:
-        proc: Processor = self.stages[idx]
-        service = proc.fixed_latency_ns + proc.processing.draw(self.proc_rng)
-        egress = start + service
+    def _arrive_processor(self, idx: int, rec: FrameRecord, t: int, first_byte: int) -> None:
+        start = max(t, self.proc_free_at)
+        egress = start + self.fixed[idx] + self.processing.draw(self.proc_rng)
         self.proc_free_at = egress
         rec.stage_times[idx].ingress_ns = start
-        self.push(egress, lambda: self._deliver(idx, rec, egress))
+        self.push(egress, self._deliver, (rec, egress))
 
-    def _deliver(self, idx: int, rec: FrameRecord, t: int) -> None:
-        rec.stage_times[idx].egress_ns = t
+    def _deliver(self, rec: FrameRecord, t: int) -> None:
+        rec.stage_times[-1].egress_ns = t
         rec.disposition = DISPOSITION_DELIVERED
 
     def _mark_dropped(self, rec: FrameRecord, idx: int, reason: str, t: int) -> None:

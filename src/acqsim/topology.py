@@ -405,11 +405,15 @@ def many(cls_or_kinds, container=list) -> tuple:
     )
 
 
+def decode_int_keyed(m, value=lambda v: v) -> dict:
+    """A map keyed by stage index from its JSON object, whose keys are strings."""
+    if not isinstance(m, dict):
+        raise InvalidSpecError(f"a map keyed by stage index must be a JSON object, got {type(m).__name__}")
+    return {int(k): value(v) for k, v in m.items()}
+
+
 # JSON form of a map keyed by stage index: JSON object keys are strings.
-INT_KEYED = (
-    lambda m: {str(k): v for k, v in m.items()},
-    lambda m: {int(k): v for k, v in m.items()},
-)
+INT_KEYED = (lambda m: {str(k): v for k, v in m.items()}, decode_int_keyed)
 
 JSON_FORMS: dict = {
     Topology: {

@@ -11,6 +11,7 @@ from acqsim import (
     CameraLinkIf,
     DeadlineSpec,
     IncomparableRunsError,
+    InvalidSpecError,
     PCIeLink,
     SimConfig,
     budget_table,
@@ -102,6 +103,19 @@ class TestStructuredExport:
     def test_round_trip_equality(self):
         report = classic_report(n_frames=3)
         assert import_structured(export_structured(report)) == report
+
+    @pytest.mark.parametrize("edit", ["rename", "extra", "missing"])
+    def test_frame_with_wrong_keys_rejected(self, edit):
+        doc = json.loads(export_structured(direct_report()))
+        frame = doc["frames"][0]
+        if edit == "rename":
+            frame["frame_number"] = frame.pop("frame_id")
+        elif edit == "extra":
+            frame["note"] = "x"
+        else:
+            del frame["drop_reason"]
+        with pytest.raises(InvalidSpecError, match="exactly the keys"):
+            import_structured(json.dumps(doc))
 
     def test_export_dispatcher(self):
         from acqsim import export

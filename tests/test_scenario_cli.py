@@ -53,6 +53,18 @@ def custom_doc(extra_stage_keys=None, processing=None):
     )
 
 
+def assert_clean_config_error(*argv):
+    """`python -m acqsim *argv` exits 1 with an `error: ` line and no traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "acqsim", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 class TestScenarioParsing:
     def test_direct_minimal(self):
         sc = parse_scenario(base_doc())
@@ -254,17 +266,28 @@ class TestSimulateCommand:
     def _assert_clean_config_error(tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "acqsim", "simulate", str(path), "-o", str(tmp_path / "x")],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
+        assert_clean_config_error("simulate", str(path), "-o", str(tmp_path / "x"))
+
+    @pytest.mark.parametrize("fmt", ["structured", "both"])
+    @pytest.mark.parametrize("spell", ["same", "dotted"])
+    def test_output_onto_scenario_refused(self, tmp_path, capsys, fmt, spell):
+        scenario = tmp_path / "x.json"
+        text = (SCENARIOS / "direct-1mpx.json").read_text(encoding="utf-8")
+        scenario.write_text(text, encoding="utf-8")
+        (tmp_path / "sub").mkdir()
+        stem = str(tmp_path / "x") if spell == "same" else str(tmp_path / "sub" / ".." / "x")
+        assert main(["simulate", str(scenario), "-o", stem, "--format", fmt]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert scenario.read_text(encoding="utf-8") == text
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_tabular_output_beside_scenario_allowed(self, tmp_path, capsys):
+        scenario = tmp_path / "x.json"
+        text = (SCENARIOS / "direct-1mpx.json").read_text(encoding="utf-8")
+        scenario.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(scenario), "-o", str(tmp_path / "x"), "--format", "tabular"]) == 0
+        assert (tmp_path / "x.csv").exists()
+        assert scenario.read_text(encoding="utf-8") == text
 
     def test_unwritable_output_exits_3(self, capsys):
         code = main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "--output", "/nonexistent-dir/x"])
@@ -352,6 +375,29 @@ class TestCompareCommand:
 
     def test_missing_report_exit_1(self, capsys):
         assert main(["compare", "/no/such/a.json", "/no/such/b.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("frames", 0), 5),
+            (("occupancy",), []),
+            (("link_busy_ns",), [1]),
+            (("aggregates", "high_water_bytes"), []),
+        ],
+        ids=["frame-number", "occupancy-array", "link-busy-array", "high-water-array"],
+    )
+    def test_malformed_report_exits_1_without_traceback(self, tmp_path, capsys, path, value):
+        good = tmp_path / "good.json"
+        assert main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "-o", str(tmp_path / "good")]) == 0
+        doc = json.loads(good.read_text(encoding="utf-8"))
+        *parents, key = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert_clean_config_error("compare", str(good), str(bad))
 
 
 def test_console_entry_point(tmp_path):

@@ -363,6 +363,20 @@ class TestRecordsAndTraces:
         times = [r.generated_at_ns for r in report.frames]
         assert times == [0, 333_333, 666_666]
 
+    def test_equal_time_ties_follow_push_order(self):
+        # The camera-interface transmission lasts exactly one frame period,
+        # so frame 0 leaves the camera buffer at the instant frame 1 arrives.
+        # Frame 1's generation event was queued before frame 0's transmission
+        # end, so the buffer admits frame 1 before it releases frame 0.
+        size = 32_768
+        topo = overflow_topology()
+        period = round(1e9 / topo.camera.frame_rate)
+        assert transmission_time(size, PCIeLink(1, 4)) == period
+        report = run(topo, SimConfig(seed=1, n_frames=8, drop_policy=DROP_OLDEST))
+        trace = occupancy_trace(report, 1)
+        assert trace[:3] == [(0, size), (period, 2 * size), (period, size)]
+        assert report.aggregates.high_water_bytes[1] == 2 * size
+
     def test_link_busy_accounting(self):
         topo = build_classic(CAM_1MPX, CL_FULL, G3X1, 64 * MIB, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=4))
