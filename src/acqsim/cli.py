@@ -32,7 +32,9 @@ from .metrics import (
     compare,
     export_structured,
     export_tabular,
-    import_structured,
+    # Not called here, but perfbench/traced.py wraps cli.import_structured by name.
+    import_structured,  # noqa: F401
+    import_summary,
 )
 from .scenario import ScenarioError, load_scenario
 from .simcore import run
@@ -233,9 +235,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     try:
         with open(args.report_a, "r", encoding="utf-8") as fh:
-            report_a = import_structured(fh.read())
+            report_a = import_summary(fh.read())
         with open(args.report_b, "r", encoding="utf-8") as fh:
-            report_b = import_structured(fh.read())
+            report_b = import_summary(fh.read())
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load reports: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linkmodel import (
     PCIE_ALLOWED_LANES,
@@ -43,6 +43,7 @@ from .topology import (
     INT_KEYED,
     JSON_FORMS,
     Topology,
+    check_int_keyed,
     copy_count,
     decode_int_keyed,
     from_dict,
@@ -230,31 +231,57 @@ def _frame_to_dict(r: FrameRecord) -> dict:
     }
 
 
-_FRAME_KEYS = sorted(f.name for f in fields(FrameRecord))
-_BAD_FRAME = f"a frame must be a JSON object with exactly the keys {_FRAME_KEYS}"
+_FRAME_KEYS = frozenset(f.name for f in fields(FrameRecord))
+_BAD_FRAME = f"a frame must be a JSON object with exactly the keys {sorted(_FRAME_KEYS)}"
+
+
+def _is_pairs(v) -> bool:
+    """Whether v is an array of two-element arrays (to_dict leaves occupancy
+    pairs as tuples, which json writes as arrays)."""
+    if not isinstance(v, list):
+        return False
+    for p in v:
+        if type(p) not in (list, tuple) or len(p) != 2:
+            return False
+    return True
+
+
+def check_frames(docs) -> list:
+    """docs itself, once checked to be a JSON array of frames of the exported
+    shape: exactly the frame keys, stage_times an array of [ingress, egress]
+    pairs and buffer_bytes an object keyed by stage index."""
+    if not isinstance(docs, list):
+        raise InvalidSpecError(f"frames must be a JSON array, got {type(docs).__name__}")
+    for d in docs:
+        if not isinstance(d, dict) or d.keys() != _FRAME_KEYS:
+            raise InvalidSpecError(_BAD_FRAME)
+        if not _is_pairs(d["stage_times"]):
+            raise InvalidSpecError("a frame's stage_times must be a JSON array of [ingress, egress] pairs")
+        check_int_keyed(d["buffer_bytes"])
+    return docs
 
 
 def _frame_from_dict(d: dict) -> FrameRecord:
-    # Counting keys is cheaper than comparing them: with the right count, a
-    # missing frame key (the KeyError below) means an unknown one is present.
-    if not isinstance(d, dict) or len(d) != len(_FRAME_KEYS):
-        raise InvalidSpecError(_BAD_FRAME)
-    try:
-        return FrameRecord(
-            frame_id=d["frame_id"],
-            size_bytes=d["size_bytes"],
-            generated_at_ns=d["generated_at_ns"],
-            camera_timestamp_ns=d["camera_timestamp_ns"],
-            timestamp_clamped=d["timestamp_clamped"],
-            stage_times=[StageSpan(a, b) for a, b in d["stage_times"]],
-            buffer_bytes={int(k): v for k, v in d["buffer_bytes"].items()},
-            disposition=d["disposition"],
-            drop_stage=d["drop_stage"],
-            drop_reason=d["drop_reason"],
-            drop_time_ns=d["drop_time_ns"],
-        )
-    except KeyError:
-        raise InvalidSpecError(_BAD_FRAME) from None
+    """A frame from a JSON object that check_frames has passed."""
+    return FrameRecord(
+        frame_id=d["frame_id"],
+        size_bytes=d["size_bytes"],
+        generated_at_ns=d["generated_at_ns"],
+        camera_timestamp_ns=d["camera_timestamp_ns"],
+        timestamp_clamped=d["timestamp_clamped"],
+        stage_times=[StageSpan(a, b) for a, b in d["stage_times"]],
+        buffer_bytes={int(k): v for k, v in d["buffer_bytes"].items()},
+        disposition=d["disposition"],
+        drop_stage=d["drop_stage"],
+        drop_reason=d["drop_reason"],
+        drop_time_ns=d["drop_time_ns"],
+    )
+
+
+def _occupancy_trace(v) -> list:
+    if not _is_pairs(v):
+        raise InvalidSpecError("an occupancy trace must be a JSON array of [time_ns, bytes] pairs")
+    return [(t, b) for t, b in v]
 
 
 JSON_FORMS[Aggregates] = {"high_water_bytes": INT_KEYED, "violations": many(DeadlineViolation)}
@@ -263,9 +290,9 @@ JSON_FORMS[SimReport] = {
     "config": one(SimConfig),
     "frames": (
         lambda frames: [_frame_to_dict(r) for r in frames],
-        lambda docs: [_frame_from_dict(d) for d in docs],
+        lambda docs: [_frame_from_dict(d) for d in check_frames(docs)],
     ),
-    "occupancy": (INT_KEYED[0], lambda occ: decode_int_keyed(occ, lambda v: [(t, b) for t, b in v])),
+    "occupancy": (INT_KEYED[0], lambda occ: decode_int_keyed(occ, _occupancy_trace)),
     "link_busy_ns": INT_KEYED,
     "aggregates": one(Aggregates),
 }
@@ -287,6 +314,29 @@ def export(report: SimReport, format: str) -> str:
 
 def import_structured(text: str) -> SimReport:
     return from_dict(SimReport, json.loads(text))
+
+
+class ReportSummary(NamedTuple):
+    """What compare reads of a report: its identity, topology and aggregates."""
+
+    scenario: str
+    digest: str
+    topology: Topology
+    aggregates: Aggregates
+
+
+def import_summary(text: str) -> ReportSummary:
+    """The parts of a structured report that compare reads.
+
+    The whole document is checked as import_structured checks it, and
+    every part but the frames is decoded: the frames are checked, not built.
+    """
+    doc = json.loads(text)
+    if isinstance(doc, dict) and "frames" in doc:
+        check_frames(doc["frames"])
+        doc["frames"] = []
+    report = from_dict(SimReport, doc)  # frameless, so it is never returned
+    return ReportSummary(report.scenario, report.digest, report.topology, report.aggregates)
 
 
 # --- Tabular (CSV) export ---------------------------------------------------
@@ -430,8 +480,11 @@ _COMPARE_METRICS = (
 )
 
 
-def compare(a: SimReport, b: SimReport) -> dict:
+def compare(a: SimReport | ReportSummary, b: SimReport | ReportSummary) -> dict:
     """Per-metric deltas (b - a) between two runs of the same workload.
+
+    Only the topologies' cameras and the aggregates are read, so a
+    ReportSummary serves as well as a full report.
 
     Runs are comparable when they used the same camera and generated the
     same number of frames; topologies are expected to differ (that is the

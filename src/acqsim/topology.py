@@ -399,17 +399,29 @@ def one(cls_or_kinds) -> tuple:
 
 def many(cls_or_kinds, container=list) -> tuple:
     """JSON form of a field holding a sequence of records."""
-    return (
-        lambda records: [to_dict(r) for r in records],
-        lambda docs: container([from_dict(cls_or_kinds, doc) for doc in docs]),
-    )
+
+    def decode(docs):
+        if not isinstance(docs, list):
+            raise InvalidSpecError(f"a sequence of records must be a JSON array, got {type(docs).__name__}")
+        return container([from_dict(cls_or_kinds, doc) for doc in docs])
+
+    return lambda records: [to_dict(r) for r in records], decode
+
+
+def check_int_keyed(m) -> dict:
+    """m itself, once checked to be a JSON object keyed by stage index:
+    its keys are the decimal strings of non-negative integers."""
+    if not isinstance(m, dict):
+        raise InvalidSpecError(f"a map keyed by stage index must be a JSON object, got {type(m).__name__}")
+    for k in m:
+        if not k.isdecimal():
+            raise InvalidSpecError(f"a map keyed by stage index has the non-index key {k!r}")
+    return m
 
 
 def decode_int_keyed(m, value=lambda v: v) -> dict:
     """A map keyed by stage index from its JSON object, whose keys are strings."""
-    if not isinstance(m, dict):
-        raise InvalidSpecError(f"a map keyed by stage index must be a JSON object, got {type(m).__name__}")
-    return {int(k): value(v) for k, v in m.items()}
+    return {int(k): value(v) for k, v in check_int_keyed(m).items()}
 
 
 # JSON form of a map keyed by stage index: JSON object keys are strings.

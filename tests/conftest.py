@@ -145,6 +145,18 @@ def insert_stage(topo: Topology, stage, position: int) -> Topology:
     return Topology(name=topo.name + "+ins", stages=stages, camera=topo.camera, deadlines=topo.deadlines)
 
 
+def replace_node(doc, path, value):
+    """doc with the node at path (keys and indices from the root) set to value."""
+    if not path:
+        return value
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    return doc
+
+
 @pytest.fixture(scope="session")
 def run_pool():
     """1000 randomized (topology, config, report) cases, shared by suites."""

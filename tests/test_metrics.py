@@ -5,6 +5,8 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acqsim import (
     CameraSpec,
@@ -26,7 +28,8 @@ from acqsim import (
     run,
     summarize,
 )
-from acqsim.metrics import nearest_rank
+from acqsim.metrics import import_summary, nearest_rank
+from conftest import replace_node
 
 CAM = CameraSpec(1_000_000, 8, 1000)
 RELAXED = DeadlineSpec(safety_ns=10**9, control_ns=10**10, timestamp_rms_ns=50.0)
@@ -104,18 +107,60 @@ class TestStructuredExport:
         report = classic_report(n_frames=3)
         assert import_structured(export_structured(report)) == report
 
-    @pytest.mark.parametrize("edit", ["rename", "extra", "missing"])
+    @pytest.mark.parametrize(
+        "edit",
+        ["rename", "extra", "missing", "stage-times-number", "stage-times-short-pair", "buffer-bytes-array"],
+    )
     def test_frame_with_wrong_keys_rejected(self, edit):
         doc = json.loads(export_structured(direct_report()))
         frame = doc["frames"][0]
+        match = "exactly the keys"
         if edit == "rename":
             frame["frame_number"] = frame.pop("frame_id")
         elif edit == "extra":
             frame["note"] = "x"
-        else:
+        elif edit == "missing":
             del frame["drop_reason"]
-        with pytest.raises(InvalidSpecError, match="exactly the keys"):
-            import_structured(json.dumps(doc))
+        elif edit == "stage-times-number":
+            frame["stage_times"], match = 5, "stage_times"
+        elif edit == "stage-times-short-pair":
+            frame["stage_times"], match = [[1]], "stage_times"
+        else:
+            frame["buffer_bytes"], match = [1], "keyed by stage index"
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match=match):
+                reader(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            (("frames",), 5, "frames must be a JSON array"),
+            (("frames",), {}, "frames must be a JSON array"),
+            (("aggregates", "violations"), 5, "must be a JSON array"),
+            (("aggregates", "violations"), {}, "must be a JSON array"),
+            (("topology", "stages"), "", "must be a JSON array"),
+            (("occupancy", "1"), 5, "occupancy trace"),
+            (("occupancy", "1"), ["ab"], "occupancy trace"),
+            (("link_busy_ns",), {"x": 1}, "non-index key"),
+            (("frames", 0, "buffer_bytes"), {"-1": 5}, "non-index key"),
+        ],
+        ids=[
+            "frames-number",
+            "frames-object",
+            "violations-number",
+            "violations-object",
+            "stages-string",
+            "occupancy-trace-number",
+            "occupancy-trace-string-pair",
+            "link-busy-bad-key",
+            "buffer-bytes-negative-key",
+        ],
+    )
+    def test_malformed_report_parts_rejected(self, path, value, match):
+        doc = replace_node(json.loads(export_structured(classic_report(n_frames=2))), path, value)
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match=match):
+                reader(json.dumps(doc))
 
     def test_export_dispatcher(self):
         from acqsim import export
@@ -169,6 +214,66 @@ class TestTabularExport:
         report = run(topo, SimConfig(seed=7, n_frames=70))
         frames, _ = import_tabular(export_tabular(report))
         assert frames == report.frames
+
+
+def _json_nodes(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_nodes(child, path + (key,))
+
+
+def _verdict(reader, text: str) -> str:
+    """"accepted" or "rejected"; an exception outside ValueError propagates."""
+    try:
+        reader(text)
+    except ValueError:
+        return "rejected"
+    return "accepted"
+
+
+def _fuzz_report() -> dict:
+    """A 5-frame classic report with drops, violations and occupancy traces."""
+    topo = build_classic(
+        CAM,
+        CameraLinkIf("base"),
+        PCIeLink(3, 1),
+        2 * MIB,
+        camera_buffer_capacity_bytes=2 * MIB,
+        deadlines=DeadlineSpec(safety_ns=2_000_000, control_ns=3_000_000, timestamp_rms_ns=50.0),
+    )
+    return json.loads(export_structured(run(topo, SimConfig(seed=3, n_frames=5))))
+
+
+FUZZ_REPORT = _fuzz_report()
+FUZZ_PATHS = list(_json_nodes(FUZZ_REPORT))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "0", "1", "ab", "safety", "delivered"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["0", "1", "-1", "x", "kind"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestReportReaders:
+    def test_fuzz_report_covers_every_part(self):
+        a = FUZZ_REPORT["aggregates"]
+        assert a["dropped"] and a["violations"] and any(FUZZ_REPORT["occupancy"].values())
+        assert {f["disposition"] for f in FUZZ_REPORT["frames"]} == {"delivered", "dropped"}
+
+    @settings(max_examples=400, deadline=None)
+    @given(path=st.sampled_from(FUZZ_PATHS), value=json_values)
+    def test_one_node_replaced(self, path, value):
+        text = json.dumps(replace_node(json.loads(json.dumps(FUZZ_REPORT)), path, value))
+        assert _verdict(import_summary, text) == _verdict(import_structured, text)
+
+    def test_summary_matches_full_import(self):
+        text = json.dumps(FUZZ_REPORT)
+        report, summary = import_structured(text), import_summary(text)
+        assert summary == (report.scenario, report.digest, report.topology, report.aggregates)
+        assert compare(summary, summary) == compare(report, report)
 
 
 class TestCompare:

@@ -12,11 +12,14 @@ import pytest
 from acqsim import (
     OverheadModel,
     ScenarioError,
+    compare,
     import_structured,
     parse_scenario,
 )
+from acqsim import cli, metrics
 from acqsim.cli import main
 from acqsim.scenario import load_scenario
+from conftest import replace_node
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -373,6 +376,45 @@ class TestCompareCommand:
         assert main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "-o", str(tmp_path / "one")]) == 0
         assert main(["compare", str(tmp_path / "one.json"), str(tmp_path / "two.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("classic-1mpx", "direct-1mpx"),
+            ("direct-1mpx", "classic-1mpx"),
+            ("classic-1mpx", "deadline-80us"),
+            ("overflow-8to4", "overflow-8to4"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    def test_output_matches_full_import(self, tmp_path, capsys, monkeypatch, a, b):
+        paths = []
+        for name in (a, b):
+            stem = str(tmp_path / name)
+            assert main(["simulate", str(SCENARIOS / f"{name}.json"), "-o", stem]) in (0, 2)
+            paths.append(stem + ".json")
+        delta = tmp_path / "delta.json"
+        capsys.readouterr()
+
+        def compare_output():
+            assert main(["compare", *paths, "--output", str(delta)]) == 0
+            return capsys.readouterr().out, delta.read_text(encoding="utf-8")
+
+        summarized = compare_output()
+        monkeypatch.setattr(cli, "import_summary", import_structured)
+        assert compare_output() == summarized
+        reports = [import_structured(Path(p).read_text(encoding="utf-8")) for p in paths]
+        assert summarized[1] == json.dumps(compare(*reports), sort_keys=True, indent=2) + "\n"
+
+    def test_builds_no_frame(self, two_reports, capsys, monkeypatch):
+        def refuse(d):
+            raise AssertionError("compare built a frame")
+
+        monkeypatch.setattr(metrics, "_frame_from_dict", refuse)
+        a, b = two_reports
+        with pytest.raises(AssertionError, match="built a frame"):
+            import_structured(Path(a).read_text(encoding="utf-8"))
+        assert main(["compare", a, b]) == 0
+
     def test_missing_report_exit_1(self, capsys):
         assert main(["compare", "/no/such/a.json", "/no/such/b.json"]) == 1
 
@@ -383,18 +425,32 @@ class TestCompareCommand:
             (("occupancy",), []),
             (("link_busy_ns",), [1]),
             (("aggregates", "high_water_bytes"), []),
+            (("frames", 0, "stage_times"), 5),
+            (("frames", 0, "stage_times"), [[1]]),
+            (("frames", 0, "buffer_bytes"), [1]),
+            (("frames",), 5),
+            (("aggregates", "violations"), 5),
+            (("topology", "stages"), 5),
+            (("occupancy", "1"), 5),
         ],
-        ids=["frame-number", "occupancy-array", "link-busy-array", "high-water-array"],
+        ids=[
+            "frame-number",
+            "occupancy-array",
+            "link-busy-array",
+            "high-water-array",
+            "stage-times-number",
+            "stage-times-short-pair",
+            "buffer-bytes-array",
+            "frames-number",
+            "violations-number",
+            "stages-number",
+            "occupancy-trace-number",
+        ],
     )
     def test_malformed_report_exits_1_without_traceback(self, tmp_path, capsys, path, value):
         good = tmp_path / "good.json"
         assert main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "-o", str(tmp_path / "good")]) == 0
-        doc = json.loads(good.read_text(encoding="utf-8"))
-        *parents, key = path
-        target = doc
-        for step in parents:
-            target = target[step]
-        target[key] = value
+        doc = replace_node(json.loads(good.read_text(encoding="utf-8")), path, value)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert_clean_config_error("compare", str(good), str(bad))
