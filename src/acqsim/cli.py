@@ -16,10 +16,12 @@ import gc
 import json
 import os
 import sys
+import warnings
 
 from .linkmodel import (
     PCIE_ALLOWED_LANES,
     PCIE_GENERATIONS,
+    EnvelopeWarning,
     InvalidSpecError,
     OverheadModel,
     aggregate_rate,
@@ -234,10 +236,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     try:
-        with open(args.report_a, "r", encoding="utf-8") as fh:
-            report_a = import_summary(fh.read())
-        with open(args.report_b, "r", encoding="utf-8") as fh:
-            report_b = import_summary(fh.read())
+        # simulate already warned about any camera outside the envelope.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EnvelopeWarning)
+            with open(args.report_a, "r", encoding="utf-8") as fh:
+                report_a = import_summary(fh.read())
+            with open(args.report_b, "r", encoding="utf-8") as fh:
+                report_b = import_summary(fh.read())
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot load reports: {exc}", file=sys.stderr)
         return EXIT_CONFIG

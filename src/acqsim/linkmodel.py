@@ -112,7 +112,7 @@ class CameraSpec:
                 f"resolution {self.resolution_pixels} px is outside the "
                 f"[{lo}, {hi}] px envelope",
                 EnvelopeWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
         flo, fhi = ENVELOPE_FRAME_RATE_FPS
         if not flo <= self.frame_rate <= fhi:
@@ -120,7 +120,7 @@ class CameraSpec:
                 f"frame rate {self.frame_rate} fps is outside the "
                 f"[{flo}, {fhi}] fps envelope",
                 EnvelopeWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
     @property

@@ -1,23 +1,34 @@
-"""Deterministic discrete-event engine for frame pipelines.
+"""Deterministic frame-pipeline engine: one pass per stage, in chain order.
 
 Time is integer nanoseconds throughout; there is no floating-point time
-anywhere in the engine.  Ties on the event heap break by global push
-order, so a run is a pure function of (topology, config).  A frame whose
-event was queued earlier is admitted before an equal-time release: when
-a transmission lasts exactly one frame period, the next frame's
-generation was queued before the previous frame's transmission end, so
-the buffer briefly holds both and its high water counts both frames.
+anywhere in the engine.  Backpressure is local: a full buffer resolves
+via the drop policy rather than stalling the upstream link, because a
+camera sensor cannot pause mid-frame.  With every stage a single-server
+FIFO, the chain is a tandem queue, so a run is one pass per stage,
+upstream first, each turning the arrivals at its stage into those at the
+next; a link starts a frame at max(ready, previous egress) (Lindley).
+
+Events at one nanosecond run in global push order, as if every event
+went through one queue ordered by (time, push sequence).  An event's
+place in that queue is the key (time, key of the event that queued it,
+rank of the push within that event).  Within one event the pushes go
+upstream first, so the index of the pushing stage serves as the rank.  A
+pass runs its own stage's events in key order; only events of one stage
+at one nanosecond ever need comparing.  A frame whose event was queued
+earlier is thus admitted before an equal-time release: when a
+transmission lasts exactly one frame period, the next frame's generation
+was queued before the previous frame's transmission end, so the buffer
+briefly holds both and its high water counts both frames.  An event runs
+if and only if its time is within duration_ns.
 
 Stage hand-off convention recorded per frame: a stage's egress is the
 instant the frame's last byte leaves it, which equals the next stage's
 ingress.  Cut-through overlap therefore shows up as shorter spans, never
 as out-of-order timestamps, and `ingress <= egress` holds at every stage.
 
-Backpressure is local: a full buffer resolves via the drop policy rather
-than stalling the upstream link, because a camera sensor cannot pause
-mid-frame.  Randomness (clock jitter, processing-time draws) comes from
-two independent streams derived from the run seed; link arithmetic is
-exact integer math.
+Randomness (clock jitter, processing-time draws) comes from two
+independent streams derived from the run seed; link arithmetic is exact
+integer math.
 """
 
 from __future__ import annotations
@@ -27,31 +38,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import repeat
 from random import Random
 from typing import Optional
 
-from .linkmodel import (
-    InvalidSpecError,
-    Link,
-    effective_rate_fraction,
-    propagation_delay_ns,
-)
+from .linkmodel import InvalidSpecError, Link, effective_rate_fraction, propagation_delay_ns
 from .timing import ClockModel, sample_timestamp_detailed
-from .topology import (
-    CUT_THROUGH,
-    JSON_FORMS,
-    BufferStage,
-    FrameGrabber,
-    HostMemory,
-    LinkStage,
-    Processor,
-    Sensor,
-    Topology,
-    one,
-    validate,
-)
-
-SimTime = int
+from .topology import CUT_THROUGH, JSON_FORMS, BufferStage, LinkStage, Processor, Topology, one, validate
 
 DROP_NEWEST = "drop_newest"
 DROP_OLDEST = "drop_oldest"
@@ -135,41 +128,6 @@ def transmission_time(size_bytes: int, link: Link) -> int:
     return serialization_time_ns(size_bytes, link) + propagation_delay_ns(link)
 
 
-# --- Engine internals ------------------------------------------------------
-
-
-class _HolderState:
-    """State of a stage that can hold frames (sensor/buffer/grabber/host).
-
-    FIFO entries are (frame, full-arrival ns, first-byte ns, bytes held).
-    """
-
-    __slots__ = ("occupancy", "trace", "fifo")
-
-    def __init__(self):
-        self.occupancy = 0
-        self.trace: list[tuple[int, int]] = []
-        self.fifo: deque[tuple] = deque()
-
-    def release(self, t: int, amount: int) -> None:
-        """Return amount bytes to the stage's free space at time t."""
-        self.occupancy -= amount
-        self.trace.append((t, self.occupancy))
-
-
-class _LinkState:
-    __slots__ = ("free_at", "in_flight", "busy_ns", "ser_ns", "prop_ns", "rate")
-
-    def __init__(self, link: Link, size_bytes: int):
-        self.free_at = 0
-        self.in_flight = None
-        self.busy_ns = 0
-        # Every frame has the camera's size, so these are fixed for the run.
-        self.ser_ns = serialization_time_ns(size_bytes, link)
-        self.prop_ns = propagation_delay_ns(link)
-        self.rate = effective_rate_fraction(link)  # bits per ns
-
-
 @dataclass
 class RunResult:
     """Raw engine output, consumed by metrics.build_report."""
@@ -181,279 +139,318 @@ class RunResult:
     generated: int
 
 
-class _Engine:
-    """Heap entries are (time, seq, handler, args); the loop calls handler(*args)."""
+# --- Engine ----------------------------------------------------------------
+
+
+def _before(a: tuple, b: tuple, memo: dict) -> bool:
+    """Whether the event keyed a runs before the one keyed b, at one time.
+
+    Equal-time ancestors can pair up for the whole run (a transmission
+    that lasts exactly one frame period ties with every generation), so
+    each compared pair's order is remembered under the id of its first
+    key; the memo value holds both keys, so that the id stays theirs.
+    """
+    path = []
+    while True:
+        pa, pb = a[1], b[1]
+        if pa is pb:
+            first = a[2] < b[2]
+            break
+        if not pa or not pb:  # the first generation runs first
+            first = not pa
+            break
+        if pa[0] != pb[0]:
+            first = pa[0] < pb[0]
+            break
+        path.append((a, b))
+        known = memo.get(id(pa))
+        if known is not None and known[1] is pb:
+            first = known[0]
+            break
+        a, b = pa, pb
+    for a, b in path:
+        memo[id(a)] = (first, b, a)
+    return first
+
+
+_END = (math.inf, None, None, None)  # closes a pass's arrivals
+
+
+class _Passes:
+    """One run: per-frame columns that the stage passes fill in chain order.
+
+    An event's key is (time, key of the event that queued it, rank); the
+    first generation's parent is ().  A pass takes its arrivals as (time,
+    key, frame, first-byte time) in key order; a frame handed on inside an
+    event carries that event's key.  A pass's own pending events start
+    with (time, ordinal of the event in this pass that queued them, key):
+    one event queues at most one of them, so the first two fields order
+    them and are unique.
+    """
 
     def __init__(self, topo: Topology, cfg: SimConfig):
-        self.cfg = cfg
         self.stages = stages = topo.stages
-        self.heap: list = []
-        self.seq = 0
-        self.now = 0
-        self.records: list[FrameRecord] = []
-        self.clock_rng = Random(f"{cfg.seed}:clock")
-        self.proc_rng = Random(f"{cfg.seed}:processing")
-        self.frame_size = size = topo.camera.frame_size_bytes
-        self.proc_free_at = 0
-
-        # Per-stage tables.  `arrive` holds plain functions that take the
-        # engine first: bound methods kept on the engine would form a cycle.
-        arrive = {
-            BufferStage: _Engine._arrive_buffer,
-            FrameGrabber: _Engine._arrive_buffer,
-            HostMemory: _Engine._arrive_host,
-            Processor: _Engine._arrive_processor,
-        }
-        self.arrive = [arrive.get(type(s)) for s in stages]
-        self.links = [_LinkState(s.link, size) if isinstance(s, LinkStage) else None for s in stages]
-        self.holders = [None if isinstance(s, (LinkStage, Processor)) else _HolderState() for s in stages]
-        # Latency a frame waits before leaving; the sensor applies its own
-        # at readout, so it waits none here.
-        self.fixed = [0 if isinstance(s, (Sensor, LinkStage)) else s.fixed_latency_ns for s in stages]
-        self.cut_through = [isinstance(s, BufferStage) and s.forwarding == CUT_THROUGH for s in stages]
-        self.next_is_link = [isinstance(s, LinkStage) for s in stages[1:]] + [False]
-        # Validated chains end in the one processor.
-        self.proc_idx = len(stages) - 1
-        self.processing = stages[-1].processing
-
+        self.cfg = cfg
+        self.size = size = topo.camera.frame_size_bytes
         fps = topo.camera.frame_rate
         # Sub-ns frame periods clamp to the 1 ns clock tick.
         self.period_ns = max(1, round(1e9 / fps)) if fps > 0 else None
-
-    # -- event plumbing --
-
-    def push(self, t: int, handler, args: tuple) -> None:
-        self.seq += 1
-        heappush(self.heap, (t, self.seq, handler, args))
+        self.limit = math.inf if cfg.duration_ns is None else cfg.duration_ns
+        # Every frame has the camera's size, so link constants are fixed for the run.
+        self.links = {
+            i: (serialization_time_ns(size, s.link), propagation_delay_ns(s.link), effective_rate_fraction(s.link))
+            for i, s in enumerate(stages)
+            if isinstance(s, LinkStage)
+        }
+        self.traces = {i: [] for i, s in enumerate(stages) if not isinstance(s, (LinkStage, Processor))}
+        self.busy = {}
+        self.memo = {}
+        self.last = 0  # time of the latest event that ran
+        self.proc_rng = Random(f"{cfg.seed}:processing")
 
     def run(self) -> RunResult:
-        cfg = self.cfg
-        if cfg.n_frames is not None and cfg.n_frames > 0 and self.period_ns is None:
-            raise InvalidSpecError("cannot generate frames from a zero frame-rate camera")
-        if self.period_ns is not None and cfg.n_frames != 0:
-            self.push(0, self._generate, (0,))
-        heap = self.heap
-        duration = cfg.duration_ns
-        while heap:
-            t, _, handler, args = heappop(heap)
-            if duration is not None and t > duration:
-                break
-            self.now = t
-            handler(*args)
-        # Events left past a duration cutoff hold bound methods of the
-        # engine; dropping them keeps the run free of reference cycles.
-        heap.clear()
-        return RunResult(
-            frames=self.records,
-            elapsed_ns=duration if duration is not None else self.now,
-            occupancy={i: h.trace for i, h in enumerate(self.holders) if h is not None},
-            link_busy_ns={i: l.busy_ns for i, l in enumerate(self.links) if l is not None},
-            generated=len(self.records),
-        )
-
-    # -- stage behavior --
-
-    def _generate(self, k: int) -> None:
-        t = self.now
-        stamp, clamped = sample_timestamp_detailed(self.cfg.clock, t, self.clock_rng)
-        size = self.frame_size
-        rec = FrameRecord(
-            frame_id=k,
-            size_bytes=size,
-            generated_at_ns=t,
-            camera_timestamp_ns=stamp,
-            timestamp_clamped=clamped,
-            stage_times=[StageSpan() for _ in self.stages],
-            buffer_bytes={},
-        )
-        self.records.append(rec)
-        egress = t + self.stages[0].fixed_latency_ns
-        span = rec.stage_times[0]
-        span.ingress_ns = t
-        span.egress_ns = egress
-
-        # Schedule the next frame before moving this one on, so generation
-        # order stays the primary order at equal timestamps.
-        nxt = k + 1
-        if self.cfg.n_frames is None or nxt < self.cfg.n_frames:
-            self.push(t + self.period_ns, self._generate, (nxt,))
-
-        if self.next_is_link[0]:
-            # Sensor feeds the wire through an unbounded readout register;
-            # its fixed latency is already applied at egress.
-            h = self.holders[0]
-            h.occupancy += size
-            h.trace.append((t, h.occupancy))
-            rec.buffer_bytes[0] = size
-            h.fifo.append((rec, egress, egress, size))
-            if egress > t:
-                self.push(egress, self._try_start, (0,))
+        stages = self.stages
+        arrivals = self._generate()
+        idx = 0 if isinstance(stages[1], LinkStage) else 1
+        while arrivals is not None:  # validated chains end in the one processor
+            if idx + 1 < len(stages) and isinstance(stages[idx + 1], LinkStage):
+                arrivals = self._emit(idx, arrivals)
+                idx += 2
             else:
-                self._try_start(0)
-        elif egress > t:
-            self.push(egress, self.arrive[1], (self, 1, rec, egress, egress))
+                arrivals = self._hold(idx, arrivals)
+                idx += 1
+        n = len(self.times)
+        spans = map(list, zip(*(map(StageSpan, i, e) for i, e in zip(self.ing, self.eg))))
+        frames = list(map(
+            FrameRecord, range(n), repeat(self.size, n), self.times, self.stamps, self.clamped, spans,
+            self.held, self.disposition, self.drop_stage, self.drop_reason, self.drop_time,
+        ))
+        elapsed = self.last if self.cfg.duration_ns is None else self.cfg.duration_ns
+        return RunResult(frames, elapsed, self.traces, self.busy, n)
+
+    def _generate(self) -> list:
+        """Draw the camera stamps in frame order and size the columns; returns
+        the arrivals at the sensor's holder (a link follows it) or at stage 1."""
+        cfg, period, stages = self.cfg, self.period_ns, self.stages
+        if period is None:
+            if cfg.n_frames:
+                raise InvalidSpecError("cannot generate frames from a zero frame-rate camera")
+            n = 0
         else:
-            self.arrive[1](self, 1, rec, egress, egress)
+            n = cfg.n_frames if cfg.n_frames is not None else cfg.duration_ns // period + 1
+        self.times = times = list(range(0, n * period, period)) if n else []
+        sample, clock, rng = sample_timestamp_detailed, cfg.clock, Random(f"{cfg.seed}:clock")
+        stamps = [sample(clock, t, rng) for t in times]
+        self.stamps = [s for s, _ in stamps]
+        self.clamped = [c for _, c in stamps]
+        self.ing = [[None] * n for _ in stages]
+        self.eg = [[None] * n for _ in stages]
+        self.held = [{} for _ in times]  # stage index -> bytes the frame holds there
+        self.disposition = [DISPOSITION_IN_FLIGHT] * n
+        self.drop_stage, self.drop_reason, self.drop_time = [None] * n, [None] * n, [None] * n
+        self.last = times[-1] if n else 0
+        fixed = stages[0].fixed_latency_ns
+        self.ing[0] = times[:]
+        self.eg[0] = [t + fixed for t in times]
+        # A generation queues the next one first (rank -1), then moves its
+        # frame on: at once into the sensor's readout register when a link
+        # follows, else to stage 1 at readout completion.
+        queued = fixed and not isinstance(stages[1], LinkStage)
+        arrivals, key = [], ()
+        for f, t in enumerate(times):
+            key = (t, key, -1)
+            ready = t + fixed
+            arrivals.append((ready, (ready, key, 0), f, ready) if queued else (t, key, f, ready))
+        return arrivals
 
-    def _arrive_buffer(self, idx: int, rec: FrameRecord, t: int, first_byte: int) -> None:
-        """Frame fully present at buffer or grabber idx at time t."""
-        h = self.holders[idx]
-        next_is_link = self.next_is_link[idx]
+    def _drop(self, f: int, idx: int, reason: str, t: int) -> None:
+        self.disposition[f] = DISPOSITION_DROPPED
+        self.drop_stage[f] = idx
+        self.drop_reason[f] = reason
+        self.drop_time[f] = t
 
-        contribution = rec.size_bytes
-        if next_is_link and self.cut_through[idx]:
-            link_state = self.links[idx + 1]
-            if link_state.in_flight is None and not h.fifo:
-                # Head-of-line frame: forwarding may already have begun at
-                # first_byte + fixed latency, so only the residue is held.
-                s_would = max(first_byte + self.fixed[idx], link_state.free_at)
-                if s_would < t:
-                    # Whole bytes the link has moved since forwarding began.
-                    drained = int(link_state.rate * (t - s_would) // 8)
-                    contribution = max(0, rec.size_bytes - drained)
+    def _emit(self, idx: int, arrivals: list) -> list:
+        """Holder idx and the link after it; returns the arrivals past the link.
 
-        capacity = self.stages[idx].capacity_bytes
-        if h.occupancy + contribution > capacity:
-            if self.cfg.drop_policy == DROP_OLDEST:
-                # Shed queued (not yet transmitting) frames, oldest first.
-                while h.fifo and h.occupancy + contribution > capacity:
-                    victim, _, _, held = h.fifo.popleft()
-                    h.occupancy -= held
-                    h.trace.append((t, h.occupancy))
-                    self._mark_dropped(victim, idx, REASON_BACKPRESSURE, t)
-            if h.occupancy + contribution > capacity:
-                rec.stage_times[idx].ingress_ns = t
-                self._mark_dropped(rec, idx, REASON_OVERFLOW, t)
-                return
-
-        rec.stage_times[idx].ingress_ns = t
-        rec.buffer_bytes[idx] = contribution
-        h.occupancy += contribution
-        h.trace.append((t, h.occupancy))
-
-        if next_is_link:
-            h.fifo.append((rec, t, first_byte, contribution))
-            self._try_start(idx)
-        else:
-            self._hold(idx, rec, t)
-
-    def _arrive_host(self, idx: int, rec: FrameRecord, t: int, first_byte: int) -> None:
-        h = self.holders[idx]
-        rec.stage_times[idx].ingress_ns = t
-        rec.buffer_bytes[idx] = rec.size_bytes
-        h.occupancy += rec.size_bytes
-        h.trace.append((t, h.occupancy))
-        self._hold(idx, rec, t)
-
-    def _hold(self, idx: int, rec: FrameRecord, t: int) -> None:
-        """Keep an admitted frame for the stage's fixed latency, then hand it on."""
-        ready = t + self.fixed[idx]
-        if ready > t:
-            self.push(ready, self._handoff_local, (idx, rec, ready))
-        else:
-            self._handoff_local(idx, rec, t)
-
-    def _handoff_local(self, idx: int, rec: FrameRecord, t: int) -> None:
-        """Hand the frame to an adjacent non-link stage (no wire between).
-
-        Adjacent memories copy at unmodeled (infinite) bandwidth; the cost
-        of the hop is the holding stage's fixed latency, already folded
-        into t.  When the next stage is the single-server processor, the
-        frame stays resident here until the processor picks it up.
+        Each arrival is admitted, dropped, or admitted after evicting queued
+        frames; the sensor's readout register (stage 0) admits everything
+        and offers a frame to the link at readout completion.  Every event
+        that ran ends by offering the FIFO head to the link.  Pending events
+        are transmission ends (frame, first byte when the arrival past a
+        zero-propagation link is fused in, bytes held) and retries at the
+        head's ready time (frame None).
         """
-        nxt = idx + 1
-        start = max(t, self.proc_free_at) if nxt == self.proc_idx else t
-        rec.stage_times[idx].egress_ns = start
-        self._release(idx, rec, start)
-        self.arrive[nxt](self, nxt, rec, start, start)
+        holder, size, limit, held, memo = self.stages[idx], self.size, self.limit, self.held, self.memo
+        ser, prop, rate = self.links[idx + 1]
+        sensor = idx == 0
+        fixed = 0 if sensor else holder.fixed_latency_ns
+        capacity = math.inf if sensor else holder.capacity_bytes
+        ct = isinstance(holder, BufferStage) and holder.forwarding == CUT_THROUGH
+        oldest = self.cfg.drop_policy == DROP_OLDEST
+        ing, eg, link_ing, link_eg = self.ing[idx], self.eg[idx], self.ing[idx + 1], self.eg[idx + 1]
+        trace = self.traces[idx].append
+        fifo: deque = deque()  # (frame, full arrival, first byte, bytes held)
+        pending: list = []
+        out: list = []
+        occupancy = busy = free_at = now = o = 0
+        sending = False
+        arrivals.append(_END)
+        arrivals = iter(arrivals)
+        at, akey, af, afb = next(arrivals)
+        while True:
+            o += 1
+            if pending and (pending[0][0] < at or pending[0][0] == at and _before(pending[0][2], akey, memo)):
+                now, _, key, f, first_byte, amount = heappop(pending)
+                if now > limit:
+                    break
+                if f is not None:  # transmission end
+                    if not sensor:  # the sensor's egress stays at readout completion
+                        eg[f] = now
+                    link_ing[f] = now
+                    link_eg[f] = now + prop
+                    occupancy -= amount
+                    trace((now, occupancy))
+                    sending = False
+                    # Busy time counts completed transmissions only.
+                    busy += ser
+                    if first_byte is not None:
+                        out.append((now, key, f, first_byte))
+            elif at > limit or af is None:
+                break
+            else:
+                now, key, f, first_byte = at, akey, af, afb
+                at, akey, af, afb = next(arrivals)
+                amount = size
+                if ct and not sending and not fifo:
+                    # Head-of-line frame: forwarding may already have begun at
+                    # first_byte + fixed latency, so only the residue is held.
+                    would_start = max(first_byte + fixed, free_at)
+                    if would_start < now:
+                        # Whole bytes the link has moved since forwarding began.
+                        amount = max(0, size - int(rate * (now - would_start) // 8))
+                ing[f] = now
+                if occupancy + amount > capacity:
+                    if oldest:
+                        # Shed queued (not yet transmitting) frames, oldest first.
+                        while fifo and occupancy + amount > capacity:
+                            victim, _, _, victim_amount = fifo.popleft()
+                            occupancy -= victim_amount
+                            trace((now, occupancy))
+                            self._drop(victim, idx, REASON_BACKPRESSURE, now)
+                    if occupancy + amount > capacity:
+                        self._drop(f, idx, REASON_OVERFLOW, now)
+                        continue
+                held[f][idx] = amount
+                occupancy += amount
+                trace((now, occupancy))
+                fifo.append((f, first_byte if sensor else now, first_byte, amount))
+                if sensor and first_byte > now:
+                    heappush(pending, (first_byte, o, (first_byte, key, 0), None, None, None))
+                    continue
+            if sending or not fifo:
+                continue
+            f, arrived, first_byte, amount = fifo[0]
+            ready = (first_byte if ct else arrived) + fixed
+            if ready > now:
+                heappush(pending, (ready, o, (ready, key, idx), None, None, None))
+                continue
+            fifo.popleft()
+            sending = True
+            # Cut-through may start retroactively (first bytes went out while
+            # the tail was still arriving) but can never finish before the
+            # whole frame has arrived.
+            start = ready if ready > free_at else free_at
+            free_at = start + ser
+            if arrived + fixed > free_at:
+                free_at = arrived + fixed
+            if prop:
+                heappush(pending, (free_at, o, (free_at, key, idx), f, None, amount))
+                out.append((free_at + prop, (free_at + prop, key, idx + 1), f, start + prop))
+            else:
+                heappush(pending, (free_at, o, (free_at, key, idx), f, start, amount))
+        self.busy[idx + 1] = busy
+        self.last = max(self.last, now)
+        return out
 
-    def _release(self, idx: int, rec: FrameRecord, t: int) -> None:
-        """Return the frame's bytes to holder idx's free space at time t."""
-        h = self.holders[idx]
-        amount = rec.buffer_bytes[idx]
-        if t > self.now:
-            self.push(t, h.release, (t, amount))
-        else:
-            h.release(t, amount)
-
-    def _try_start(self, idx: int) -> None:
-        """Let the emitter at idx put its head-of-queue frame on the wire."""
-        h = self.holders[idx]
-        link_idx = idx + 1
-        ls = self.links[link_idx]
-        if ls.in_flight is not None or not h.fifo:
-            return
-        rec, arrival, first_byte, _ = h.fifo[0]
-        fixed = self.fixed[idx]
-        ready = (first_byte if self.cut_through[idx] else arrival) + fixed
-        if ready > self.now:
-            self.push(ready, self._try_start, (idx,))
-            return
-
-        h.fifo.popleft()
-        ls.in_flight = rec
-        # Cut-through may start retroactively (first bytes went out while
-        # the tail was still arriving) but can never finish before the
-        # whole frame has arrived.
-        start = max(ready, ls.free_at)
-        egress = max(start + ls.ser_ns, arrival + fixed)
-        ls.free_at = egress
-        prop = ls.prop_ns
-        if prop:
-            nxt = link_idx + 1
-            self.push(egress, self._tx_end, (idx, rec, egress, None))
-            self.push(egress + prop, self.arrive[nxt], (self, nxt, rec, egress + prop, start + prop))
-        else:
-            # The arrival would follow the transmission end at the same time
-            # with the next sequence number, so nothing could run between
-            # them: one event does both.
-            self.push(egress, self._tx_end, (idx, rec, egress, start))
-
-    def _tx_end(self, idx: int, rec: FrameRecord, egress: int, first_byte: Optional[int]) -> None:
-        """The link after idx finished sending; first_byte is set when the
-        frame's arrival past a zero-propagation link is fused in."""
-        link_idx = idx + 1
-        ls = self.links[link_idx]
-        times = rec.stage_times
-        if idx:
-            # A sensor's (stage 0) egress stays at readout completion; only
-            # its staging register drains over the wire.
-            times[idx].egress_ns = egress
-        span = times[link_idx]
-        span.ingress_ns = egress
-        span.egress_ns = egress + ls.prop_ns
-        self.holders[idx].release(egress, rec.buffer_bytes[idx])
-        ls.in_flight = None
-        # Busy time counts completed transmissions, so a duration cutoff
-        # mid-transfer cannot push the total past the simulated span.
-        ls.busy_ns += ls.ser_ns
-        self._try_start(idx)
-        if first_byte is not None:
-            nxt = link_idx + 1
-            self.arrive[nxt](self, nxt, rec, egress, first_byte)
-
-    def _arrive_processor(self, idx: int, rec: FrameRecord, t: int, first_byte: int) -> None:
-        start = max(t, self.proc_free_at)
-        egress = start + self.fixed[idx] + self.processing.draw(self.proc_rng)
-        self.proc_free_at = egress
-        rec.stage_times[idx].ingress_ns = start
-        self.push(egress, self._deliver, (rec, egress))
-
-    def _deliver(self, rec: FrameRecord, t: int) -> None:
-        rec.stage_times[-1].egress_ns = t
-        rec.disposition = DISPOSITION_DELIVERED
-
-    def _mark_dropped(self, rec: FrameRecord, idx: int, reason: str, t: int) -> None:
-        rec.disposition = DISPOSITION_DROPPED
-        rec.drop_stage = idx
-        rec.drop_reason = reason
-        rec.drop_time_ns = t
+    def _hold(self, idx: int, arrivals: list) -> Optional[list]:
+        """Stage idx when no link follows.  A memory keeps each admitted frame
+        for its fixed latency, then hands it on (the next stage's arrivals are
+        returned); adjacent memories copy at unmodeled (infinite) bandwidth.
+        The single-server processor runs in the pass of the memory before
+        it, which holds each frame until the processor picks it up, or in
+        its own pass right after a link.  Pending events are hand-ons
+        (frame) and releases (None).
+        """
+        stages, size, limit, held, memo = self.stages, self.size, self.limit, self.held, self.memo
+        holder, proc = stages[idx], stages[-1]
+        fixed = holder.fixed_latency_ns
+        capacity = getattr(holder, "capacity_bytes", math.inf)  # host memory is unbounded
+        is_proc = holder is proc  # right after a link
+        to_proc = idx + 1 == len(stages) - 1
+        ing, eg, proc_ing, proc_eg = self.ing[idx], self.eg[idx], self.ing[-1], self.eg[-1]
+        trace = None if is_proc else self.traces[idx].append
+        delivered, rng, draw, proc_fixed = self.disposition, self.proc_rng, proc.processing.draw, proc.fixed_latency_ns
+        pending: list = []
+        out: list = []
+        occupancy = now = o = proc_free_at = 0
+        arrivals.append(_END)
+        arrivals = iter(arrivals)
+        at, akey, af, _ = next(arrivals)
+        while True:
+            o += 1
+            if pending and (pending[0][0] < at or pending[0][0] == at and _before(pending[0][2], akey, memo)):
+                now, _, key, f = heappop(pending)
+                if now > limit:
+                    break
+                if f is None:  # release
+                    occupancy -= size
+                    trace((now, occupancy))
+                    continue
+            elif at > limit or af is None:
+                break
+            else:
+                now, key, f = at, akey, af
+                at, akey, af, _ = next(arrivals)
+                if not is_proc:
+                    ing[f] = now
+                    if occupancy + size > capacity:
+                        self._drop(f, idx, REASON_OVERFLOW, now)
+                        continue
+                    held[f][idx] = size
+                    occupancy += size
+                    trace((now, occupancy))
+                    if fixed:
+                        heappush(pending, (now + fixed, o, (now + fixed, key, idx), f))
+                        continue
+            start = now
+            if not is_proc:
+                if to_proc and proc_free_at > now:
+                    start = proc_free_at
+                eg[f] = start
+                if start > now:
+                    heappush(pending, (start, o, (start, key, idx), None))
+                else:
+                    occupancy -= size
+                    trace((now, occupancy))
+                if not to_proc:
+                    out.append((now, key, f, now))
+                    continue
+            # The processor takes frame f; its delivery runs if it falls within the run.
+            if proc_free_at > start:
+                start = proc_free_at
+            proc_free_at = start + proc_fixed + draw(rng)
+            proc_ing[f] = start
+            if proc_free_at <= limit:
+                proc_eg[f] = proc_free_at
+                delivered[f] = DISPOSITION_DELIVERED
+        self.last = max(self.last, now, proc_free_at)
+        return None if is_proc or to_proc else out
 
 
 def run(topo: Topology, cfg: SimConfig):
     """Simulate a topology and return a complete SimReport.
 
-    Rejects invalid topologies before any event is processed.  Two calls
+    Rejects invalid topologies before any frame is generated.  Two calls
     with equal (topology, config) produce byte-identical canonical
     reports.
     """
@@ -461,7 +458,7 @@ def run(topo: Topology, cfg: SimConfig):
     if problems:
         rules = "; ".join(v.rule for v in problems)
         raise InvalidTopologyError(f"topology failed validation: {rules}")
-    result = _Engine(topo, cfg).run()
+    result = _Passes(topo, cfg).run()
     from .metrics import build_report  # local import: metrics depends on this module
 
     return build_report(topo, cfg, result)

@@ -409,12 +409,13 @@ def many(cls_or_kinds, container=list) -> tuple:
 
 
 def check_int_keyed(m) -> dict:
-    """m itself, once checked to be a JSON object keyed by stage index:
-    its keys are the decimal strings of non-negative integers."""
+    """m itself, once checked to be a JSON object keyed by stage index: its
+    keys are the canonical decimal strings of non-negative integers ("0",
+    "7", "12"), so no two keys name one index."""
     if not isinstance(m, dict):
         raise InvalidSpecError(f"a map keyed by stage index must be a JSON object, got {type(m).__name__}")
     for k in m:
-        if not k.isdecimal():
+        if not (k.isascii() and k.isdecimal()) or k[0] == "0" and k != "0":
             raise InvalidSpecError(f"a map keyed by stage index has the non-index key {k!r}")
     return m
 

@@ -145,6 +145,14 @@ def insert_stage(topo: Topology, stage, position: int) -> Topology:
     return Topology(name=topo.name + "+ins", stages=stages, camera=topo.camera, deadlines=topo.deadlines)
 
 
+def json_nodes(node, path=()):
+    """The path of every node of a JSON document, the root included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from json_nodes(child, path + (key,))
+
+
 def replace_node(doc, path, value):
     """doc with the node at path (keys and indices from the root) set to value."""
     if not path:

@@ -143,6 +143,11 @@ class TestCameraValidation:
         with pytest.warns(EnvelopeWarning):
             CameraSpec(1_000_000, 8, 60_000)
 
+    def test_envelope_warning_names_the_caller(self):
+        with pytest.warns(EnvelopeWarning) as record:
+            CameraSpec(32_768, 8, 30517.578125)
+        assert {w.filename for w in record} == {__file__}
+
     def test_no_warning_inside_envelope(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -29,7 +29,7 @@ from acqsim import (
     summarize,
 )
 from acqsim.metrics import import_summary, nearest_rank
-from conftest import replace_node
+from conftest import json_nodes, replace_node
 
 CAM = CameraSpec(1_000_000, 8, 1000)
 RELAXED = DeadlineSpec(safety_ns=10**9, control_ns=10**10, timestamp_rms_ns=50.0)
@@ -143,6 +143,9 @@ class TestStructuredExport:
             (("occupancy", "1"), ["ab"], "occupancy trace"),
             (("link_busy_ns",), {"x": 1}, "non-index key"),
             (("frames", 0, "buffer_bytes"), {"-1": 5}, "non-index key"),
+            (("frames", 0, "buffer_bytes"), {"01": 5}, "non-index key"),
+            (("link_busy_ns",), {"\u0661": 7}, "non-index key"),
+            (("aggregates", "high_water_bytes"), {"01": 5, "1": 6}, "non-index key"),
         ],
         ids=[
             "frames-number",
@@ -154,6 +157,9 @@ class TestStructuredExport:
             "occupancy-trace-string-pair",
             "link-busy-bad-key",
             "buffer-bytes-negative-key",
+            "buffer-bytes-leading-zero",
+            "link-busy-non-ascii-digit",
+            "high-water-colliding-keys",
         ],
     )
     def test_malformed_report_parts_rejected(self, path, value, match):
@@ -216,14 +222,6 @@ class TestTabularExport:
         assert frames == report.frames
 
 
-def _json_nodes(node, path=()):
-    """The path of every node of a JSON document, the root included."""
-    yield path
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield from _json_nodes(child, path + (key,))
-
-
 def _verdict(reader, text: str) -> str:
     """"accepted" or "rejected"; an exception outside ValueError propagates."""
     try:
@@ -247,7 +245,7 @@ def _fuzz_report() -> dict:
 
 
 FUZZ_REPORT = _fuzz_report()
-FUZZ_PATHS = list(_json_nodes(FUZZ_REPORT))
+FUZZ_PATHS = list(json_nodes(FUZZ_REPORT))
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False, allow_infinity=False)
     | st.sampled_from(["", "0", "1", "ab", "safety", "delivered"]),

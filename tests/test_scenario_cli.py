@@ -1,13 +1,17 @@
 """Scenario schema handling and the command-line surface (exit codes)."""
 
+import copy
 import gc
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acqsim import (
     OverheadModel,
@@ -19,7 +23,7 @@ from acqsim import (
 from acqsim import cli, metrics
 from acqsim.cli import main
 from acqsim.scenario import load_scenario
-from conftest import replace_node
+from conftest import json_nodes, replace_node
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -56,13 +60,18 @@ def custom_doc(extra_stage_keys=None, processing=None):
     )
 
 
-def assert_clean_config_error(*argv):
-    """`python -m acqsim *argv` exits 1 with an `error: ` line and no traceback."""
+def run_cli(*argv):
+    """`python -m acqsim *argv` in a fresh interpreter, output captured."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "acqsim", *argv], capture_output=True, text=True, env=env
     )
+
+
+def assert_clean_config_error(*argv):
+    """`python -m acqsim *argv` exits 1 with an `error: ` line and no traceback."""
+    proc = run_cli(*argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
@@ -415,6 +424,18 @@ class TestCompareCommand:
             import_structured(Path(a).read_text(encoding="utf-8"))
         assert main(["compare", a, b]) == 0
 
+    def test_envelope_warning_only_from_simulate(self, tmp_path):
+        # compare reads the same out-of-envelope camera back from the
+        # reports; simulate has already warned about it.
+        stem = str(tmp_path / "ov")
+        simulated = run_cli("simulate", str(SCENARIOS / "overflow-8to4.json"), "-o", stem)
+        assert simulated.returncode == 0
+        assert "EnvelopeWarning" in simulated.stderr
+        assert "<string>" not in simulated.stderr
+        compared = run_cli("compare", stem + ".json", stem + ".json")
+        assert compared.returncode == 0
+        assert compared.stderr == ""
+
     def test_missing_report_exit_1(self, capsys):
         assert main(["compare", "/no/such/a.json", "/no/such/b.json"]) == 1
 
@@ -454,6 +475,45 @@ class TestCompareCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert_clean_config_error("compare", str(good), str(bad))
+
+
+def _fuzz_scenarios() -> dict:
+    docs = {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in sorted(SCENARIOS.glob("*.json"))}
+    # No run takes more than 10 frames, so every example stays short.
+    for doc in docs.values():
+        doc["sim"]["n_frames"] = min(doc["sim"]["n_frames"], 10)
+    return docs
+
+
+FUZZ_SCENARIOS = _fuzz_scenarios()
+FUZZ_NODES = [(stem, path) for stem, doc in FUZZ_SCENARIOS.items() for path in json_nodes(doc)]
+# Replacement values: JSON scalars, arrays and objects, every integer at most
+# 10, and the names the schema gives meaning to.
+FUZZ_VALUES = st.sampled_from(
+    [None, True, False, -1, 0, 1, 2, 10, 0.5, -0.5, 1e-9, "", "0", "x", "custom", "classic", "direct",
+     "pcie", "camera_link", "sensor", "link", "cut_through", "drop_oldest", "uniform", [], [1], ["x"],
+     [{"kind": "sensor"}], {}, {"kind": "pcie"}, {"kind": "sensor"}, {"seed": 1}, {"x": 1}]
+)
+
+
+class TestScenarioBoundary:
+    def test_fuzz_scenarios_cover_every_shipped_file(self):
+        assert set(FUZZ_SCENARIOS) == {path.stem for path in SCENARIOS.glob("*.json")}
+
+    @settings(max_examples=300, deadline=None)
+    @given(node=st.sampled_from(FUZZ_NODES), value=FUZZ_VALUES)
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    def test_one_node_replaced(self, node, value):
+        stem, path = node
+        doc = replace_node(copy.deepcopy(FUZZ_SCENARIOS[stem]), path, value)
+        try:
+            parse_scenario(doc)
+        except ScenarioError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = Path(tmp) / "scenario.json"
+            scenario.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["simulate", str(scenario), "-o", str(Path(tmp) / "out")]) in (0, 1, 2)
 
 
 def test_console_entry_point(tmp_path):
