@@ -18,10 +18,8 @@ from .linkmodel import (
     aggregate_rate,
     camera_stream_rate,
     effective_link_rate,
-    encoding_efficiency,
     feasible,
     min_lanes,
-    raw_lane_rate,
 )
 from .metrics import (
     Aggregates,
@@ -30,11 +28,9 @@ from .metrics import (
     SimReport,
     budget_table,
     compare,
-    export,
     export_structured,
     export_tabular,
     import_structured,
-    import_tabular,
     summarize,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
@@ -44,16 +40,13 @@ from .simcore import (
     FrameRecord,
     InvalidTopologyError,
     SimConfig,
-    occupancy_trace,
     run,
-    transmission_time,
 )
 from .timing import (
     ClockModel,
     DeadlineSpec,
     DeadlineViolation,
     check_deadlines,
-    sample_timestamp,
     timestamp_rms,
 )
 from .topology import (

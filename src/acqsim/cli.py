@@ -66,17 +66,16 @@ def _build_parser() -> _Parser:
     b = sub.add_parser("budget", parents=[], help="print effective link rates")
     b.add_argument("--gen", type=int, help="restrict to one PCIe generation (1..5)")
     b.add_argument("--lanes", type=int, help="restrict to one lane width (1/2/4/8/16)")
-    b.add_argument("--efficiency", type=float, default=None, help="protocol efficiency in (0, 1]")
-    b.add_argument("--max-payload", type=int, default=None, help="derive efficiency: payload bytes per packet")
-    b.add_argument("--header-overhead", type=int, default=None, help="derive efficiency: header bytes per packet")
-    b.add_argument("--flow-control", type=float, default=None, help="derive efficiency: flow-control factor")
+    # Efficiency flags are stored only when given, the overhead ones under OverheadModel's field names.
+    omit = argparse.SUPPRESS
+    b.add_argument("--efficiency", type=float, default=omit, help="protocol efficiency in (0, 1]")
+    b.add_argument("--max-payload", dest="max_payload_bytes", type=int, default=omit,
+                   help="derive efficiency: payload bytes per packet")
+    b.add_argument("--header-overhead", dest="header_overhead_bytes", type=int, default=omit,
+                   help="derive efficiency: header bytes per packet")
+    b.add_argument("--flow-control", dest="flow_control_factor", type=float, default=omit,
+                   help="derive efficiency: flow-control factor")
     b.add_argument("--all", action="store_true", help="full matrix plus interface presets")
-    b.add_argument(
-        "--presets",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="include non-PCIe interface presets",
-    )
 
     s = sub.add_parser("simulate", help="run a scenario file and write report files")
     s.add_argument("scenario", help="scenario JSON file")
@@ -107,29 +106,22 @@ def _cmd_budget(args) -> int:
         print(f"error: --lanes must be one of 1/2/4/8/16, got {args.lanes}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.efficiency is not None:
-        efficiency = args.efficiency
-    elif any(v is not None for v in (args.max_payload, args.header_overhead, args.flow_control)):
-        overhead = OverheadModel(
-            max_payload_bytes=args.max_payload if args.max_payload is not None else 256,
-            header_overhead_bytes=args.header_overhead if args.header_overhead is not None else 28,
-            flow_control_factor=args.flow_control if args.flow_control is not None else 1.0,
-        )
-        efficiency = overhead.efficiency
-    else:
-        efficiency = 1.0
+    given = vars(args)
+    overhead = {f.name: given[f.name] for f in dataclasses.fields(OverheadModel) if f.name in given}
+    if overhead and "efficiency" in given:
+        flags = "--max-payload, --header-overhead or --flow-control"
+        print(f"error: --efficiency cannot be combined with {flags}", file=sys.stderr)
+        return EXIT_CONFIG
 
     generations = (args.gen,) if args.gen is not None else PCIE_GENERATIONS
     lanes = (args.lanes,) if args.lanes is not None else PCIE_ALLOWED_LANES
-    if args.presets is not None:
-        include_presets = args.presets
-    else:
-        # A narrowed query prints just the asked-for rows unless --all.
-        include_presets = args.all or (args.gen is None and args.lanes is None)
+    # A narrowed query prints just the asked-for rows unless --all.
+    include_presets = args.all or (args.gen is None and args.lanes is None)
     if args.all:
         generations, lanes = PCIE_GENERATIONS, PCIE_ALLOWED_LANES
 
     try:
+        efficiency = OverheadModel(**overhead).efficiency if overhead else given.get("efficiency", 1.0)
         rows = budget_table(
             generations=generations,
             lane_set=lanes,

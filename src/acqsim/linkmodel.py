@@ -162,8 +162,8 @@ class OverheadModel:
 
 
 def _check_common(cable_length_m: float, protocol_efficiency: float) -> None:
-    if cable_length_m < 0:
-        raise InvalidSpecError(f"cable_length_m must be >= 0, got {cable_length_m}")
+    if not 0 <= cable_length_m * PROPAGATION_NS_PER_M < math.inf:
+        raise InvalidSpecError(f"cable_length_m must be >= 0 with a finite delay, got {cable_length_m}")
     if not 0.0 < protocol_efficiency <= 1.0:
         raise InvalidSpecError(
             f"protocol_efficiency must be in (0, 1], got {protocol_efficiency}"
@@ -282,20 +282,6 @@ LINK_KINDS = {
 
 
 # --- Rate arithmetic ------------------------------------------------------
-
-
-def raw_lane_rate(generation: int) -> float:
-    """Raw per-lane transfer rate in GT/s for a PCIe generation."""
-    if generation not in _PCIE_RAW_GT:
-        raise InvalidSpecError(f"PCIe generation must be 1..5, got {generation}")
-    return float(_PCIE_RAW_GT[generation])
-
-
-def encoding_efficiency(generation: int) -> float:
-    """Line-code efficiency: 8b/10b for gen 1-2, 128b/130b for gen 3-5."""
-    if generation not in _ENCODING:
-        raise InvalidSpecError(f"PCIe generation must be 1..5, got {generation}")
-    return float(_ENCODING[generation])
 
 
 def _pcie_lane_gbps(generation: int) -> Fraction:

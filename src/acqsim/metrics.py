@@ -38,7 +38,7 @@ from .simcore import (
     SimConfig,
     StageSpan,
 )
-from .timing import DeadlineSpec, DeadlineViolation, check_deadlines, timestamp_rms
+from .timing import DeadlineViolation, check_deadlines, timestamp_rms
 from .topology import (
     INT_KEYED,
     JSON_FORMS,
@@ -102,43 +102,13 @@ class Aggregates:
         return sum(1 for v in self.violations if v.kind == "timestamp")
 
 
-def _high_water_from_frames(frames, topology: Topology) -> dict:
-    """Occupancy sweep from frame residency spans (releases before admits)."""
-    events: dict[int, list[tuple[int, int, int]]] = {}
-    for r in frames:
-        for idx, amount in r.buffer_bytes.items():
-            span = r.stage_times[idx]
-            if span.ingress_ns is None:
-                continue
-            events.setdefault(idx, []).append((span.ingress_ns, 1, amount))
-            exit_t = span.egress_ns
-            if exit_t is None and r.drop_time_ns is not None and r.drop_stage == idx:
-                exit_t = r.drop_time_ns
-            if exit_t is not None:
-                events.setdefault(idx, []).append((exit_t, 0, -amount))
-    high: dict[int, int] = {}
-    for idx, evs in events.items():
-        evs.sort(key=lambda e: (e[0], e[1]))
-        occ = peak = 0
-        for _, _, delta in evs:
-            occ += delta
-            peak = max(peak, occ)
-        high[idx] = peak
-    return high
-
-
-def summarize(
-    frames,
-    topology: Topology,
-    elapsed_ns: int = 0,
-    occupancy: Optional[dict] = None,
-    deadlines: Optional[DeadlineSpec] = None,
-) -> Aggregates:
+def summarize(frames, topology: Topology, elapsed_ns: int, occupancy: dict) -> Aggregates:
     """Aggregate per-frame records into run metrics.
 
     An empty frame list yields zeroed aggregates with the `empty` flag
-    set.  High-water marks come from the engine occupancy traces when
-    provided, else from a sweep over frame residency spans.
+    set.  High-water mark i is the peak of occupancy trace i: frame spans
+    cannot recover it, because equal-time admits and releases run in push
+    order.
     """
     frames = list(frames)
     delivered = [r for r in frames if r.disposition == DISPOSITION_DELIVERED]
@@ -146,16 +116,13 @@ def summarize(
     in_flight = sum(1 for r in frames if r.disposition == DISPOSITION_IN_FLIGHT)
 
     latencies = sorted(r.latency_ns for r in delivered)
-    if occupancy is not None:
-        high_water = {idx: max((b for _, b in trace), default=0) for idx, trace in occupancy.items()}
-    else:
-        high_water = _high_water_from_frames(frames, topology)
+    high_water = {idx: max((b for _, b in trace), default=0) for idx, trace in occupancy.items()}
 
     delivered_bits = sum(r.size_bytes for r in delivered) * 8
     throughput = delivered_bits / elapsed_ns if elapsed_ns > 0 else 0.0
 
     rms = timestamp_rms(frames) if frames else 0.0
-    violations = check_deadlines(frames, deadlines or topology.deadlines)
+    violations = check_deadlines(frames, topology.deadlines)
 
     return Aggregates(
         empty=not frames,
@@ -303,15 +270,6 @@ def export_structured(report: SimReport) -> str:
     return json.dumps(to_dict(report), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def export(report: SimReport, format: str) -> str:
-    """Render a report as a document in the named format."""
-    if format == "structured":
-        return export_structured(report)
-    if format == "tabular":
-        return export_tabular(report)
-    raise ValueError(f"unknown export format {format!r} (expected structured or tabular)")
-
-
 def import_structured(text: str) -> SimReport:
     return from_dict(SimReport, json.loads(text))
 
@@ -407,56 +365,6 @@ def export_tabular(report: SimReport) -> str:
     for idx in sorted(a.high_water_bytes):
         w.writerow([f"high_water_stage{idx}_bytes", a.high_water_bytes[idx]])
     return out.getvalue()
-
-
-def _opt_int(cell: str):
-    return int(cell) if cell != "" else None
-
-
-def import_tabular(text: str):
-    """Parse a tabular export back into (frames, aggregates_dict)."""
-    lines = text.splitlines()
-    try:
-        split = lines.index("")
-    except ValueError as exc:
-        raise ValueError("tabular document has no aggregates block") from exc
-    frame_rows = list(csv.reader(lines[:split]))
-    agg_rows = list(csv.reader(lines[split + 1 :]))
-
-    header = frame_rows[0]
-    n_stages = (len(header) - len(_FRAME_COLUMNS)) // 3
-    frames = []
-    for row in frame_rows[1:]:
-        spans = []
-        buffer_bytes = {}
-        for i in range(n_stages):
-            base = len(_FRAME_COLUMNS) + 3 * i
-            spans.append(StageSpan(_opt_int(row[base]), _opt_int(row[base + 1])))
-            contrib = _opt_int(row[base + 2])
-            if contrib is not None:
-                buffer_bytes[i] = contrib
-        frames.append(
-            FrameRecord(
-                frame_id=int(row[0]),
-                size_bytes=int(row[1]),
-                generated_at_ns=int(row[2]),
-                camera_timestamp_ns=int(row[3]),
-                timestamp_clamped=bool(int(row[4])),
-                stage_times=spans,
-                buffer_bytes=buffer_bytes,
-                disposition=row[5],
-                drop_stage=_opt_int(row[6]),
-                drop_reason=row[7] or None,
-                drop_time_ns=_opt_int(row[8]),
-            )
-        )
-    aggregates = {}
-    for row in agg_rows[1:]:
-        if not row:
-            continue
-        key, value = row[0], row[1]
-        aggregates[key] = float(value) if ("." in value or "e" in value or "inf" in value) else int(value)
-    return frames, aggregates
 
 
 # --- Comparison -------------------------------------------------------------

@@ -123,11 +123,6 @@ def serialization_time_ns(size_bytes: int, link: Link) -> int:
     return math.ceil(Fraction(size_bytes * 8) / rate)
 
 
-def transmission_time(size_bytes: int, link: Link) -> int:
-    """Serialization time plus cable propagation delay, integer ns."""
-    return serialization_time_ns(size_bytes, link) + propagation_delay_ns(link)
-
-
 @dataclass
 class RunResult:
     """Raw engine output, consumed by metrics.build_report."""
@@ -463,14 +458,3 @@ def run(topo: Topology, cfg: SimConfig):
 
     return build_report(topo, cfg, result)
 
-
-def occupancy_trace(report, stage_index: int) -> list[tuple[int, int]]:
-    """Piecewise-constant buffer occupancy of one stage, (ns, bytes).
-
-    Stages that never hold frames (links, the processor) yield an empty
-    trace; an out-of-range index is an error.
-    """
-    n = len(report.topology.stages)
-    if not 0 <= stage_index < n:
-        raise IndexError(f"stage index {stage_index} out of range for {n}-stage topology")
-    return list(report.occupancy.get(stage_index, ()))

@@ -29,10 +29,6 @@ class ClockModel:
         if self.jitter_sigma_ns < 0:
             raise InvalidSpecError(f"jitter_sigma_ns must be >= 0, got {self.jitter_sigma_ns}")
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.offset_ns == 0.0 and self.drift_ppm == 0.0 and self.jitter_sigma_ns == 0.0
-
 
 @dataclass(frozen=True)
 class DeadlineSpec:
@@ -66,15 +62,12 @@ def sample_timestamp_detailed(clock: ClockModel, true_time_ns: int, rng: Random)
     value = float(true_time_ns) + clock.offset_ns + clock.drift_ppm * 1e-6 * true_time_ns
     if clock.jitter_sigma_ns > 0.0:
         value += rng.gauss(0.0, clock.jitter_sigma_ns)
+    if not math.isfinite(value):
+        raise InvalidSpecError(f"the clock model gives a non-finite timestamp ({value}) at {true_time_ns} ns")
     stamped = round(value)
     if stamped < 0:
         return 0, True
     return stamped, False
-
-
-def sample_timestamp(clock: ClockModel, true_time_ns: int, rng: Random) -> int:
-    """Measured timestamp for a true capture time (clamped at zero)."""
-    return sample_timestamp_detailed(clock, true_time_ns, rng)[0]
 
 
 def timestamp_rms(records) -> float:
@@ -84,12 +77,16 @@ def timestamp_rms(records) -> float:
         raise ValueError("timestamp_rms requires at least one record")
     total = 0.0
     for r in records:
-        err = r.camera_timestamp_ns - r.generated_at_ns
+        # As a float, a square too large for the RMS becomes inf instead of raising.
+        err = float(r.camera_timestamp_ns - r.generated_at_ns)
         total += err * err
-    return math.sqrt(total / len(records))
+    rms = math.sqrt(total / len(records))
+    if rms == math.inf:
+        raise InvalidSpecError("timestamp errors too large for a finite RMS")
+    return rms
 
 
-def check_deadlines(report_or_frames, deadlines: DeadlineSpec) -> list[DeadlineViolation]:
+def check_deadlines(frames, deadlines: DeadlineSpec) -> list[DeadlineViolation]:
     """All budget misses in a run.
 
     Latency checks apply to delivered frames only (dropped and in-flight
@@ -97,7 +94,6 @@ def check_deadlines(report_or_frames, deadlines: DeadlineSpec) -> list[DeadlineV
     a single violation is reported when the RMS over all generated frames
     exceeds the budget.
     """
-    frames = getattr(report_or_frames, "frames", report_or_frames)
     violations: list[DeadlineViolation] = []
     for r in frames:
         latency = r.latency_ns

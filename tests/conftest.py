@@ -1,6 +1,10 @@
 """Shared randomized-case generators for property and acceptance tests."""
 
+import csv
+import importlib.util
+import json
 import warnings
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -143,6 +147,73 @@ def insertable_buffer(rng: Random) -> BufferStage:
 def insert_stage(topo: Topology, stage, position: int) -> Topology:
     stages = topo.stages[:position] + (stage,) + topo.stages[position:]
     return Topology(name=topo.name + "+ins", stages=stages, camera=topo.camera, deadlines=topo.deadlines)
+
+
+def benchmark_workloads() -> dict:
+    """perfbench/workloads.py's scenario builders by workload name."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SCENARIOS
+
+
+# --- An independent reader of the tabular report --------------------------
+# It uses csv alone and follows docs/report-schema.md, so it checks the
+# exporter against the schema rather than against acqsim's own records.
+
+FRAME_COLUMNS = [
+    "frame_id", "size_bytes", "generated_at_ns", "camera_timestamp_ns", "timestamp_clamped",
+    "disposition", "drop_stage", "drop_reason", "drop_time_ns", "latency_ns",
+]
+
+
+def read_tabular(text: str):
+    """(header, frame rows, {metric: value}) of a tabular export, every cell a string."""
+    table, _, block = text.partition("\n\n")
+    header, *rows = csv.reader(table.splitlines())
+    metric_header, *metrics = csv.reader(block.splitlines())
+    assert metric_header == ["metric", "value"]
+    return header, rows, dict(metrics)
+
+
+def _cells(values: dict) -> dict:
+    """Values as tabular cells: null is empty, a flag is 0 or 1."""
+    return {k: "" if v is None else str(int(v) if isinstance(v, bool) else v) for k, v in values.items()}
+
+
+def tabular_frame(frame: dict) -> dict:
+    """The tabular row, by column, that the schema gives a structured-export frame."""
+    spans = frame["stage_times"]
+    row = {key: frame[key] for key in FRAME_COLUMNS[:-1]}
+    row["latency_ns"] = spans[-1][1] - spans[0][1] if frame["disposition"] == "delivered" else None
+    for i, (ingress, egress) in enumerate(spans):
+        row[f"stage{i}_ingress_ns"], row[f"stage{i}_egress_ns"] = ingress, egress
+        row[f"stage{i}_buffer_bytes"] = frame["buffer_bytes"].get(str(i))
+    return _cells(row)
+
+
+def tabular_metrics(doc: dict) -> dict:
+    """The tabular metric block that the schema gives a structured export."""
+    a = doc["aggregates"]
+    block = {k: v for k, v in a.items() if k not in ("high_water_bytes", "violations")}
+    for kind in ("safety", "control", "timestamp"):
+        block[f"{kind}_violations"] = sum(v["kind"] == kind for v in a["violations"])
+    block["elapsed_ns"] = doc["elapsed_ns"]
+    block.update({f"high_water_stage{i}_bytes": b for i, b in a["high_water_bytes"].items()})
+    return _cells(block)
+
+
+def assert_tabular_matches_structured(structured: str, tabular: str) -> None:
+    """The two exports of one report hold the same frames and scalars, cell for cell."""
+    doc = json.loads(structured)
+    header, rows, metrics = read_tabular(tabular)
+    stages = range(len(doc["topology"]["stages"]))
+    assert header == FRAME_COLUMNS + [
+        f"stage{i}_{column}" for i in stages for column in ("ingress_ns", "egress_ns", "buffer_bytes")
+    ]
+    assert [dict(zip(header, row)) for row in rows] == [tabular_frame(f) for f in doc["frames"]]
+    assert metrics == tabular_metrics(doc)
 
 
 def json_nodes(node, path=()):

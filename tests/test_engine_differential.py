@@ -11,7 +11,6 @@ tight buffers under both drop policies, and duration cutoffs that fall on
 an event time.
 """
 
-import importlib.util
 import warnings
 from pathlib import Path
 from random import Random
@@ -43,7 +42,7 @@ from acqsim import (
 from acqsim.simcore import DROP_NEWEST, DROP_OLDEST, serialization_time_ns
 from acqsim.timing import DeadlineSpec
 from acqsim.topology import CUT_THROUGH, STORE_AND_FORWARD
-from conftest import insert_stage, insertable_buffer, make_config, make_topology
+from conftest import benchmark_workloads, insert_stage, insertable_buffer, make_config, make_topology
 from heap_engine import run_reference
 
 pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
@@ -59,14 +58,7 @@ def assert_same_exports(topo, cfg, report=None):
     assert export_tabular(report) == export_tabular(reference)
 
 
-def _benchmark_workloads() -> dict:
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.SCENARIOS
-
-
-WORKLOADS = _benchmark_workloads()
+WORKLOADS = benchmark_workloads()
 
 
 def test_shipped_scenarios():

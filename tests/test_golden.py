@@ -9,12 +9,14 @@ scenario file's own seed.  A change to exported bytes needs a schema
 doc edit and a schema_version bump, and then new digests here.
 """
 
+import functools
 import hashlib
 from pathlib import Path
 
 import pytest
 
 from acqsim import export_structured, export_tabular, import_structured, load_scenario, run
+from conftest import assert_tabular_matches_structured
 
 pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 
@@ -65,11 +67,21 @@ def test_every_shipped_pipeline_is_pinned():
     assert shipped == set(GOLDEN)
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
-def test_export_digests(key):
+@functools.cache
+def _exports(key) -> tuple:
     stem, index = key
     scenario = load_scenario(SCENARIOS / f"{stem}.json")
     report = run(scenario.pipelines[index], scenario.configs()[index])
-    text = export_structured(report)
-    assert (_sha256(text), _sha256(export_tabular(report))) == GOLDEN[key]
+    return export_structured(report), export_tabular(report)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_export_digests(key):
+    text, tabular = _exports(key)
+    assert (_sha256(text), _sha256(tabular)) == GOLDEN[key]
     assert export_structured(import_structured(text)) == text
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_tabular_frames_match_structured(key):
+    assert_tabular_matches_structured(*_exports(key))

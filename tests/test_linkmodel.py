@@ -20,10 +20,8 @@ from acqsim import (
     aggregate_rate,
     camera_stream_rate,
     effective_link_rate,
-    encoding_efficiency,
     feasible,
     min_lanes,
-    raw_lane_rate,
 )
 from acqsim.linkmodel import LINK_KINDS
 from acqsim.topology import from_dict, to_dict
@@ -36,21 +34,23 @@ def cam(px, depth, fps):
 
 
 class TestLadder:
+    # One lane's effective rate is raw GT/s x line-code efficiency.
     def test_raw_rates(self):
-        assert [raw_lane_rate(g) for g in (1, 2, 3, 4, 5)] == [2.5, 5.0, 8.0, 16.0, 32.0]
+        # Raw 2.5/5/8/16/32 GT/s per lane.
+        rates = [effective_link_rate(PCIeLink(g, 1)) for g in (1, 2, 3, 4, 5)]
+        assert rates == [2.0, 4.0, 7.876923076923077, 15.753846153846155, 31.50769230769231]
 
     @pytest.mark.parametrize("gen", [0, 6, -1])
     def test_out_of_range_generation(self, gen):
         with pytest.raises(InvalidSpecError):
-            raw_lane_rate(gen)
-        with pytest.raises(InvalidSpecError):
-            encoding_efficiency(gen)
+            PCIeLink(gen, 1)
 
     def test_encoding(self):
-        assert encoding_efficiency(1) == 0.8
-        assert encoding_efficiency(2) == 0.8
-        for gen in (3, 4, 5):
-            assert encoding_efficiency(gen) == pytest.approx(128 / 130, abs=1e-12)
+        # 8b/10b for gen 1-2, 128b/130b for gen 3-5.
+        assert effective_link_rate(PCIeLink(1, 1)) == 2.0
+        assert effective_link_rate(PCIeLink(2, 1)) == 4.0
+        for gen, raw in ((3, 8), (4, 16), (5, 32)):
+            assert effective_link_rate(PCIeLink(gen, 1)) == float(Fraction(raw) * Fraction(128, 130))
 
 
 class TestEffectiveRate:

@@ -24,11 +24,11 @@ from acqsim import (
     feasible,
     min_lanes,
     run,
-    sample_timestamp,
     timestamp_rms,
     validate,
 )
 from acqsim.linkmodel import NoFeasibleWidthError
+from acqsim.timing import sample_timestamp_detailed
 from acqsim.topology import BufferStage, FrameGrabber, Topology, from_dict, to_dict
 from conftest import make_camera, make_config, make_link, make_topology
 
@@ -136,7 +136,7 @@ class TestTopologyProperties:
 class TestTimingProperties:
     @given(st.integers(min_value=0, max_value=10**15))
     def test_zero_clock_identity(self, t):
-        assert sample_timestamp(ClockModel(), t, Random(0)) == t
+        assert sample_timestamp_detailed(ClockModel(), t, Random(0)) == (t, False)
 
     @given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=50))
     def test_rms_sign_flip_and_scale(self, errors):

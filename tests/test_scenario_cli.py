@@ -1,6 +1,7 @@
 """Scenario schema handling and the command-line surface (exit codes)."""
 
 import copy
+import csv
 import gc
 import json
 import os
@@ -14,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acqsim import (
+    InvalidSpecError,
     OverheadModel,
     ScenarioError,
     compare,
     import_structured,
     parse_scenario,
+    run,
 )
 from acqsim import cli, metrics
 from acqsim.cli import main
@@ -231,6 +234,27 @@ class TestBudgetCommand:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["budget", "--frequency", "9"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--presets", "--no-presets"])
+    def test_presets_flag_removed(self, flag, capsys):
+        assert main(["budget", flag]) == 1
+
+    def test_overhead_from_given_flags_only(self, capsys):
+        # The payload and header keep OverheadModel's defaults: 0.5 x 256 / 284.
+        assert main(["budget", "--gen", "3", "--lanes", "1", "--flow-control", "0.5"]) == 0
+        assert "0.450704" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--max-payload", "--header-overhead", "--flow-control"])
+    def test_efficiency_with_overhead_flag_exits_1(self, flag, capsys):
+        assert main(["budget", "--efficiency", "0.5", flag, "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --efficiency cannot be combined")
+
+    @pytest.mark.parametrize(
+        "argv", [["--max-payload", "0"], ["--header-overhead", "-1"], ["--flow-control", "2"], ["--efficiency", "0"]]
+    )
+    def test_out_of_range_efficiency_exits_1(self, argv, capsys):
+        assert main(["budget", *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSimulateCommand:
@@ -514,6 +538,53 @@ class TestScenarioBoundary:
             scenario = Path(tmp) / "scenario.json"
             scenario.write_text(json.dumps(doc), encoding="utf-8")
             assert main(["simulate", str(scenario), "-o", str(Path(tmp) / "out")]) in (0, 1, 2)
+
+
+def _numeric_paths(doc) -> list:
+    paths = []
+    for path in json_nodes(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if type(node) in (int, float):
+            paths.append(path)
+    return paths
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite number {name} in a structured export")
+
+
+class TestHugeNumbers:
+    """Every numeric node of every shipped scenario, set to +/-1e308 in turn:
+    the library raises only ScenarioError/InvalidSpecError, simulate exits
+    0, 1 (with an error line) or 2, and no export holds a non-finite number."""
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    @pytest.mark.parametrize("stem", sorted(FUZZ_SCENARIOS))
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    def test_every_numeric_node(self, stem, value, tmp_path, capsys):
+        scenario, stem_out = tmp_path / "scenario.json", tmp_path / "out"
+        for path in _numeric_paths(FUZZ_SCENARIOS[stem]):
+            doc = replace_node(copy.deepcopy(FUZZ_SCENARIOS[stem]), path, value)
+            try:
+                parsed = parse_scenario(doc)
+                for topo, cfg in zip(parsed.pipelines, parsed.configs()):
+                    run(topo, cfg)
+            except (ScenarioError, InvalidSpecError):
+                pass
+            for old in tmp_path.glob("out*"):
+                old.unlink()
+            scenario.write_text(json.dumps(doc), encoding="utf-8")
+            code = main(["simulate", str(scenario), "-o", str(stem_out)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), path
+            assert code != 1 or "error: " in err, path
+            for report in tmp_path.glob("out*.json"):
+                json.loads(report.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+            for report in tmp_path.glob("out*.csv"):
+                cells = {cell for row in csv.reader(report.read_text(encoding="utf-8").splitlines()) for cell in row}
+                assert not cells & {"inf", "-inf", "nan"}, path
 
 
 def test_console_entry_point(tmp_path):

@@ -28,11 +28,10 @@ from acqsim import (
     export_structured,
     export_tabular,
     import_structured,
-    occupancy_trace,
     run,
-    transmission_time,
 )
-from acqsim.simcore import DROP_OLDEST, REASON_BACKPRESSURE, REASON_OVERFLOW
+from acqsim.linkmodel import propagation_delay_ns
+from acqsim.simcore import DROP_OLDEST, REASON_BACKPRESSURE, REASON_OVERFLOW, serialization_time_ns
 from acqsim.topology import CUT_THROUGH, STORE_AND_FORWARD
 
 CAM_1MPX = CameraSpec(1_000_000, 8, 1000)
@@ -68,24 +67,23 @@ def overflow_topology(drop_newest=True):
 class TestTransmissionTime:
     def test_gen3_x1_one_megabyte(self):
         # 8e6 bits at 8 GT/s x 128/130 = 8e6 x 130 / 1024e3 ns = 1015625.0
-        assert transmission_time(1_000_000, G3X1) == 1_015_625
+        assert serialization_time_ns(1_000_000, G3X1) == 1_015_625
 
     def test_camera_link_full_one_megabyte(self):
         # 8e6 / 7.14 = 1120448.179... -> ceil
-        assert transmission_time(1_000_000, CL_FULL) == 1_120_449
+        assert serialization_time_ns(1_000_000, CL_FULL) == 1_120_449
 
     def test_propagation_300m(self):
-        base = transmission_time(1_000_000, G3X1)
-        far = transmission_time(1_000_000, PCIeLink(3, 1, cable_length_m=300.0))
-        assert far == base + 1_500
+        assert propagation_delay_ns(G3X1) == 0
+        assert propagation_delay_ns(PCIeLink(3, 1, cable_length_m=300.0)) == 1_500
 
     def test_gen1_x1(self):
         # 2.0 Gb/s exactly: 8e6 / 2 = 4e6 ns
-        assert transmission_time(1_000_000, PCIeLink(1, 1)) == 4_000_000
+        assert serialization_time_ns(1_000_000, PCIeLink(1, 1)) == 4_000_000
 
     def test_rejects_non_positive_size(self):
         with pytest.raises(InvalidSpecError):
-            transmission_time(0, G3X1)
+            serialization_time_ns(0, G3X1)
 
 
 class TestCanonicalScenarios:
@@ -216,7 +214,7 @@ class TestOverflow:
     def test_peak_equals_capacity_at_first_drop(self):
         report = run(overflow_topology(), SimConfig(seed=7, n_frames=80))
         assert report.aggregates.high_water_bytes[3] == MIB
-        trace = occupancy_trace(report, 3)
+        trace = report.occupancy[3]
         at_drop = [b for t, b in trace if t <= 2_097_152]
         assert max(at_drop) == MIB
 
@@ -329,18 +327,16 @@ class TestRecordsAndTraces:
     def test_single_frame_trace_peaks_at_frame_size(self):
         topo = build_direct(CAM_1MPX, G3X1, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=1))
-        trace = occupancy_trace(report, 1)  # camera buffer
+        trace = report.occupancy[1]  # camera buffer
         assert max(b for _, b in trace) == 1_000_000
         assert trace[-1][1] == 0
 
     def test_trace_errors_and_empties(self):
         topo = build_direct(CAM_1MPX, G3X1, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=1))
-        with pytest.raises(IndexError):
-            occupancy_trace(report, 99)
-        assert occupancy_trace(report, 2) == []  # links do not buffer
+        assert sorted(report.occupancy) == [0, 1, 3]  # links and the processor do not buffer
         empty = run(topo, SimConfig(seed=1, n_frames=0))
-        assert occupancy_trace(empty, 1) == []
+        assert empty.occupancy == {0: [], 1: [], 3: []}
 
     def test_sensor_feeding_link_directly(self):
         # No camera buffer: the sensor's staging register drives the wire,
@@ -371,9 +367,9 @@ class TestRecordsAndTraces:
         size = 32_768
         topo = overflow_topology()
         period = round(1e9 / topo.camera.frame_rate)
-        assert transmission_time(size, PCIeLink(1, 4)) == period
+        assert serialization_time_ns(size, PCIeLink(1, 4)) == period
         report = run(topo, SimConfig(seed=1, n_frames=8, drop_policy=DROP_OLDEST))
-        trace = occupancy_trace(report, 1)
+        trace = report.occupancy[1]
         assert trace[:3] == [(0, size), (period, 2 * size), (period, size)]
         assert report.aggregates.high_water_bytes[1] == 2 * size
 

