@@ -37,7 +37,7 @@ from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .simcore import (
     DROP_NEWEST,
     DROP_OLDEST,
-    FrameRecord,
+    FrameTable,
     InvalidTopologyError,
     SimConfig,
     run,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .linkmodel import (
@@ -33,10 +33,9 @@ from .simcore import (
     DISPOSITION_DELIVERED,
     DISPOSITION_DROPPED,
     DISPOSITION_IN_FLIGHT,
-    FrameRecord,
+    FrameTable,
     RunResult,
     SimConfig,
-    StageSpan,
 )
 from .timing import DeadlineViolation, check_deadlines, timestamp_rms
 from .topology import (
@@ -102,37 +101,37 @@ class Aggregates:
         return sum(1 for v in self.violations if v.kind == "timestamp")
 
 
-def summarize(frames, topology: Topology, elapsed_ns: int, occupancy: dict) -> Aggregates:
-    """Aggregate per-frame records into run metrics.
+def summarize(frames: FrameTable, topology: Topology, elapsed_ns: int, occupancy: dict) -> Aggregates:
+    """Aggregate a run's frame table into run metrics.
 
-    An empty frame list yields zeroed aggregates with the `empty` flag
+    A run without frames yields zeroed aggregates with the `empty` flag
     set.  High-water mark i is the peak of occupancy trace i: frame spans
     cannot recover it, because equal-time admits and releases run in push
     order.
     """
-    frames = list(frames)
-    delivered = [r for r in frames if r.disposition == DISPOSITION_DELIVERED]
-    dropped = sum(1 for r in frames if r.disposition == DISPOSITION_DROPPED)
-    in_flight = sum(1 for r in frames if r.disposition == DISPOSITION_IN_FLIGHT)
-
-    latencies = sorted(r.latency_ns for r in delivered)
+    disposition = frames.disposition
+    latencies = sorted(latency for latency in frames.latency_ns() if latency is not None)
     high_water = {idx: max((b for _, b in trace), default=0) for idx, trace in occupancy.items()}
 
-    delivered_bits = sum(r.size_bytes for r in delivered) * 8
+    delivered_bits = sum(s for s, d in zip(frames.size_bytes, disposition) if d == DISPOSITION_DELIVERED) * 8
     throughput = delivered_bits / elapsed_ns if elapsed_ns > 0 else 0.0
+    try:
+        mean = sum(latencies) / len(latencies) if latencies else 0.0
+    except OverflowError:
+        raise InvalidSpecError("latencies too large for a finite mean") from None
 
-    rms = timestamp_rms(frames) if frames else 0.0
-    violations = check_deadlines(frames, topology.deadlines)
+    rms = timestamp_rms(frames) if disposition else 0.0
+    violations = check_deadlines(frames, topology.deadlines, rms)
 
     return Aggregates(
-        empty=not frames,
-        generated=len(frames),
-        delivered=len(delivered),
-        dropped=dropped,
-        in_flight=in_flight,
+        empty=not disposition,
+        generated=len(disposition),
+        delivered=len(latencies),
+        dropped=disposition.count(DISPOSITION_DROPPED),
+        in_flight=disposition.count(DISPOSITION_IN_FLIGHT),
         throughput_gbps=throughput,
         latency_min_ns=latencies[0] if latencies else 0,
-        latency_mean_ns=sum(latencies) / len(latencies) if latencies else 0.0,
+        latency_mean_ns=mean,
         latency_p50_ns=nearest_rank(latencies, 50),
         latency_p99_ns=nearest_rank(latencies, 99),
         latency_max_ns=latencies[-1] if latencies else 0,
@@ -152,11 +151,20 @@ class SimReport:
     digest: str
     config: SimConfig
     elapsed_ns: int
-    frames: list
+    frames: FrameTable
     occupancy: dict
     link_busy_ns: dict
     aggregates: Aggregates
     schema_version: int = SCHEMA_VERSION
+
+    def __post_init__(self):
+        # Frames decode without the topology, so their stage count is checked
+        # here, and a table without frames gets one column per stage here.
+        n, frames = len(self.topology.stages), self.frames
+        if not frames.frame_id:
+            frames.ingress_ns, frames.egress_ns = [[] for _ in range(n)], [[] for _ in range(n)]
+        elif len(frames.ingress_ns) != n:
+            raise InvalidSpecError(_BAD_WIDTH)
 
 
 def build_report(topology: Topology, config: SimConfig, result: RunResult) -> SimReport:
@@ -182,30 +190,19 @@ def build_report(topology: Topology, config: SimConfig, result: RunResult) -> Si
 # --- Structured (JSON) export ----------------------------------------------
 
 
-def _frame_to_dict(r: FrameRecord) -> dict:
-    return {
-        "frame_id": r.frame_id,
-        "size_bytes": r.size_bytes,
-        "generated_at_ns": r.generated_at_ns,
-        "camera_timestamp_ns": r.camera_timestamp_ns,
-        "timestamp_clamped": r.timestamp_clamped,
-        "stage_times": [[s.ingress_ns, s.egress_ns] for s in r.stage_times],
-        "buffer_bytes": {str(k): v for k, v in r.buffer_bytes.items()},
-        "disposition": r.disposition,
-        "drop_stage": r.drop_stage,
-        "drop_reason": r.drop_reason,
-        "drop_time_ns": r.drop_time_ns,
-    }
-
-
-_FRAME_KEYS = frozenset(f.name for f in fields(FrameRecord))
+# A frame's scalar keys, each both a JSON key and a FrameTable column, in
+# the order of the tabular export.
+_FRAME_SCALARS = ("frame_id", "size_bytes", "generated_at_ns", "camera_timestamp_ns", "timestamp_clamped",
+                  "disposition", "drop_stage", "drop_reason", "drop_time_ns")
+_FRAME_KEYS = frozenset((*_FRAME_SCALARS, "stage_times", "buffer_bytes"))
 _BAD_FRAME = f"a frame must be a JSON object with exactly the keys {sorted(_FRAME_KEYS)}"
+_BAD_WIDTH = "a frame's stage_times must hold one [ingress, egress] pair per topology stage"
 
 
 def _is_pairs(v) -> bool:
     """Whether v is an array of two-element arrays (to_dict leaves occupancy
-    pairs as tuples, which json writes as arrays)."""
-    if not isinstance(v, list):
+    pairs and a frame's stage_times as tuples, which json writes as arrays)."""
+    if type(v) not in (list, tuple):
         return False
     for p in v:
         if type(p) not in (list, tuple) or len(p) != 2:
@@ -213,35 +210,55 @@ def _is_pairs(v) -> bool:
     return True
 
 
-def check_frames(docs) -> list:
+def check_frames(docs, n_stages: Optional[int] = None) -> list:
     """docs itself, once checked to be a JSON array of frames of the exported
-    shape: exactly the frame keys, stage_times an array of [ingress, egress]
-    pairs and buffer_bytes an object keyed by stage index."""
+    shape: exactly the frame keys, stage_times an array of n_stages [ingress,
+    egress] pairs (by default as many as the first frame has) and
+    buffer_bytes an object keyed by stage index."""
     if not isinstance(docs, list):
         raise InvalidSpecError(f"frames must be a JSON array, got {type(docs).__name__}")
     for d in docs:
         if not isinstance(d, dict) or d.keys() != _FRAME_KEYS:
             raise InvalidSpecError(_BAD_FRAME)
-        if not _is_pairs(d["stage_times"]):
+        spans = d["stage_times"]
+        if not _is_pairs(spans):
             raise InvalidSpecError("a frame's stage_times must be a JSON array of [ingress, egress] pairs")
+        if n_stages is None:
+            n_stages = len(spans)
+        if len(spans) != n_stages:
+            raise InvalidSpecError(_BAD_WIDTH)
         check_int_keyed(d["buffer_bytes"])
     return docs
 
 
-def _frame_from_dict(d: dict) -> FrameRecord:
-    """A frame from a JSON object that check_frames has passed."""
-    return FrameRecord(
-        frame_id=d["frame_id"],
-        size_bytes=d["size_bytes"],
-        generated_at_ns=d["generated_at_ns"],
-        camera_timestamp_ns=d["camera_timestamp_ns"],
-        timestamp_clamped=d["timestamp_clamped"],
-        stage_times=[StageSpan(a, b) for a, b in d["stage_times"]],
-        buffer_bytes={int(k): v for k, v in d["buffer_bytes"].items()},
-        disposition=d["disposition"],
-        drop_stage=d["drop_stage"],
-        drop_reason=d["drop_reason"],
-        drop_time_ns=d["drop_time_ns"],
+def _frames_to_docs(t: FrameTable) -> list:
+    """One JSON object per frame, straight from the table's columns."""
+    # Per frame, its (ingress, egress) per stage; zipping frame_id in keeps every frame without stages.
+    spans = (row[1:] for row in zip(t.frame_id, *map(zip, t.ingress_ns, t.egress_ns)))
+    columns = (t.frame_id, t.size_bytes, t.generated_at_ns, t.camera_timestamp_ns, t.timestamp_clamped, spans,
+               t.buffer_bytes, t.disposition, t.drop_stage, t.drop_reason, t.drop_time_ns)
+    return [
+        {"frame_id": f, "size_bytes": size, "generated_at_ns": generated, "camera_timestamp_ns": stamp,
+         "timestamp_clamped": clamped, "stage_times": times, "buffer_bytes": {str(k): v for k, v in held.items()},
+         "disposition": d, "drop_stage": stage, "drop_reason": reason, "drop_time_ns": dropped_at}
+        for f, size, generated, stamp, clamped, times, held, d, stage, reason, dropped_at in zip(*columns)
+    ]
+
+
+def _frames_from_docs(docs) -> FrameTable:
+    """The frame table of a JSON array of frames of the exported shape."""
+    check_frames(docs)
+
+    def column(key):
+        return [d[key] for d in docs]
+
+    spans = column("stage_times")
+    stages = range(len(spans[0]) if spans else 0)
+    return FrameTable(
+        **{key: column(key) for key in _FRAME_SCALARS},
+        ingress_ns=[[s[i][0] for s in spans] for i in stages],
+        egress_ns=[[s[i][1] for s in spans] for i in stages],
+        buffer_bytes=[{int(k): v for k, v in b.items()} for b in column("buffer_bytes")],
     )
 
 
@@ -255,10 +272,7 @@ JSON_FORMS[Aggregates] = {"high_water_bytes": INT_KEYED, "violations": many(Dead
 JSON_FORMS[SimReport] = {
     "topology": one(Topology),
     "config": one(SimConfig),
-    "frames": (
-        lambda frames: [_frame_to_dict(r) for r in frames],
-        lambda docs: [_frame_from_dict(d) for d in check_frames(docs)],
-    ),
+    "frames": (_frames_to_docs, _frames_from_docs),
     "occupancy": (INT_KEYED[0], lambda occ: decode_int_keyed(occ, _occupancy_trace)),
     "link_busy_ns": INT_KEYED,
     "aggregates": one(Aggregates),
@@ -267,7 +281,8 @@ JSON_FORMS[SimReport] = {
 
 def export_structured(report: SimReport) -> str:
     """Canonical JSON: sorted keys, compact, shortest-round-trip floats."""
-    return json.dumps(to_dict(report), sort_keys=True, separators=(",", ":")) + "\n"
+    # to_dict builds a fresh tree without cycles, so nothing needs checking for one.
+    return json.dumps(to_dict(report), sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def import_structured(text: str) -> SimReport:
@@ -290,55 +305,32 @@ def import_summary(text: str) -> ReportSummary:
     every part but the frames is decoded: the frames are checked, not built.
     """
     doc = json.loads(text)
+    docs = None
     if isinstance(doc, dict) and "frames" in doc:
-        check_frames(doc["frames"])
-        doc["frames"] = []
+        docs, doc["frames"] = doc["frames"], []
     report = from_dict(SimReport, doc)  # frameless, so it is never returned
+    check_frames(docs, len(report.topology.stages))
     return ReportSummary(report.scenario, report.digest, report.topology, report.aggregates)
 
 
 # --- Tabular (CSV) export ---------------------------------------------------
 
-_FRAME_COLUMNS = (
-    "frame_id",
-    "size_bytes",
-    "generated_at_ns",
-    "camera_timestamp_ns",
-    "timestamp_clamped",
-    "disposition",
-    "drop_stage",
-    "drop_reason",
-    "drop_time_ns",
-    "latency_ns",
-)
+_FRAME_COLUMNS = (*_FRAME_SCALARS, "latency_ns")
 
 
 def export_tabular(report: SimReport) -> str:
     """Flat per-frame table, a blank line, then a metric/value block."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    n_stages = len(report.topology.stages)
+    t = report.frames
     header = list(_FRAME_COLUMNS)
-    for i in range(n_stages):
+    columns = [t.frame_id, t.size_bytes, t.generated_at_ns, t.camera_timestamp_ns, map(int, t.timestamp_clamped),
+               t.disposition, t.drop_stage, t.drop_reason, t.drop_time_ns, t.latency_ns()]
+    for i, (ingress, egress) in enumerate(zip(t.ingress_ns, t.egress_ns)):  # three columns per stage
         header += [f"stage{i}_ingress_ns", f"stage{i}_egress_ns", f"stage{i}_buffer_bytes"]
+        columns += [ingress, egress, [b.get(i) for b in t.buffer_bytes]]
     w.writerow(header)
-    for r in report.frames:
-        row = [
-            r.frame_id,
-            r.size_bytes,
-            r.generated_at_ns,
-            r.camera_timestamp_ns,
-            int(r.timestamp_clamped),
-            r.disposition,
-            r.drop_stage,
-            r.drop_reason,
-            r.drop_time_ns,
-            r.latency_ns,
-        ]
-        for i in range(n_stages):
-            span = r.stage_times[i]
-            row += [span.ingress_ns, span.egress_ns, r.buffer_bytes.get(i)]
-        w.writerow(row)
+    w.writerows(zip(*columns))
     w.writerow([])
     w.writerow(["metric", "value"])
     a = report.aggregates

@@ -38,7 +38,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import repeat
 from random import Random
 from typing import Optional
 
@@ -62,33 +61,33 @@ class InvalidTopologyError(InvalidSpecError):
 
 
 @dataclass
-class StageSpan:
-    ingress_ns: Optional[int] = None
-    egress_ns: Optional[int] = None
+class FrameTable:
+    """A run's frames as columns: entry f of each list belongs to frame f.
 
+    ingress_ns and egress_ns are stage-major, [stage][frame], with None
+    where the frame never reached the stage; buffer_bytes holds, per frame,
+    stage index -> bytes the frame held resident there.
+    """
 
-@dataclass
-class FrameRecord:
-    """One frame's life: identity, sizes, per-stage times, disposition."""
+    frame_id: list
+    size_bytes: list
+    generated_at_ns: list
+    camera_timestamp_ns: list
+    timestamp_clamped: list
+    ingress_ns: list
+    egress_ns: list
+    buffer_bytes: list
+    disposition: list
+    drop_stage: list
+    drop_reason: list
+    drop_time_ns: list
 
-    frame_id: int
-    size_bytes: int
-    generated_at_ns: int
-    camera_timestamp_ns: int
-    timestamp_clamped: bool
-    stage_times: list
-    buffer_bytes: dict
-    disposition: str = DISPOSITION_IN_FLIGHT
-    drop_stage: Optional[int] = None
-    drop_reason: Optional[str] = None
-    drop_time_ns: Optional[int] = None
-
-    @property
-    def latency_ns(self) -> Optional[int]:
-        """Sensor egress to processor egress; None unless delivered."""
-        if self.disposition != DISPOSITION_DELIVERED:
-            return None
-        return self.stage_times[-1].egress_ns - self.stage_times[0].egress_ns
+    def latency_ns(self) -> list:
+        """Per frame, sensor egress to processor egress; None unless delivered."""
+        return [
+            last - first if d == DISPOSITION_DELIVERED else None
+            for first, last, d in zip(self.egress_ns[0], self.egress_ns[-1], self.disposition)
+        ]
 
 
 @dataclass(frozen=True)
@@ -127,11 +126,10 @@ def serialization_time_ns(size_bytes: int, link: Link) -> int:
 class RunResult:
     """Raw engine output, consumed by metrics.build_report."""
 
-    frames: list
+    frames: FrameTable
     elapsed_ns: int
     occupancy: dict            # stage index -> [(t, bytes_after)]
     link_busy_ns: dict         # stage index -> total serialization ns
-    generated: int
 
 
 # --- Engine ----------------------------------------------------------------
@@ -188,8 +186,11 @@ class _Passes:
         self.cfg = cfg
         self.size = size = topo.camera.frame_size_bytes
         fps = topo.camera.frame_rate
+        period = 1e9 / fps if fps > 0 else None
+        if period == math.inf:
+            raise InvalidSpecError(f"frame_rate {fps} gives a frame period too long to count in ns")
         # Sub-ns frame periods clamp to the 1 ns clock tick.
-        self.period_ns = max(1, round(1e9 / fps)) if fps > 0 else None
+        self.period_ns = None if period is None else max(1, round(period))
         self.limit = math.inf if cfg.duration_ns is None else cfg.duration_ns
         # Every frame has the camera's size, so link constants are fixed for the run.
         self.links = {
@@ -215,13 +216,12 @@ class _Passes:
                 arrivals = self._hold(idx, arrivals)
                 idx += 1
         n = len(self.times)
-        spans = map(list, zip(*(map(StageSpan, i, e) for i, e in zip(self.ing, self.eg))))
-        frames = list(map(
-            FrameRecord, range(n), repeat(self.size, n), self.times, self.stamps, self.clamped, spans,
+        frames = FrameTable(
+            list(range(n)), [self.size] * n, self.times, self.stamps, self.clamped, self.ing, self.eg,
             self.held, self.disposition, self.drop_stage, self.drop_reason, self.drop_time,
-        ))
+        )
         elapsed = self.last if self.cfg.duration_ns is None else self.cfg.duration_ns
-        return RunResult(frames, elapsed, self.traces, self.busy, n)
+        return RunResult(frames, elapsed, self.traces, self.busy)
 
     def _generate(self) -> list:
         """Draw the camera stamps in frame order and size the columns; returns

@@ -59,7 +59,10 @@ def sample_timestamp_detailed(clock: ClockModel, true_time_ns: int, rng: Random)
     Consumes exactly one Gaussian draw from the stream when jitter is
     enabled, so draw index k always belongs to the k-th sample.
     """
-    value = float(true_time_ns) + clock.offset_ns + clock.drift_ppm * 1e-6 * true_time_ns
+    try:
+        value = float(true_time_ns) + clock.offset_ns + clock.drift_ppm * 1e-6 * true_time_ns
+    except OverflowError:  # a time past the float range
+        value = math.inf
     if clock.jitter_sigma_ns > 0.0:
         value += rng.gauss(0.0, clock.jitter_sigma_ns)
     if not math.isfinite(value):
@@ -70,41 +73,39 @@ def sample_timestamp_detailed(clock: ClockModel, true_time_ns: int, rng: Random)
     return stamped, False
 
 
-def timestamp_rms(records) -> float:
-    """RMS of (measured camera timestamp - true generation time) in ns."""
-    records = list(records)
-    if not records:
-        raise ValueError("timestamp_rms requires at least one record")
+def timestamp_rms(frames) -> float:
+    """RMS of (measured camera timestamp - true generation time) in ns over
+    the frames of a FrameTable."""
+    if not frames.generated_at_ns:
+        raise ValueError("timestamp_rms requires at least one frame")
     total = 0.0
-    for r in records:
+    for stamp, generated in zip(frames.camera_timestamp_ns, frames.generated_at_ns):
         # As a float, a square too large for the RMS becomes inf instead of raising.
-        err = float(r.camera_timestamp_ns - r.generated_at_ns)
+        err = float(stamp - generated)
         total += err * err
-    rms = math.sqrt(total / len(records))
+    rms = math.sqrt(total / len(frames.generated_at_ns))
     if rms == math.inf:
         raise InvalidSpecError("timestamp errors too large for a finite RMS")
     return rms
 
 
-def check_deadlines(frames, deadlines: DeadlineSpec) -> list[DeadlineViolation]:
-    """All budget misses in a run.
+def check_deadlines(frames, deadlines: DeadlineSpec, rms: float) -> list[DeadlineViolation]:
+    """All budget misses in a run of a FrameTable's frames.
 
     Latency checks apply to delivered frames only (dropped and in-flight
     frames have no end-to-end latency).  The timestamp check is run-level:
-    a single violation is reported when the RMS over all generated frames
-    exceeds the budget.
+    a single violation is reported when rms, the run's timestamp_rms over
+    all generated frames (0.0 without frames), exceeds the budget.
     """
     violations: list[DeadlineViolation] = []
-    for r in frames:
-        latency = r.latency_ns
+    safety, control = deadlines.safety_ns, deadlines.control_ns
+    for frame_id, latency in zip(frames.frame_id, frames.latency_ns()):
         if latency is None:
             continue
-        if latency > deadlines.safety_ns:
-            violations.append(DeadlineViolation("safety", r.frame_id, latency, deadlines.safety_ns))
-        if latency > deadlines.control_ns:
-            violations.append(DeadlineViolation("control", r.frame_id, latency, deadlines.control_ns))
-    if frames:
-        rms = timestamp_rms(frames)
-        if rms > deadlines.timestamp_rms_ns:
-            violations.append(DeadlineViolation("timestamp", None, rms, deadlines.timestamp_rms_ns))
+        if latency > safety:
+            violations.append(DeadlineViolation("safety", frame_id, latency, safety))
+        if latency > control:
+            violations.append(DeadlineViolation("control", frame_id, latency, control))
+    if rms > deadlines.timestamp_rms_ns:
+        violations.append(DeadlineViolation("timestamp", None, rms, deadlines.timestamp_rms_ns))
     return violations

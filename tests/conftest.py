@@ -16,6 +16,7 @@ from acqsim import (
     CoaXPressIf,
     DeadlineSpec,
     EnvelopeWarning,
+    FrameTable,
     GigEVisionIf,
     PCIeLink,
     ProcessingModel,
@@ -147,6 +148,29 @@ def insertable_buffer(rng: Random) -> BufferStage:
 def insert_stage(topo: Topology, stage, position: int) -> Topology:
     stages = topo.stages[:position] + (stage,) + topo.stages[position:]
     return Topology(name=topo.name + "+ins", stages=stages, camera=topo.camera, deadlines=topo.deadlines)
+
+
+def frame_table(records) -> FrameTable:
+    """A two-stage FrameTable of stand-in frames that have generated_at_ns and
+    camera_timestamp_ns, and may have frame_id (default: the position) and
+    latency_ns (default None).  A frame is delivered, with that latency,
+    exactly when its latency is not None; otherwise it is in flight."""
+    n = len(records)
+    latency = [getattr(r, "latency_ns", None) for r in records]
+    return FrameTable(
+        frame_id=[getattr(r, "frame_id", k) for k, r in enumerate(records)],
+        size_bytes=[1] * n,
+        generated_at_ns=[r.generated_at_ns for r in records],
+        camera_timestamp_ns=[r.camera_timestamp_ns for r in records],
+        timestamp_clamped=[False] * n,
+        ingress_ns=[[0] * n, [0] * n],
+        egress_ns=[[0] * n, [0 if v is None else v for v in latency]],
+        buffer_bytes=[{} for _ in records],
+        disposition=["in_flight" if v is None else "delivered" for v in latency],
+        drop_stage=[None] * n,
+        drop_reason=[None] * n,
+        drop_time_ns=[None] * n,
+    )
 
 
 def benchmark_workloads() -> dict:

@@ -3,13 +3,16 @@
 Every event of a run goes through one global heap keyed (time, push
 sequence), and each handler reads and writes the stage state directly.
 The passes in ``acqsim.simcore`` must reproduce its runs byte for byte;
-``test_engine_differential.py`` checks that they do.  The classes below
-are the engine as it stood before the passes, unchanged.
+``test_engine_differential.py`` checks that they do.  The engine below
+is as it stood before the passes; it keeps its own per-frame records
+(the FrameRecord and StageSpan the library once had) and hands them on
+as a FrameTable at the end of the run.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from random import Random
 from typing import Optional
@@ -19,13 +22,13 @@ from acqsim.metrics import build_report
 from acqsim.simcore import (
     DISPOSITION_DELIVERED,
     DISPOSITION_DROPPED,
+    DISPOSITION_IN_FLIGHT,
     DROP_OLDEST,
     REASON_BACKPRESSURE,
     REASON_OVERFLOW,
-    FrameRecord,
+    FrameTable,
     RunResult,
     SimConfig,
-    StageSpan,
     serialization_time_ns,
 )
 from acqsim.timing import sample_timestamp_detailed
@@ -44,6 +47,45 @@ from acqsim.topology import (
 def run_reference(topo: Topology, cfg: SimConfig):
     """The report of one run of the heap engine (the topology must be valid)."""
     return build_report(topo, cfg, _Engine(topo, cfg).run())
+
+
+@dataclass
+class StageSpan:
+    ingress_ns: Optional[int] = None
+    egress_ns: Optional[int] = None
+
+
+@dataclass
+class FrameRecord:
+    """One frame's life as the heap engine records it; run() returns the
+    records as a FrameTable."""
+
+    frame_id: int
+    size_bytes: int
+    generated_at_ns: int
+    camera_timestamp_ns: int
+    timestamp_clamped: bool
+    stage_times: list
+    buffer_bytes: dict
+    disposition: str = DISPOSITION_IN_FLIGHT
+    drop_stage: Optional[int] = None
+    drop_reason: Optional[str] = None
+    drop_time_ns: Optional[int] = None
+
+
+def frame_table(records: list, n_stages: int) -> FrameTable:
+    """The columns of a run's records, in frame order."""
+
+    def column(name):
+        return [getattr(r, name) for r in records]
+
+    stages = range(n_stages)
+    return FrameTable(
+        *map(column, ("frame_id", "size_bytes", "generated_at_ns", "camera_timestamp_ns", "timestamp_clamped")),
+        [[r.stage_times[i].ingress_ns for r in records] for i in stages],
+        [[r.stage_times[i].egress_ns for r in records] for i in stages],
+        *map(column, ("buffer_bytes", "disposition", "drop_stage", "drop_reason", "drop_time_ns")),
+    )
 
 
 class _HolderState:
@@ -141,11 +183,10 @@ class _Engine:
         # engine; dropping them keeps the run free of reference cycles.
         heap.clear()
         return RunResult(
-            frames=self.records,
+            frames=frame_table(self.records, len(self.stages)),
             elapsed_ns=duration if duration is not None else self.now,
             occupancy={i: h.trace for i, h in enumerate(self.holders) if h is not None},
             link_busy_ns={i: l.busy_ns for i, l in enumerate(self.links) if l is not None},
-            generated=len(self.records),
         )
 
     # -- stage behavior --

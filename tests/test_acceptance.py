@@ -104,8 +104,8 @@ def test_criterion_3_architecture_comparison(tmp_path, capsys):
     code_d, direct = _simulate(tmp_path, "direct-1mpx.json", "direct")
     with capsys.disabled():
         assert code_c == 0 and code_d == 0
-        classic_latency = classic.frames[0].latency_ns
-        direct_latency = direct.frames[0].latency_ns
+        classic_latency = classic.frames.latency_ns()[0]
+        direct_latency = direct.frames.latency_ns()[0]
         copies_ok = (
             classic.aggregates.copy_count == 3 and direct.aggregates.copy_count == 2
         )
@@ -155,7 +155,8 @@ def test_criterion_5_timestamp_budget(tmp_path, capsys):
 def test_criterion_6_overflow_oracle(tmp_path, capsys):
     code, report = _simulate(tmp_path, "overflow-8to4.json", "overflow")
     with capsys.disabled():
-        drops = [r.drop_time_ns for r in report.frames if r.disposition == DISPOSITION_DROPPED]
+        frames = report.frames
+        drops = [t for t, d in zip(frames.drop_time_ns, frames.disposition) if d == DISPOSITION_DROPPED]
         first_drop = min(drops) if drops else None
         quantum = 32_768  # one frame transmission at the 8 Gb/s feed
         _criterion(
@@ -171,25 +172,27 @@ class TestCriterion7PropertySuites:
     def test_frame_conservation(self, run_pool):
         for _, _, report in run_pool:
             a = report.aggregates
-            assert a.generated == len(report.frames)
+            assert a.generated == len(report.frames.frame_id)
             assert a.delivered + a.dropped + a.in_flight == a.generated
         _criterion("criterion-7 frame conservation", True, f"{len(run_pool)} cases")
 
     def test_timestamp_causality(self, run_pool):
         for _, _, report in run_pool:
-            for rec in report.frames:
-                assert rec.generated_at_ns == rec.stage_times[0].ingress_ns
+            f = report.frames
+            frame_spans = zip(*map(zip, f.ingress_ns, f.egress_ns))  # one frame's (ingress, egress) per stage
+            for k, spans in enumerate(frame_spans):
+                assert f.generated_at_ns[k] == f.ingress_ns[0][k]
                 previous_egress = None
-                for span in rec.stage_times:
-                    if span.ingress_ns is None:
+                for ingress, egress in spans:
+                    if ingress is None:
                         continue
-                    if span.egress_ns is not None:
-                        assert span.ingress_ns <= span.egress_ns
+                    if egress is not None:
+                        assert ingress <= egress
                     if previous_egress is not None:
-                        assert previous_egress <= span.ingress_ns
-                    previous_egress = span.egress_ns
-                if rec.disposition == DISPOSITION_DROPPED:
-                    assert rec.drop_time_ns >= rec.generated_at_ns
+                        assert previous_egress <= ingress
+                    previous_egress = egress
+                if f.disposition[k] == DISPOSITION_DROPPED:
+                    assert f.drop_time_ns[k] >= f.generated_at_ns[k]
         _criterion("criterion-7 timestamp causality", True, f"{len(run_pool)} cases")
 
     def test_lane_scaling_linearity(self):
@@ -212,11 +215,11 @@ class TestCriterion7PropertySuites:
             position = rng.randint(1, len(topo.stages) - 1)
             widened = insert_stage(topo, insertable_buffer(rng), position)
             longer = run(widened, cfg)
-            base_latency = {r.frame_id: r.latency_ns for r in base.frames}
-            for rec in longer.frames:
-                before = base_latency.get(rec.frame_id)
-                if rec.latency_ns is not None and before is not None:
-                    assert rec.latency_ns >= before
+            base_latency = dict(zip(base.frames.frame_id, base.frames.latency_ns()))
+            for frame_id, latency in zip(longer.frames.frame_id, longer.frames.latency_ns()):
+                before = base_latency.get(frame_id)
+                if latency is not None and before is not None:
+                    assert latency >= before
         _criterion("criterion-7 stage-insertion latency monotonicity", True, f"{CASES} cases")
 
     def test_byte_identical_reports(self, run_pool):

@@ -89,7 +89,8 @@ class TestSummarize:
 
     def test_throughput_definition(self):
         report = direct_report(n_frames=5)
-        bits = sum(r.size_bytes for r in report.frames if r.disposition == "delivered") * 8
+        frames = report.frames
+        bits = sum(s for s, d in zip(frames.size_bytes, frames.disposition) if d == "delivered") * 8
         assert report.aggregates.throughput_gbps == pytest.approx(bits / report.elapsed_ns, abs=1e-12)
 
     def test_recompute_matches_report(self):
@@ -118,6 +119,41 @@ class TestStructuredExport:
     def test_round_trip_equality(self):
         report = classic_report(n_frames=3)
         assert import_structured(export_structured(report)) == report
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    def test_benchmark_workload_frames_round_trip(self, name):
+        scenario = parse_scenario(WORKLOADS[name](1, 2_000))
+        report = run(scenario.pipelines[0], scenario.configs()[0])
+        back = import_structured(export_structured(report)).frames
+        # Equality also keeps null apart from 0; it would not keep true apart from 1.
+        assert back == report.frames
+        assert {type(flag) for flag in back.timestamp_clamped} == {bool}
+
+    def test_empty_run_round_trip(self):
+        report = direct_report(n_frames=0)
+        assert report.frames.egress_ns == [[] for _ in report.topology.stages]
+        assert import_structured(export_structured(report)) == report
+
+    def test_stageless_report_keeps_its_frames(self):
+        # No stage column is left to carry the frame count, so frame_id must.
+        doc = json.loads(export_structured(direct_report(n_frames=2)))
+        doc["topology"]["stages"] = []
+        for frame in doc["frames"]:
+            frame["stage_times"], frame["buffer_bytes"] = [], {}
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert export_structured(import_structured(text)) == text
+
+    @pytest.mark.parametrize("n_frames, edited", [(1, [0]), (3, [0]), (3, [2]), (3, [0, 1, 2])])
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_stage_times_of_wrong_length_rejected(self, n_frames, edited, edit):
+        doc = json.loads(export_structured(classic_report(n_frames=n_frames)))
+        for k in edited:
+            spans = doc["frames"][k]["stage_times"]
+            spans.pop() if edit == "short" else spans.append([1, 2])
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match=r"one \[ingress, egress\] pair per topology stage"):
+                reader(json.dumps(doc))
 
     @pytest.mark.parametrize(
         "edit",
@@ -216,7 +252,7 @@ class TestTabularExport:
             camera = CameraSpec(32_768, 8, 1e9 / 32_768)
         topo = build_classic(camera, PCIeLink(1, 4), PCIeLink(1, 2), MIB, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=7, n_frames=70))
-        assert {r.disposition for r in report.frames} == {"delivered", "dropped"}
+        assert set(report.frames.disposition) == {"delivered", "dropped"}
         assert_tabular_matches_structured(export_structured(report), export_tabular(report))
 
 

@@ -30,7 +30,7 @@ from acqsim import (
 from acqsim.linkmodel import NoFeasibleWidthError
 from acqsim.timing import sample_timestamp_detailed
 from acqsim.topology import BufferStage, FrameGrabber, Topology, from_dict, to_dict
-from conftest import make_camera, make_config, make_link, make_topology
+from conftest import frame_table, make_camera, make_config, make_link, make_topology
 
 pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 
@@ -143,7 +143,7 @@ class TestTimingProperties:
         from types import SimpleNamespace
 
         def records(errs):
-            return [SimpleNamespace(generated_at_ns=0, camera_timestamp_ns=e) for e in errs]
+            return frame_table([SimpleNamespace(generated_at_ns=0, camera_timestamp_ns=e) for e in errs])
 
         base = timestamp_rms(records(errors))
         flipped = timestamp_rms(records([-e for e in errors]))
@@ -190,9 +190,9 @@ class TestEngineProperties:
             cfg = SimConfig(seed=97, n_frames=4)
             ct = run(with_forwarding(topo, CUT_THROUGH), cfg)
             sf = run(with_forwarding(topo, STORE_AND_FORWARD), cfg)
-            for rec_ct, rec_sf in zip(ct.frames, sf.frames):
-                if rec_ct.latency_ns is not None and rec_sf.latency_ns is not None:
-                    assert rec_ct.latency_ns <= rec_sf.latency_ns
+            for latency_ct, latency_sf in zip(ct.frames.latency_ns(), sf.frames.latency_ns()):
+                if latency_ct is not None and latency_sf is not None:
+                    assert latency_ct <= latency_sf
 
     def test_compare_self_is_zero(self):
         rng = Random(14)

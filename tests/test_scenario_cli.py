@@ -263,7 +263,7 @@ class TestSimulateCommand:
         code = main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "--output", stem])
         assert code == 0
         report = import_structured((tmp_path / "direct.json").read_text())
-        assert report.frames[0].latency_ns == 1_015_625
+        assert report.frames.latency_ns()[0] == 1_015_625
         assert (tmp_path / "direct.csv").exists()
 
     def test_deadline_violation_exits_2(self, tmp_path, capsys):
@@ -439,10 +439,14 @@ class TestCompareCommand:
         assert summarized[1] == json.dumps(compare(*reports), sort_keys=True, indent=2) + "\n"
 
     def test_builds_no_frame(self, two_reports, capsys, monkeypatch):
-        def refuse(d):
-            raise AssertionError("compare built a frame")
+        encode, decode = metrics.JSON_FORMS[metrics.SimReport]["frames"]
 
-        monkeypatch.setattr(metrics, "_frame_from_dict", refuse)
+        def refuse(docs):
+            if docs:
+                raise AssertionError("compare built a frame")
+            return decode(docs)
+
+        monkeypatch.setitem(metrics.JSON_FORMS[metrics.SimReport], "frames", (encode, refuse))
         a, b = two_reports
         with pytest.raises(AssertionError, match="built a frame"):
             import_structured(Path(a).read_text(encoding="utf-8"))
@@ -585,6 +589,33 @@ class TestHugeNumbers:
             for report in tmp_path.glob("out*.csv"):
                 cells = {cell for row in csv.reader(report.read_text(encoding="utf-8").splitlines()) for cell in row}
                 assert not cells & {"inf", "-inf", "nan"}, path
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {("camera", "frame_rate"): 1e-308},
+            {("camera", "frame_rate"): 1e-299, ("sim", "n_frames"): 3},
+            {("camera_interface", "cable_length_m"): 3e307, ("pcie", "cable_length_m"): 3e307},
+            {
+                ("processing_time_ns",): {"distribution": "normal", "mean_ns": 1e308, "sigma_ns": 0},
+                ("sim", "n_frames"): 3,
+            },
+        ],
+        ids=["frame-period", "generation-time", "cable-delay-latency-mean", "processing-latency-mean"],
+    )
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    def test_values_past_float_range_exit_1(self, edits, tmp_path, capsys):
+        """Finite inputs whose period, generation times or mean latency leave the float range."""
+        doc = copy.deepcopy(FUZZ_SCENARIOS["classic-1mpx"])
+        for path, value in edits.items():
+            replace_node(doc, path, value)
+        parsed = parse_scenario(doc)
+        with pytest.raises(InvalidSpecError):
+            run(parsed.pipelines[0], parsed.configs()[0])
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", str(scenario), "-o", str(tmp_path / "out")]) == 1
+        assert "error: " in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):

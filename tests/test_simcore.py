@@ -90,20 +90,20 @@ class TestCanonicalScenarios:
     def test_direct_single_frame(self):
         topo = build_direct(CAM_1MPX, G3X1, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=1))
-        assert report.frames[0].latency_ns == 1_015_625
+        assert report.frames.latency_ns()[0] == 1_015_625
         assert report.aggregates.delivered == 1
 
     def test_classic_single_frame(self):
         topo = build_classic(CAM_1MPX, CL_FULL, G3X1, 64 * MIB, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=1))
         # Store-and-forward grabber: camera-interface hop plus host-bus hop.
-        assert report.frames[0].latency_ns == 1_120_449 + 1_015_625 == 2_136_074
+        assert report.frames.latency_ns()[0] == 1_120_449 + 1_015_625 == 2_136_074
 
     def test_direct_faster_by_one_ci_transmission(self):
         direct = build_direct(CAM_1MPX, G3X1, deadlines=RELAXED)
         classic = build_classic(CAM_1MPX, CL_FULL, G3X1, 64 * MIB, deadlines=RELAXED)
         cfg = SimConfig(seed=1, n_frames=1)
-        delta = run(direct, cfg).frames[0].latency_ns - run(classic, cfg).frames[0].latency_ns
+        delta = run(direct, cfg).frames.latency_ns()[0] - run(classic, cfg).frames.latency_ns()[0]
         assert delta == -1_120_449
 
     def test_empty_run(self):
@@ -131,11 +131,11 @@ class TestForwardingSemantics:
 
     def test_store_and_forward_doubles_transit(self):
         report = run(self.two_hop(STORE_AND_FORWARD), SimConfig(seed=1, n_frames=1))
-        assert report.frames[0].latency_ns == 8_000_000
+        assert report.frames.latency_ns()[0] == 8_000_000
 
     def test_cut_through_equal_rates_adds_nothing(self):
         report = run(self.two_hop(CUT_THROUGH), SimConfig(seed=1, n_frames=1))
-        assert report.frames[0].latency_ns == 4_000_000
+        assert report.frames.latency_ns()[0] == 4_000_000
 
     @staticmethod
     def cut_through_into(out_link):
@@ -166,14 +166,14 @@ class TestForwardingSemantics:
         stages = self.cut_through_into(PCIeLink(1, 2))
         topo = Topology("mismatch", stages, CAM_1MPX, RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=1))
-        assert report.frames[0].latency_ns == 2_000_000
+        assert report.frames.latency_ns()[0] == 2_000_000
         sf_stages = stages[:3] + (BufferStage(64 * MIB, forwarding=STORE_AND_FORWARD),) + stages[4:]
         sf_report = run(Topology("mismatch-sf", sf_stages, CAM_1MPX, RELAXED), SimConfig(seed=1, n_frames=1))
-        assert sf_report.frames[0].latency_ns == 3_000_000
+        assert sf_report.frames.latency_ns()[0] == 3_000_000
 
         # gen 1 x2 = 2 lanes x 2.5 GT/s x 8/10 = 4 bits/ns.
         assert self.residue(Fraction(4)) == 500_000
-        assert report.frames[0].buffer_bytes[3] == 500_000
+        assert report.frames.buffer_bytes[0][3] == 500_000
         assert report.aggregates.high_water_bytes[3] == 500_000
 
         # gen 3 x1 = 8 GT/s x 128/130: a non-integer rate, so the floor on
@@ -181,7 +181,7 @@ class TestForwardingSemantics:
         assert self.residue(8 * Fraction(128, 130)) == 15_385
         g3_topo = Topology("mismatch-g3", self.cut_through_into(PCIeLink(3, 1)), CAM_1MPX, RELAXED)
         g3_report = run(g3_topo, SimConfig(seed=1, n_frames=1))
-        assert g3_report.frames[0].buffer_bytes[3] == 15_385
+        assert g3_report.frames.buffer_bytes[0][3] == 15_385
         assert g3_report.aggregates.high_water_bytes[3] == 15_385
 
     def test_cut_through_latency_parameter(self):
@@ -196,20 +196,20 @@ class TestForwardingSemantics:
         )
         topo = Topology("ct-latency", stages, CAM_1MPX, RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=1))
-        assert report.frames[0].latency_ns == 4_000_250
+        assert report.frames.latency_ns()[0] == 4_000_250
 
 
 class TestOverflow:
     def test_first_drop_time(self):
-        report = run(overflow_topology(), SimConfig(seed=7, n_frames=80))
-        dropped = [r for r in report.frames if r.disposition == "dropped"]
+        frames = run(overflow_topology(), SimConfig(seed=7, n_frames=80)).frames
+        dropped = [k for k, d in enumerate(frames.disposition) if d == "dropped"]
         assert dropped, "expected overflow drops"
         first = dropped[0]
         # Net fill is 4 Gb/s into 8,388,608 bits of headroom.
-        assert first.drop_time_ns == 2_097_152
-        assert first.frame_id == 63
-        assert first.drop_reason == REASON_OVERFLOW
-        assert first.drop_stage == 3
+        assert frames.drop_time_ns[first] == 2_097_152
+        assert frames.frame_id[first] == 63
+        assert frames.drop_reason[first] == REASON_OVERFLOW
+        assert frames.drop_stage[first] == 3
 
     def test_peak_equals_capacity_at_first_drop(self):
         report = run(overflow_topology(), SimConfig(seed=7, n_frames=80))
@@ -227,13 +227,14 @@ class TestOverflow:
 
     def test_drop_oldest_evicts_queued(self):
         report = run(overflow_topology(), SimConfig(seed=7, n_frames=80, drop_policy=DROP_OLDEST))
-        dropped = [r for r in report.frames if r.disposition == "dropped"]
+        frames = report.frames
+        dropped = [k for k, d in enumerate(frames.disposition) if d == "dropped"]
         assert dropped
         first = dropped[0]
-        assert first.drop_reason == REASON_BACKPRESSURE
-        assert first.drop_time_ns == 2_097_152
+        assert frames.drop_reason[first] == REASON_BACKPRESSURE
+        assert frames.drop_time_ns[first] == 2_097_152
         # The evicted frame is older than the arrival that displaced it.
-        assert first.frame_id < 63
+        assert frames.frame_id[first] < 63
         a = report.aggregates
         assert a.delivered + a.dropped + a.in_flight == a.generated
 
@@ -283,7 +284,7 @@ class TestStopConditions:
 class TestFixedLatencies:
     def base_latency(self, **kwargs):
         topo = build_direct(CAM_1MPX, G3X1, deadlines=RELAXED, **kwargs)
-        return run(topo, SimConfig(seed=1, n_frames=1)).frames[0].latency_ns
+        return run(topo, SimConfig(seed=1, n_frames=1)).frames.latency_ns()[0]
 
     def test_sensor_latency_shifts_but_cancels(self):
         # Latency is measured from sensor egress, so readout skew drops out.
@@ -303,26 +304,27 @@ class TestFixedLatencies:
             CAM_1MPX, CL_FULL, G3X1, 64 * MIB, grabber_latency_ns=11, deadlines=RELAXED
         )
         report = run(topo, SimConfig(seed=1, n_frames=1))
-        assert report.frames[0].latency_ns == 2_136_074 + 11
+        assert report.frames.latency_ns()[0] == 2_136_074 + 11
 
     def test_cable_propagation_adds(self):
         topo = build_direct(CAM_1MPX, PCIeLink(3, 1, cable_length_m=300.0), deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=1))
-        assert report.frames[0].latency_ns == 1_015_625 + 1_500
+        assert report.frames.latency_ns()[0] == 1_015_625 + 1_500
 
 
 class TestRecordsAndTraces:
     def test_record_times_monotone(self):
         topo = build_classic(CAM_1MPX, CL_FULL, G3X1, 64 * MIB, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=3))
-        for rec in report.frames:
+        frames = report.frames
+        for spans in zip(*map(zip, frames.ingress_ns, frames.egress_ns)):  # one frame's (ingress, egress) per stage
             previous_egress = None
-            for span in rec.stage_times:
-                assert span.ingress_ns is not None and span.egress_ns is not None
-                assert span.ingress_ns <= span.egress_ns
+            for ingress, egress in spans:
+                assert ingress is not None and egress is not None
+                assert ingress <= egress
                 if previous_egress is not None:
-                    assert previous_egress <= span.ingress_ns
-                previous_egress = span.egress_ns
+                    assert previous_egress <= ingress
+                previous_egress = egress
 
     def test_single_frame_trace_peaks_at_frame_size(self):
         topo = build_direct(CAM_1MPX, G3X1, deadlines=RELAXED)
@@ -346,17 +348,17 @@ class TestRecordsAndTraces:
             "minimal", (Sensor(), LinkStage(G3X1), Processor()), CAM_1MPX, RELAXED
         )
         report = run(topo, SimConfig(seed=1, n_frames=2))
-        first, second = report.frames
-        assert first.latency_ns == 1_015_625
+        first, second = report.frames.latency_ns()
+        assert first == 1_015_625
         # 1 ms frame period against a 1.0156 ms transmission queues 15625 ns.
-        assert second.latency_ns == 1_015_625 + 15_625
-        assert first.stage_times[0].egress_ns == 0
+        assert second == 1_015_625 + 15_625
+        assert report.frames.egress_ns[0][0] == 0
 
     def test_sensor_period_rounding(self):
         camera = quiet_cam(10_000, 8, 3000.0)  # period 333333.33 -> 333333
         topo = build_direct(camera, G3X1, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=3))
-        times = [r.generated_at_ns for r in report.frames]
+        times = report.frames.generated_at_ns
         assert times == [0, 333_333, 666_666]
 
     def test_equal_time_ties_follow_push_order(self):

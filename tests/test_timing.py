@@ -14,6 +14,7 @@ from acqsim import (
     timestamp_rms,
 )
 from acqsim.timing import sample_timestamp_detailed
+from conftest import frame_table
 
 
 def sample_timestamp(clock, t, rng):
@@ -27,6 +28,12 @@ def fake_record(generated, measured, latency=None, frame_id=0):
         camera_timestamp_ns=measured,
         latency_ns=latency,
     )
+
+
+def missed(records, deadlines):
+    """check_deadlines over the records' frame table, with the run's RMS."""
+    frames = frame_table(records)
+    return check_deadlines(frames, deadlines, timestamp_rms(frames) if records else 0.0)
 
 
 class TestSampleTimestamp:
@@ -67,45 +74,45 @@ class TestSampleTimestamp:
 class TestTimestampRms:
     def test_all_zero(self):
         records = [fake_record(t, t) for t in (0, 10, 20)]
-        assert timestamp_rms(records) == 0.0
+        assert timestamp_rms(frame_table(records)) == 0.0
 
     def test_plus_minus_ten(self):
         records = [fake_record(100, 110), fake_record(200, 190)]
-        assert timestamp_rms(records) == pytest.approx(10.0, abs=1e-12)
+        assert timestamp_rms(frame_table(records)) == pytest.approx(10.0, abs=1e-12)
 
     def test_empty_is_error(self):
         with pytest.raises(ValueError):
-            timestamp_rms([])
+            timestamp_rms(frame_table([]))
 
     def test_sign_flip_invariance(self):
         errs = [3, -7, 12, 0, -2]
-        a = timestamp_rms([fake_record(0, e) for e in errs])
-        b = timestamp_rms([fake_record(0, -e) for e in errs])
+        a = timestamp_rms(frame_table([fake_record(0, e) for e in errs]))
+        b = timestamp_rms(frame_table([fake_record(0, -e) for e in errs]))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_linear_scaling(self):
         errs = [3, -7, 12, 5]
-        base = timestamp_rms([fake_record(0, e) for e in errs])
-        scaled = timestamp_rms([fake_record(0, 4 * e) for e in errs])
+        base = timestamp_rms(frame_table([fake_record(0, e) for e in errs]))
+        scaled = timestamp_rms(frame_table([fake_record(0, 4 * e) for e in errs]))
         assert scaled == pytest.approx(4 * base, rel=1e-12)
 
     def test_statistical_convergence(self):
         rng = Random("stat:clock")
         clock = ClockModel(jitter_sigma_ns=20.0)
         records = [fake_record(10**6, sample_timestamp(clock, 10**6, rng)) for _ in range(10_000)]
-        assert 18.0 <= timestamp_rms(records) <= 22.0
+        assert 18.0 <= timestamp_rms(frame_table(records)) <= 22.0
 
     def test_brute_force_oracle(self):
         errs = [5, -3, 8, 1, -9, 4]
         records = [fake_record(1000, 1000 + e) for e in errs]
         expected = math.sqrt(sum(e * e for e in errs) / len(errs))
-        assert timestamp_rms(records) == pytest.approx(expected, rel=1e-12)
+        assert timestamp_rms(frame_table(records)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestCheckDeadlines:
     def test_safety_violation_flagged(self):
         records = [fake_record(0, 0, latency=150_000, frame_id=3)]
-        violations = check_deadlines(records, DeadlineSpec())
+        violations = missed(records, DeadlineSpec())
         assert len(violations) == 1
         v = violations[0]
         assert v.kind == "safety" and v.frame_id == 3
@@ -113,16 +120,16 @@ class TestCheckDeadlines:
 
     def test_below_budget_passes(self):
         records = [fake_record(0, 0, latency=80_000)]
-        assert check_deadlines(records, DeadlineSpec()) == []
+        assert missed(records, DeadlineSpec()) == []
 
     def test_control_violation(self):
         records = [fake_record(0, 0, latency=25_000_000)]
-        kinds = {v.kind for v in check_deadlines(records, DeadlineSpec())}
+        kinds = {v.kind for v in missed(records, DeadlineSpec())}
         assert kinds == {"safety", "control"}
 
     def test_timestamp_violation_is_run_level(self):
         records = [fake_record(0, 80, latency=10), fake_record(0, -80, latency=10)]
-        violations = check_deadlines(records, DeadlineSpec())
+        violations = missed(records, DeadlineSpec())
         assert len(violations) == 1
         v = violations[0]
         assert v.kind == "timestamp" and v.frame_id is None
@@ -130,10 +137,10 @@ class TestCheckDeadlines:
 
     def test_undelivered_frames_skip_latency_checks(self):
         records = [fake_record(0, 0, latency=None)]
-        assert check_deadlines(records, DeadlineSpec()) == []
+        assert missed(records, DeadlineSpec()) == []
 
     def test_empty_report(self):
-        assert check_deadlines([], DeadlineSpec()) == []
+        assert missed([], DeadlineSpec()) == []
 
     def test_spec_validation(self):
         with pytest.raises(InvalidSpecError):
@@ -148,7 +155,7 @@ class TestCheckDeadlines:
             fake_record(0, rng.randint(-60, 60), latency=rng.choice([None, rng.randint(0, 300_000)]), frame_id=i)
             for i in range(200)
         ]
-        violations = check_deadlines(records, deadlines)
+        violations = missed(records, deadlines)
         expected = []
         for r in records:
             if r.latency_ns is not None and r.latency_ns > 50_000:
