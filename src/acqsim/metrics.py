@@ -15,6 +15,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .linkmodel import (
@@ -197,37 +199,36 @@ _FRAME_SCALARS = ("frame_id", "size_bytes", "generated_at_ns", "camera_timestamp
 _FRAME_KEYS = frozenset((*_FRAME_SCALARS, "stage_times", "buffer_bytes"))
 _BAD_FRAME = f"a frame must be a JSON object with exactly the keys {sorted(_FRAME_KEYS)}"
 _BAD_WIDTH = "a frame's stage_times must hold one [ingress, egress] pair per topology stage"
+_ARRAYS = {list, tuple}  # to_dict leaves occupancy pairs and stage_times as tuples, which json writes as arrays
 
 
-def _is_pairs(v) -> bool:
-    """Whether v is an array of two-element arrays (to_dict leaves occupancy
-    pairs and a frame's stage_times as tuples, which json writes as arrays)."""
-    if type(v) not in (list, tuple):
-        return False
-    for p in v:
-        if type(p) not in (list, tuple) or len(p) != 2:
-            return False
-    return True
+def _all_pairs(items) -> bool:
+    """Whether each of items is a two-element array."""
+    return set(map(type, items)) <= _ARRAYS and set(map(len, items)) <= {2}
 
 
 def check_frames(docs, n_stages: Optional[int] = None) -> list:
     """docs itself, once checked to be a JSON array of frames of the exported
     shape: exactly the frame keys, stage_times an array of n_stages [ingress,
     egress] pairs (by default as many as the first frame has) and
-    buffer_bytes an object keyed by stage index."""
+    buffer_bytes an object keyed by stage index.  Each check runs a key
+    column at a time over every frame."""
     if not isinstance(docs, list):
         raise InvalidSpecError(f"frames must be a JSON array, got {type(docs).__name__}")
-    for d in docs:
-        if not isinstance(d, dict) or d.keys() != _FRAME_KEYS:
-            raise InvalidSpecError(_BAD_FRAME)
-        spans = d["stage_times"]
-        if not _is_pairs(spans):
-            raise InvalidSpecError("a frame's stage_times must be a JSON array of [ingress, egress] pairs")
-        if n_stages is None:
-            n_stages = len(spans)
-        if len(spans) != n_stages:
-            raise InvalidSpecError(_BAD_WIDTH)
-        check_int_keyed(d["buffer_bytes"])
+    if (not set(map(type, docs)) <= {dict} or set(map(len, docs)) - {len(_FRAME_KEYS)}
+            or not all(map(_FRAME_KEYS.issuperset, docs))):
+        raise InvalidSpecError(_BAD_FRAME)
+    spans = list(map(itemgetter("stage_times"), docs))
+    if not set(map(type, spans)) <= _ARRAYS or not _all_pairs(list(chain.from_iterable(spans))):
+        raise InvalidSpecError("a frame's stage_times must be a JSON array of [ingress, egress] pairs")
+    if n_stages is None and spans:
+        n_stages = len(spans[0])
+    if set(map(len, spans)) - {n_stages}:
+        raise InvalidSpecError(_BAD_WIDTH)
+    held = list(map(itemgetter("buffer_bytes"), docs))
+    if not set(map(type, held)) <= {dict}:
+        check_int_keyed(next(m for m in held if type(m) is not dict))  # raises, naming the first non-object
+    check_int_keyed(dict.fromkeys(chain.from_iterable(held)))  # every frame's keys at once
     return docs
 
 
@@ -250,7 +251,7 @@ def _frames_from_docs(docs) -> FrameTable:
     check_frames(docs)
 
     def column(key):
-        return [d[key] for d in docs]
+        return list(map(itemgetter(key), docs))
 
     spans = column("stage_times")
     stages = range(len(spans[0]) if spans else 0)
@@ -263,9 +264,9 @@ def _frames_from_docs(docs) -> FrameTable:
 
 
 def _occupancy_trace(v) -> list:
-    if not _is_pairs(v):
+    if type(v) not in _ARRAYS or not _all_pairs(v):
         raise InvalidSpecError("an occupancy trace must be a JSON array of [time_ns, bytes] pairs")
-    return [(t, b) for t, b in v]
+    return list(map(tuple, v))
 
 
 JSON_FORMS[Aggregates] = {"high_water_bytes": INT_KEYED, "violations": many(DeadlineViolation)}

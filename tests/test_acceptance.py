@@ -21,12 +21,13 @@ from acqsim import (
     effective_link_rate,
     export_structured,
     import_structured,
+    parse_scenario,
     run,
     summarize,
 )
 from acqsim.cli import main
 from acqsim.simcore import DISPOSITION_DROPPED
-from conftest import insert_stage, insertable_buffer, make_topology
+from conftest import benchmark_workloads, insert_stage, insertable_buffer, make_topology
 
 pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 
@@ -164,6 +165,40 @@ def test_criterion_6_overflow_oracle(tmp_path, capsys):
             first_drop is not None and abs(first_drop - 2_097_152) <= quantum,
             f"first drop at {first_drop} ns (want 2097152 +/- {quantum})",
         )
+
+
+def test_fluid_model_drop_count():
+    # classic-congested (perfbench/workloads.py) under drop_newest against a
+    # fluid model, computed exactly from the README ladder's integers with
+    # none of acqsim's rate code: an 8 Gb/s camera into a 7.14 Gb/s Camera Link
+    # grows the 64 MiB store-and-forward buffer by 107,500 B per frame until
+    # it is full after 624.3 frames, then refuses 10.75% of frames.
+    n = 10_000
+    frame_bytes = 1_000_000 * 8 // 8  # 1 Mpx x 8 bit
+    frame_period_ns = 10**9 // 1000  # 1 kfps
+    cl_full = Fraction(84 * 85, 1000)  # bits per ns: 84 bit x 85 MHz
+    capacity = 64 * 2**20
+    refused = 1 - cl_full * frame_period_ns / (frame_bytes * 8)  # 43/400
+    fill_frames = capacity / (frame_bytes * refused)  # 624.3
+    predicted = (n - fill_frames) * refused  # 1,007.9
+
+    # The engine moves whole frames, and each of three effects adds less
+    # than one drop to the fluid's count (a frame of bytes more in the
+    # buffer is one drop more): the buffer refuses a frame while it still
+    # has up to a frame of space (it holds 67 frames of 67.1), the frame on
+    # the link stays in the buffer until its last byte leaves, and n frames
+    # arrive over n - 1 periods of draining.  Rounding each transmission up
+    # to a whole nanosecond slows the link by under 1 ns per frame, which
+    # adds under n / tx_ns drops.
+    tx_ns = math.ceil(frame_bytes * 8 / cl_full)  # 1,120,449
+    bound = 3 + Fraction(n, tx_ns)
+
+    scenario = parse_scenario(benchmark_workloads()["classic-congested"](1, n))
+    frames = run(scenario.pipelines[0], scenario.configs()[0]).frames
+    drops = [(stage, reason) for stage, reason, d in zip(frames.drop_stage, frames.drop_reason, frames.disposition)
+             if d == DISPOSITION_DROPPED]
+    assert set(drops) == {(1, "buffer_overflow")}  # all at the camera buffer
+    assert 0 <= len(drops) - predicted < bound, f"{len(drops)} drops, fluid model {float(predicted):.1f}"
 
 
 class TestCriterion7PropertySuites:

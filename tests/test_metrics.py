@@ -29,6 +29,8 @@ from acqsim import (
     summarize,
 )
 from acqsim.metrics import import_summary, nearest_rank
+from acqsim.timing import DeadlineViolation
+from acqsim.topology import from_dict, many
 from conftest import assert_tabular_matches_structured, benchmark_workloads, json_nodes, replace_node
 
 CAM = CameraSpec(1_000_000, 8, 1000)
@@ -306,6 +308,75 @@ class TestReportReaders:
         report, summary = import_structured(text), import_summary(text)
         assert summary == (report.scenario, report.digest, report.topology, report.aggregates)
         assert compare(summary, summary) == compare(report, report)
+
+
+def _deep_report() -> dict:
+    """classic-congested at 1,200 frames: over 1,000 frames, violation
+    records and points in each buffer's occupancy trace."""
+    scenario = parse_scenario(WORKLOADS["classic-congested"](1, 1_200))
+    doc = json.loads(export_structured(run(scenario.pipelines[0], scenario.configs()[0])))
+    assert min(len(doc["frames"]), len(doc["aggregates"]["violations"]), len(doc["occupancy"]["1"])) >= 1_000
+    return doc
+
+
+DEEP_REPORT = _deep_report()
+
+
+def _last_violation(doc) -> dict:
+    return doc["aggregates"]["violations"][-1]
+
+
+# Each fault sits only in the last record, where a check of the first
+# element, or of one element per kind, would not look.
+DEEP_FAULTS = {
+    "violation-bool-frame-id": lambda doc: _last_violation(doc).update(frame_id=True),
+    "occupancy-triple": lambda doc: doc["occupancy"]["1"][-1].append(0),
+    "buffer-bytes-leading-zero": lambda doc: doc["frames"][-1]["buffer_bytes"].update({"01": 5}),
+    "violation-missing-key": lambda doc: _last_violation(doc).pop("budget_ns"),
+    "violation-extra-key": lambda doc: _last_violation(doc).update(note="x"),
+    **{
+        f"{key}-{token}": lambda doc, key=key, value=value: _last_violation(doc).update({key: value})
+        for key in ("measured_ns", "budget_ns")
+        for token, value in (("Infinity", math.inf), ("-Infinity", -math.inf), ("NaN", math.nan))
+    },
+}
+
+
+class TestDeepFaults:
+    @pytest.mark.parametrize("fault", sorted(DEEP_FAULTS))
+    def test_fault_in_last_record_rejected(self, fault):
+        doc = json.loads(json.dumps(DEEP_REPORT))
+        DEEP_FAULTS[fault](doc)
+        text = json.dumps(doc)  # non-finite floats become the Infinity/NaN tokens json.loads accepts
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError):
+                reader(text)
+
+    def test_huge_integer_measure_accepted(self):
+        doc = json.loads(json.dumps(DEEP_REPORT))
+        doc["aggregates"]["violations"][0]["measured_ns"] = 2.5  # a float column, so its finiteness is checked
+        _last_violation(doc)["measured_ns"] = huge = 10**399  # 400 digits, past the float range
+        text = json.dumps(doc)
+        for reader in (import_structured, import_summary):
+            assert reader(text).aggregates.violations[-1].measured_ns == huge
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=st.sampled_from(list(json_nodes(FUZZ_REPORT["aggregates"]["violations"]))[1:]),  # the array stays
+        value=json_values | st.sampled_from([True, math.inf, -math.inf, math.nan, 10**400, 2.5]),
+    )
+    def test_columns_decode_as_records_do(self, path, value):
+        # The column decode must accept exactly what from_dict accepts record by record, and build the same records.
+        docs = replace_node(json.loads(json.dumps(FUZZ_REPORT["aggregates"]["violations"])), path, value)
+
+        def outcome(decode):
+            try:
+                return decode(docs)
+            except InvalidSpecError:
+                return "rejected"
+
+        by_records = outcome(lambda docs: [from_dict(DeadlineViolation, d) for d in docs])
+        assert outcome(many(DeadlineViolation)[1]) == by_records
 
 
 class TestCompare:
