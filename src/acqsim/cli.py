@@ -157,7 +157,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    stem = args.output if args.output is not None else f"{args.scenario.rsplit('.', 1)[0]}-report"
+    stem = args.output if args.output is not None else f"{os.path.splitext(args.scenario)[0]}-report"
     configs = scenario.configs()
     if args.seed is not None:
         configs = [dataclasses.replace(c, seed=args.seed + i) for i, c in enumerate(configs)]

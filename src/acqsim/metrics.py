@@ -159,15 +159,6 @@ class SimReport:
     aggregates: Aggregates
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self):
-        # Frames decode without the topology, so their stage count is checked
-        # here, and a table without frames gets one column per stage here.
-        n, frames = len(self.topology.stages), self.frames
-        if not frames.frame_id:
-            frames.ingress_ns, frames.egress_ns = [[] for _ in range(n)], [[] for _ in range(n)]
-        elif len(frames.ingress_ns) != n:
-            raise InvalidSpecError(_BAD_WIDTH)
-
 
 def build_report(topology: Topology, config: SimConfig, result: RunResult) -> SimReport:
     aggregates = summarize(
@@ -207,12 +198,12 @@ def _all_pairs(items) -> bool:
     return set(map(type, items)) <= _ARRAYS and set(map(len, items)) <= {2}
 
 
-def check_frames(docs, n_stages: Optional[int] = None) -> list:
-    """docs itself, once checked to be a JSON array of frames of the exported
-    shape: exactly the frame keys, stage_times an array of n_stages [ingress,
-    egress] pairs (by default as many as the first frame has) and
-    buffer_bytes an object keyed by stage index.  Each check runs a key
-    column at a time over every frame."""
+def check_frames(docs, n_stages: int) -> tuple:
+    """The stage_times and the buffer_bytes of each frame of docs, once docs
+    is checked to be a JSON array of frames of the exported shape: exactly
+    the frame keys, stage_times an array of n_stages [ingress, egress] pairs
+    and buffer_bytes an object from stage index to an integer.  Each check
+    runs a key column at a time over every frame."""
     if not isinstance(docs, list):
         raise InvalidSpecError(f"frames must be a JSON array, got {type(docs).__name__}")
     if (not set(map(type, docs)) <= {dict} or set(map(len, docs)) - {len(_FRAME_KEYS)}
@@ -221,46 +212,36 @@ def check_frames(docs, n_stages: Optional[int] = None) -> list:
     spans = list(map(itemgetter("stage_times"), docs))
     if not set(map(type, spans)) <= _ARRAYS or not _all_pairs(list(chain.from_iterable(spans))):
         raise InvalidSpecError("a frame's stage_times must be a JSON array of [ingress, egress] pairs")
-    if n_stages is None and spans:
-        n_stages = len(spans[0])
     if set(map(len, spans)) - {n_stages}:
         raise InvalidSpecError(_BAD_WIDTH)
     held = list(map(itemgetter("buffer_bytes"), docs))
     if not set(map(type, held)) <= {dict}:
         check_int_keyed(next(m for m in held if type(m) is not dict))  # raises, naming the first non-object
-    check_int_keyed(dict.fromkeys(chain.from_iterable(held)))  # every frame's keys at once
-    return docs
+    keys = dict.fromkeys(chain.from_iterable(held))  # every frame's keys at once
+    stage_keys = set(map(str, range(n_stages)))
+    if not keys.keys() <= stage_keys:
+        check_int_keyed(keys)  # names a key that is no stage index at all
+        past = next(k for k in keys if k not in stage_keys)
+        raise InvalidSpecError(f"a frame's buffer_bytes names stage {past} of a {n_stages}-stage topology")
+    if not set(map(type, chain.from_iterable(map(dict.values, held)))) <= {int}:
+        raise InvalidSpecError("a frame's buffer_bytes must map each stage index to an integer")
+    return spans, held
 
 
 def _frames_to_docs(t: FrameTable) -> list:
     """One JSON object per frame, straight from the table's columns."""
-    # Per frame, its (ingress, egress) per stage; zipping frame_id in keeps every frame without stages.
+    # Per frame, its (ingress, egress) and bytes held per stage; zipping frame_id in keeps every frame without stages.
     spans = (row[1:] for row in zip(t.frame_id, *map(zip, t.ingress_ns, t.egress_ns)))
+    keys = [str(i) for i in range(len(t.buffer_bytes))]
+    held = ({k: b for k, b in zip(keys, row[1:]) if b is not None} for row in zip(t.frame_id, *t.buffer_bytes))
     columns = (t.frame_id, t.size_bytes, t.generated_at_ns, t.camera_timestamp_ns, t.timestamp_clamped, spans,
-               t.buffer_bytes, t.disposition, t.drop_stage, t.drop_reason, t.drop_time_ns)
+               held, t.disposition, t.drop_stage, t.drop_reason, t.drop_time_ns)
     return [
         {"frame_id": f, "size_bytes": size, "generated_at_ns": generated, "camera_timestamp_ns": stamp,
-         "timestamp_clamped": clamped, "stage_times": times, "buffer_bytes": {str(k): v for k, v in held.items()},
+         "timestamp_clamped": clamped, "stage_times": times, "buffer_bytes": held,
          "disposition": d, "drop_stage": stage, "drop_reason": reason, "drop_time_ns": dropped_at}
         for f, size, generated, stamp, clamped, times, held, d, stage, reason, dropped_at in zip(*columns)
     ]
-
-
-def _frames_from_docs(docs) -> FrameTable:
-    """The frame table of a JSON array of frames of the exported shape."""
-    check_frames(docs)
-
-    def column(key):
-        return list(map(itemgetter(key), docs))
-
-    spans = column("stage_times")
-    stages = range(len(spans[0]) if spans else 0)
-    return FrameTable(
-        **{key: column(key) for key in _FRAME_SCALARS},
-        ingress_ns=[[s[i][0] for s in spans] for i in stages],
-        egress_ns=[[s[i][1] for s in spans] for i in stages],
-        buffer_bytes=[{int(k): v for k, v in b.items()} for b in column("buffer_bytes")],
-    )
 
 
 def _occupancy_trace(v) -> list:
@@ -273,7 +254,7 @@ JSON_FORMS[Aggregates] = {"high_water_bytes": INT_KEYED, "violations": many(Dead
 JSON_FORMS[SimReport] = {
     "topology": one(Topology),
     "config": one(SimConfig),
-    "frames": (_frames_to_docs, _frames_from_docs),
+    "frames": (_frames_to_docs, lambda docs: docs),  # decoded by _import, which knows the stage count
     "occupancy": (INT_KEYED[0], lambda occ: decode_int_keyed(occ, _occupancy_trace)),
     "link_busy_ns": INT_KEYED,
     "aggregates": one(Aggregates),
@@ -286,8 +267,23 @@ def export_structured(report: SimReport) -> str:
     return json.dumps(to_dict(report), sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
+def _import(text: str) -> tuple:
+    """A structured report whose frames are still their checked JSON objects,
+    and those frames' stage_times and buffer_bytes (check_frames)."""
+    report = from_dict(SimReport, json.loads(text))
+    return report, check_frames(report.frames, len(report.topology.stages))
+
+
 def import_structured(text: str) -> SimReport:
-    return from_dict(SimReport, json.loads(text))
+    report, (spans, held) = _import(text)
+    docs, stages = report.frames, range(len(report.topology.stages))
+    report.frames = FrameTable(
+        **{key: list(map(itemgetter(key), docs)) for key in _FRAME_SCALARS},
+        ingress_ns=[[s[i][0] for s in spans] for i in stages],
+        egress_ns=[[s[i][1] for s in spans] for i in stages],
+        buffer_bytes=[[b.get(str(i)) for b in held] for i in stages],
+    )
+    return report
 
 
 class ReportSummary(NamedTuple):
@@ -305,12 +301,7 @@ def import_summary(text: str) -> ReportSummary:
     The whole document is checked as import_structured checks it, and
     every part but the frames is decoded: the frames are checked, not built.
     """
-    doc = json.loads(text)
-    docs = None
-    if isinstance(doc, dict) and "frames" in doc:
-        docs, doc["frames"] = doc["frames"], []
-    report = from_dict(SimReport, doc)  # frameless, so it is never returned
-    check_frames(docs, len(report.topology.stages))
+    report, _ = _import(text)
     return ReportSummary(report.scenario, report.digest, report.topology, report.aggregates)
 
 
@@ -327,9 +318,9 @@ def export_tabular(report: SimReport) -> str:
     header = list(_FRAME_COLUMNS)
     columns = [t.frame_id, t.size_bytes, t.generated_at_ns, t.camera_timestamp_ns, map(int, t.timestamp_clamped),
                t.disposition, t.drop_stage, t.drop_reason, t.drop_time_ns, t.latency_ns()]
-    for i, (ingress, egress) in enumerate(zip(t.ingress_ns, t.egress_ns)):  # three columns per stage
+    for i, stage_columns in enumerate(zip(t.ingress_ns, t.egress_ns, t.buffer_bytes)):  # three columns per stage
         header += [f"stage{i}_ingress_ns", f"stage{i}_egress_ns", f"stage{i}_buffer_bytes"]
-        columns += [ingress, egress, [b.get(i) for b in t.buffer_bytes]]
+        columns += stage_columns
     w.writerow(header)
     w.writerows(zip(*columns))
     w.writerow([])

@@ -64,9 +64,9 @@ class InvalidTopologyError(InvalidSpecError):
 class FrameTable:
     """A run's frames as columns: entry f of each list belongs to frame f.
 
-    ingress_ns and egress_ns are stage-major, [stage][frame], with None
-    where the frame never reached the stage; buffer_bytes holds, per frame,
-    stage index -> bytes the frame held resident there.
+    ingress_ns, egress_ns and buffer_bytes (the bytes the frame held
+    resident at a stage) are stage-major, [stage][frame]: None where the
+    frame never reached the stage, or held nothing there.
     """
 
     frame_id: list
@@ -240,7 +240,7 @@ class _Passes:
         self.clamped = [c for _, c in stamps]
         self.ing = [[None] * n for _ in stages]
         self.eg = [[None] * n for _ in stages]
-        self.held = [{} for _ in times]  # stage index -> bytes the frame holds there
+        self.held = [[None] * n for _ in stages]
         self.disposition = [DISPOSITION_IN_FLIGHT] * n
         self.drop_stage, self.drop_reason, self.drop_time = [None] * n, [None] * n, [None] * n
         self.last = times[-1] if n else 0
@@ -275,7 +275,7 @@ class _Passes:
         zero-propagation link is fused in, bytes held) and retries at the
         head's ready time (frame None).
         """
-        holder, size, limit, held, memo = self.stages[idx], self.size, self.limit, self.held, self.memo
+        holder, size, limit, held, memo = self.stages[idx], self.size, self.limit, self.held[idx], self.memo
         ser, prop, rate = self.links[idx + 1]
         sensor = idx == 0
         fixed = 0 if sensor else holder.fixed_latency_ns
@@ -335,7 +335,7 @@ class _Passes:
                     if occupancy + amount > capacity:
                         self._drop(f, idx, REASON_OVERFLOW, now)
                         continue
-                held[f][idx] = amount
+                held[f] = amount
                 occupancy += amount
                 trace((now, occupancy))
                 fifo.append((f, first_byte if sensor else now, first_byte, amount))
@@ -376,7 +376,7 @@ class _Passes:
         its own pass right after a link.  Pending events are hand-ons
         (frame) and releases (None).
         """
-        stages, size, limit, held, memo = self.stages, self.size, self.limit, self.held, self.memo
+        stages, size, limit, held, memo = self.stages, self.size, self.limit, self.held[idx], self.memo
         holder, proc = stages[idx], stages[-1]
         fixed = holder.fixed_latency_ns
         capacity = getattr(holder, "capacity_bytes", math.inf)  # host memory is unbounded
@@ -411,7 +411,7 @@ class _Passes:
                     if occupancy + size > capacity:
                         self._drop(f, idx, REASON_OVERFLOW, now)
                         continue
-                    held[f][idx] = size
+                    held[f] = size
                     occupancy += size
                     trace((now, occupancy))
                     if fixed:

@@ -165,7 +165,7 @@ def frame_table(records) -> FrameTable:
         timestamp_clamped=[False] * n,
         ingress_ns=[[0] * n, [0] * n],
         egress_ns=[[0] * n, [0 if v is None else v for v in latency]],
-        buffer_bytes=[{} for _ in records],
+        buffer_bytes=[[None] * n, [None] * n],
         disposition=["in_flight" if v is None else "delivered" for v in latency],
         drop_stage=[None] * n,
         drop_reason=[None] * n,

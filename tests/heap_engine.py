@@ -84,7 +84,8 @@ def frame_table(records: list, n_stages: int) -> FrameTable:
         *map(column, ("frame_id", "size_bytes", "generated_at_ns", "camera_timestamp_ns", "timestamp_clamped")),
         [[r.stage_times[i].ingress_ns for r in records] for i in stages],
         [[r.stage_times[i].egress_ns for r in records] for i in stages],
-        *map(column, ("buffer_bytes", "disposition", "drop_stage", "drop_reason", "drop_time_ns")),
+        [[r.buffer_bytes.get(i) for r in records] for i in stages],
+        *map(column, ("disposition", "drop_stage", "drop_reason", "drop_time_ns")),
     )
 
 

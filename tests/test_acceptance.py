@@ -167,12 +167,19 @@ def test_criterion_6_overflow_oracle(tmp_path, capsys):
         )
 
 
-def test_fluid_model_drop_count():
-    # classic-congested (perfbench/workloads.py) under drop_newest against a
-    # fluid model, computed exactly from the README ladder's integers with
-    # none of acqsim's rate code: an 8 Gb/s camera into a 7.14 Gb/s Camera Link
-    # grows the 64 MiB store-and-forward buffer by 107,500 B per frame until
-    # it is full after 624.3 frames, then refuses 10.75% of frames.
+@pytest.fixture(scope="module")
+def congested_frames():
+    """The frame table of classic-congested (perfbench/workloads.py) at 10,000 frames, seed 1."""
+    scenario = parse_scenario(benchmark_workloads()["classic-congested"](1, 10_000))
+    return run(scenario.pipelines[0], scenario.configs()[0]).frames
+
+
+def test_fluid_model_drop_count(congested_frames):
+    # classic-congested under drop_newest against a fluid model, computed
+    # exactly from the README ladder's integers with none of acqsim's rate
+    # code: an 8 Gb/s camera into a 7.14 Gb/s Camera Link grows the 64 MiB
+    # store-and-forward buffer by 107,500 B per frame until it is full after
+    # 624.3 frames, then refuses 10.75% of frames.
     n = 10_000
     frame_bytes = 1_000_000 * 8 // 8  # 1 Mpx x 8 bit
     frame_period_ns = 10**9 // 1000  # 1 kfps
@@ -193,12 +200,44 @@ def test_fluid_model_drop_count():
     tx_ns = math.ceil(frame_bytes * 8 / cl_full)  # 1,120,449
     bound = 3 + Fraction(n, tx_ns)
 
-    scenario = parse_scenario(benchmark_workloads()["classic-congested"](1, n))
-    frames = run(scenario.pipelines[0], scenario.configs()[0]).frames
+    frames = congested_frames
+    assert len(frames.frame_id) == n
     drops = [(stage, reason) for stage, reason, d in zip(frames.drop_stage, frames.drop_reason, frames.disposition)
              if d == DISPOSITION_DROPPED]
     assert set(drops) == {(1, "buffer_overflow")}  # all at the camera buffer
     assert 0 <= len(drops) - predicted < bound, f"{len(drops)} drops, fluid model {float(predicted):.1f}"
+
+
+def test_first_drop_store_and_forward(congested_frames):
+    # classic-congested's first drop against whole-frame store-and-forward
+    # arithmetic, in integers from the README ladder with none of acqsim's
+    # rate code.  Frame k reaches the 64 MiB camera buffer whole at its
+    # generation time k * period.  A transmission takes longer than a period,
+    # so the link sends back to back from time 0 and has finished
+    # floor(k * period / tx) frames by then; the frame on the link stays in
+    # the buffer until its last byte leaves.  Frame k is the first refused
+    # when the k + 1 frames so far, less those sent, first overflow it.
+    frame_bytes = 1_000_000
+    period = 10**9 // 1000
+    tx = -(-frame_bytes * 8 * 1000 // (84 * 85))  # ceil(8e6 bits / 7.14 bits per ns) = 1,120,449 ns
+    capacity = 64 * 2**20
+    first = 0
+    while (first + 1 - first * period // tx) * frame_bytes <= capacity:
+        first += 1
+    # No transmission ends at a generation instant up to frame `first`, so
+    # the order of equal-time events does not enter the prediction.
+    assert all(k * period % tx for k in range(1, first + 1))
+    # This gives frame 614, below the fluid model's 624.3, because the buffer
+    # holds more than the fluid backlog: each frame lands whole at its
+    # generation instead of streaming in over its period (one frame more),
+    # and the frame on the link counts in full although part of it has left
+    # (up to one frame more).  So the 68th whole frame overflows the 67.1
+    # that fit while the fluid backlog is still up to 1.1 frames short of
+    # full; growing 0.1075 frames a period, that is up to 10.3 frames early.
+    frames = congested_frames
+    dropped = frames.disposition.index(DISPOSITION_DROPPED)
+    assert dropped == first, f"engine drops frame {dropped} first, store-and-forward predicts {first}"
+    assert frames.drop_time_ns[dropped] == first * period == frames.generated_at_ns[dropped]
 
 
 class TestCriterion7PropertySuites:

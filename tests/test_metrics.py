@@ -194,6 +194,8 @@ class TestStructuredExport:
             (("link_busy_ns",), {"x": 1}, "non-index key"),
             (("frames", 0, "buffer_bytes"), {"-1": 5}, "non-index key"),
             (("frames", 0, "buffer_bytes"), {"01": 5}, "non-index key"),
+            (("frames", 0, "buffer_bytes"), {"7": 5}, "names stage 7 of a 7-stage topology"),
+            (("frames", 0, "buffer_bytes"), {"0": None}, "to an integer"),
             (("link_busy_ns",), {"\u0661": 7}, "non-index key"),
             (("aggregates", "high_water_bytes"), {"01": 5, "1": 6}, "non-index key"),
         ],
@@ -208,6 +210,8 @@ class TestStructuredExport:
             "link-busy-bad-key",
             "buffer-bytes-negative-key",
             "buffer-bytes-leading-zero",
+            "buffer-bytes-past-last-stage",
+            "buffer-bytes-null",
             "link-busy-non-ascii-digit",
             "high-water-colliding-keys",
         ],
@@ -332,6 +336,8 @@ DEEP_FAULTS = {
     "violation-bool-frame-id": lambda doc: _last_violation(doc).update(frame_id=True),
     "occupancy-triple": lambda doc: doc["occupancy"]["1"][-1].append(0),
     "buffer-bytes-leading-zero": lambda doc: doc["frames"][-1]["buffer_bytes"].update({"01": 5}),
+    "buffer-bytes-past-last-stage": lambda doc: doc["frames"][-1]["buffer_bytes"].update({"7": 5}),  # 7 stages
+    "buffer-bytes-null": lambda doc: doc["frames"][-1]["buffer_bytes"].update({"0": None}),
     "violation-missing-key": lambda doc: _last_violation(doc).pop("budget_ns"),
     "violation-extra-key": lambda doc: _last_violation(doc).update(note="x"),
     **{

@@ -325,6 +325,16 @@ class TestSimulateCommand:
         assert (tmp_path / "x.csv").exists()
         assert scenario.read_text(encoding="utf-8") == text
 
+    @pytest.mark.parametrize("name", ["scen", "scen.json"])
+    def test_default_output_beside_scenario(self, tmp_path, capsys, name):
+        # The dot in the directory name is no extension of the scenario file.
+        folder = tmp_path / "runs.d"
+        folder.mkdir()
+        (folder / name).write_text((SCENARIOS / "direct-1mpx.json").read_text(encoding="utf-8"), encoding="utf-8")
+        assert main(["simulate", str(folder / name)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["runs.d"]
+        assert sorted(p.name for p in folder.iterdir()) == sorted([name, "scen-report.csv", "scen-report.json"])
+
     def test_unwritable_output_exits_3(self, capsys):
         code = main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "--output", "/nonexistent-dir/x"])
         assert code == 3
@@ -439,14 +449,10 @@ class TestCompareCommand:
         assert summarized[1] == json.dumps(compare(*reports), sort_keys=True, indent=2) + "\n"
 
     def test_builds_no_frame(self, two_reports, capsys, monkeypatch):
-        encode, decode = metrics.JSON_FORMS[metrics.SimReport]["frames"]
+        def refuse(**columns):
+            raise AssertionError("compare built a frame")
 
-        def refuse(docs):
-            if docs:
-                raise AssertionError("compare built a frame")
-            return decode(docs)
-
-        monkeypatch.setitem(metrics.JSON_FORMS[metrics.SimReport], "frames", (encode, refuse))
+        monkeypatch.setattr(metrics, "FrameTable", refuse)
         a, b = two_reports
         with pytest.raises(AssertionError, match="built a frame"):
             import_structured(Path(a).read_text(encoding="utf-8"))
@@ -619,11 +625,7 @@ class TestHugeNumbers:
 
 
 def test_console_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "acqsim", "budget", "--gen", "3", "--lanes", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("budget", "--gen", "3", "--lanes", "1")
     assert proc.returncode == 0
     assert "7.877" in proc.stdout
 

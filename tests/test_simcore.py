@@ -173,7 +173,7 @@ class TestForwardingSemantics:
 
         # gen 1 x2 = 2 lanes x 2.5 GT/s x 8/10 = 4 bits/ns.
         assert self.residue(Fraction(4)) == 500_000
-        assert report.frames.buffer_bytes[0][3] == 500_000
+        assert report.frames.buffer_bytes[3][0] == 500_000
         assert report.aggregates.high_water_bytes[3] == 500_000
 
         # gen 3 x1 = 8 GT/s x 128/130: a non-integer rate, so the floor on
@@ -181,7 +181,7 @@ class TestForwardingSemantics:
         assert self.residue(8 * Fraction(128, 130)) == 15_385
         g3_topo = Topology("mismatch-g3", self.cut_through_into(PCIeLink(3, 1)), CAM_1MPX, RELAXED)
         g3_report = run(g3_topo, SimConfig(seed=1, n_frames=1))
-        assert g3_report.frames.buffer_bytes[0][3] == 15_385
+        assert g3_report.frames.buffer_bytes[3][0] == 15_385
         assert g3_report.aggregates.high_water_bytes[3] == 15_385
 
     def test_cut_through_latency_parameter(self):

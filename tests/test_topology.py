@@ -256,8 +256,11 @@ class TestSerialization:
         covered = {type(record) for _, record in samples}
         assert set(JSON_FORMS) | set(LINK_KINDS.values()) | set(STAGE_KINDS.values()) <= covered
         for cls_or_kinds, record in samples:
-            doc = json.loads(json.dumps(to_dict(record)))
-            assert from_dict(cls_or_kinds, doc) == record
+            text = json.dumps(to_dict(record))
+            if cls_or_kinds is SimReport:  # its frames decode only with its topology's stage count
+                assert import_structured(text) == record
+            else:
+                assert from_dict(cls_or_kinds, json.loads(text)) == record
 
     def test_codec_rejects_unknown_keys(self):
         for cls_or_kinds, record in self.codec_samples():
