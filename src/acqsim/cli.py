@@ -149,22 +149,28 @@ def _write(path: str, content: str) -> None:
 
 def _cmd_simulate(args) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", EnvelopeWarning)
+            scenario = load_scenario(args.scenario)
     except (ScenarioError, InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    for message in dict.fromkeys(str(w.message) for w in caught):  # each distinct message once, in order
+        print(f"warning: {message}", file=sys.stderr)
 
     stem = args.output if args.output is not None else f"{os.path.splitext(args.scenario)[0]}-report"
-    configs = scenario.configs()
     if args.seed is not None:
-        configs = [dataclasses.replace(c, seed=args.seed + i) for i, c in enumerate(configs)]
+        scenario.base_config = dataclasses.replace(scenario.base_config, seed=args.seed)
+    configs = scenario.configs()
 
     multi = len(scenario.pipelines) > 1
     bases = [f"{stem}-cam{i}" for i in range(len(configs))] if multi else [stem]
     suffixes = {"structured": (".json",), "tabular": (".csv",), "both": (".json", ".csv")}[args.format]
+    # Built per call, not at import, so that a wrapper installed on this module's exporters is the one called.
+    exporters = {".json": export_structured, ".csv": export_tabular}
     for path in (base + suffix for base in bases for suffix in suffixes):
         if os.path.exists(path) and os.path.samefile(path, args.scenario):
             print(f"error: output {path} would overwrite the scenario file", file=sys.stderr)
@@ -193,12 +199,9 @@ def _cmd_simulate(args) -> int:
 
         base = bases[i]
         try:
-            if args.format in ("structured", "both"):
-                _write(base + ".json", export_structured(report))
-                print(f"wrote {base}.json")
-            if args.format in ("tabular", "both"):
-                _write(base + ".csv", export_tabular(report))
-                print(f"wrote {base}.csv")
+            for suffix in suffixes:
+                _write(base + suffix, exporters[suffix](report))
+                print(f"wrote {base}{suffix}")
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_IO

@@ -52,6 +52,7 @@ from .topology import (
     one,
     to_dict,
     topology_digest,
+    validate,
 )
 
 SCHEMA_VERSION = 1
@@ -157,7 +158,7 @@ class SimReport:
     occupancy: dict
     link_busy_ns: dict
     aggregates: Aggregates
-    schema_version: int = SCHEMA_VERSION
+    schema_version: int
 
 
 def build_report(topology: Topology, config: SimConfig, result: RunResult) -> SimReport:
@@ -177,7 +178,15 @@ def build_report(topology: Topology, config: SimConfig, result: RunResult) -> Si
         occupancy=result.occupancy,
         link_busy_ns=result.link_busy_ns,
         aggregates=aggregates,
+        schema_version=SCHEMA_VERSION,
     )
+
+
+# The scalar aggregates, in the order the tabular export writes them and
+# compare reports them.
+_SCALAR_METRICS = ("generated", "delivered", "dropped", "in_flight", "throughput_gbps", "latency_min_ns",
+                   "latency_mean_ns", "latency_p50_ns", "latency_p99_ns", "latency_max_ns", "copy_count",
+                   "timestamp_rms_ns", "safety_violations", "control_violations", "timestamp_violations")
 
 
 # --- Structured (JSON) export ----------------------------------------------
@@ -230,10 +239,10 @@ def check_frames(docs, n_stages: int) -> tuple:
 
 def _frames_to_docs(t: FrameTable) -> list:
     """One JSON object per frame, straight from the table's columns."""
-    # Per frame, its (ingress, egress) and bytes held per stage; zipping frame_id in keeps every frame without stages.
-    spans = (row[1:] for row in zip(t.frame_id, *map(zip, t.ingress_ns, t.egress_ns)))
+    # Per frame, its (ingress, egress) and bytes held per stage; a runnable topology has stages.
+    spans = zip(*map(zip, t.ingress_ns, t.egress_ns))
     keys = [str(i) for i in range(len(t.buffer_bytes))]
-    held = ({k: b for k, b in zip(keys, row[1:]) if b is not None} for row in zip(t.frame_id, *t.buffer_bytes))
+    held = ({k: b for k, b in zip(keys, row) if b is not None} for row in zip(*t.buffer_bytes))
     columns = (t.frame_id, t.size_bytes, t.generated_at_ns, t.camera_timestamp_ns, t.timestamp_clamped, spans,
                held, t.disposition, t.drop_stage, t.drop_reason, t.drop_time_ns)
     return [
@@ -250,8 +259,16 @@ def _occupancy_trace(v) -> list:
     return list(map(tuple, v))
 
 
+def _supported_version(version: int) -> int:
+    if version != SCHEMA_VERSION:
+        raise InvalidSpecError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
+    return version
+
+
 JSON_FORMS[Aggregates] = {"high_water_bytes": INT_KEYED, "violations": many(DeadlineViolation)}
 JSON_FORMS[SimReport] = {
+    # Decoded first, so a report of another version is named as such before its other keys are read.
+    "schema_version": (int, _supported_version),
     "topology": one(Topology),
     "config": one(SimConfig),
     "frames": (_frames_to_docs, lambda docs: docs),  # decoded by _import, which knows the stage count
@@ -268,9 +285,13 @@ def export_structured(report: SimReport) -> str:
 
 
 def _import(text: str) -> tuple:
-    """A structured report whose frames are still their checked JSON objects,
-    and those frames' stage_times and buffer_bytes (check_frames)."""
+    """A structured report of this schema version and a runnable topology
+    whose frames are still their checked JSON objects, and those frames'
+    stage_times and buffer_bytes (check_frames)."""
     report = from_dict(SimReport, json.loads(text))
+    problems = validate(report.topology)
+    if problems:
+        raise InvalidSpecError(f"report topology is not runnable: {'; '.join(v.rule for v in problems)}")
     return report, check_frames(report.frames, len(report.topology.stages))
 
 
@@ -326,50 +347,14 @@ def export_tabular(report: SimReport) -> str:
     w.writerow([])
     w.writerow(["metric", "value"])
     a = report.aggregates
-    for key, value in (
-        ("empty", int(a.empty)),
-        ("generated", a.generated),
-        ("delivered", a.delivered),
-        ("dropped", a.dropped),
-        ("in_flight", a.in_flight),
-        ("throughput_gbps", repr(a.throughput_gbps)),
-        ("latency_min_ns", a.latency_min_ns),
-        ("latency_mean_ns", repr(a.latency_mean_ns)),
-        ("latency_p50_ns", a.latency_p50_ns),
-        ("latency_p99_ns", a.latency_p99_ns),
-        ("latency_max_ns", a.latency_max_ns),
-        ("copy_count", a.copy_count),
-        ("timestamp_rms_ns", repr(a.timestamp_rms_ns)),
-        ("safety_violations", a.safety_violations),
-        ("control_violations", a.control_violations),
-        ("timestamp_violations", a.timestamp_violations),
-        ("elapsed_ns", report.elapsed_ns),
-    ):
-        w.writerow([key, value])
-    for idx in sorted(a.high_water_bytes):
-        w.writerow([f"high_water_stage{idx}_bytes", a.high_water_bytes[idx]])
+    w.writerow(["empty", int(a.empty)])
+    w.writerows([name, getattr(a, name)] for name in _SCALAR_METRICS)  # csv writes a float as its repr
+    w.writerow(["elapsed_ns", report.elapsed_ns])
+    w.writerows([f"high_water_stage{idx}_bytes", a.high_water_bytes[idx]] for idx in sorted(a.high_water_bytes))
     return out.getvalue()
 
 
 # --- Comparison -------------------------------------------------------------
-
-_COMPARE_METRICS = (
-    "generated",
-    "delivered",
-    "dropped",
-    "in_flight",
-    "throughput_gbps",
-    "latency_min_ns",
-    "latency_mean_ns",
-    "latency_p50_ns",
-    "latency_p99_ns",
-    "latency_max_ns",
-    "copy_count",
-    "timestamp_rms_ns",
-    "safety_violations",
-    "control_violations",
-    "timestamp_violations",
-)
 
 
 def compare(a: SimReport | ReportSummary, b: SimReport | ReportSummary) -> dict:
@@ -390,7 +375,7 @@ def compare(a: SimReport | ReportSummary, b: SimReport | ReportSummary) -> dict:
             f"({a.aggregates.generated} vs {b.aggregates.generated})"
         )
     table = {}
-    for metric in _COMPARE_METRICS:
+    for metric in _SCALAR_METRICS:
         va = getattr(a.aggregates, metric)
         vb = getattr(b.aggregates, metric)
         table[metric] = {"a": va, "b": vb, "delta": vb - va}
@@ -409,6 +394,21 @@ class BudgetRow:
     rate_gbps: float
 
 
+# The interface presets budget_table lists after the PCIe matrix: label,
+# link class and the class's parameters.
+_PRESETS = (
+    ("camera-link-base", CameraLinkIf, {"config": "base"}),
+    ("camera-link-medium", CameraLinkIf, {"config": "medium"}),
+    ("camera-link-full", CameraLinkIf, {"config": "full"}),
+    *((grade, CoaXPressIf, {"speed_grade": grade})
+      for grade in ("cxp1", "cxp2", "cxp3", "cxp5", "cxp6", "cxp10", "cxp12")),
+    ("gige-1g", GigEVisionIf, {"rate_preset": "1g"}),
+    ("gige-10g", GigEVisionIf, {"rate_preset": "10g"}),
+    ("clhs-x1", CLHSIf, {"lanes": 1}),
+    ("usb3", USB3If, {}),
+)
+
+
 def budget_table(
     generations=PCIE_GENERATIONS,
     lane_set=PCIE_ALLOWED_LANES,
@@ -416,43 +416,9 @@ def budget_table(
     protocol_efficiency: float = 1.0,
 ) -> list[BudgetRow]:
     """Effective rates for every (generation, lanes) pair plus presets."""
-    rows = []
-    for gen in generations:
-        for lanes in lane_set:
-            link = PCIeLink(generation=gen, lanes=lanes, protocol_efficiency=protocol_efficiency)
-            rows.append(
-                BudgetRow(
-                    label=f"pcie-gen{gen}-x{lanes}",
-                    kind="pcie",
-                    generation=gen,
-                    lanes=lanes,
-                    rate_gbps=effective_link_rate(link),
-                )
-            )
+    links = [(f"pcie-gen{gen}-x{lanes}", gen, lanes, PCIeLink(gen, lanes, protocol_efficiency=protocol_efficiency))
+             for gen in generations for lanes in lane_set]
     if include_presets:
-        presets = [
-            ("camera-link-base", CameraLinkIf(config="base", protocol_efficiency=protocol_efficiency)),
-            ("camera-link-medium", CameraLinkIf(config="medium", protocol_efficiency=protocol_efficiency)),
-            ("camera-link-full", CameraLinkIf(config="full", protocol_efficiency=protocol_efficiency)),
-        ]
-        for grade in ("cxp1", "cxp2", "cxp3", "cxp5", "cxp6", "cxp10", "cxp12"):
-            presets.append(
-                (grade, CoaXPressIf(speed_grade=grade, links=1, protocol_efficiency=protocol_efficiency))
-            )
-        presets += [
-            ("gige-1g", GigEVisionIf(rate_preset="1g", protocol_efficiency=protocol_efficiency)),
-            ("gige-10g", GigEVisionIf(rate_preset="10g", protocol_efficiency=protocol_efficiency)),
-            ("clhs-x1", CLHSIf(lanes=1, protocol_efficiency=protocol_efficiency)),
-            ("usb3", USB3If(protocol_efficiency=protocol_efficiency)),
-        ]
-        for label, link in presets:
-            rows.append(
-                BudgetRow(
-                    label=label,
-                    kind=link.kind,
-                    generation=None,
-                    lanes=None,
-                    rate_gbps=effective_link_rate(link),
-                )
-            )
-    return rows
+        links += [(label, None, None, cls(**params, protocol_efficiency=protocol_efficiency))
+                  for label, cls, params in _PRESETS]
+    return [BudgetRow(label, link.kind, gen, lanes, effective_link_rate(link)) for label, gen, lanes, link in links]

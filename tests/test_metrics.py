@@ -137,14 +137,22 @@ class TestStructuredExport:
         assert report.frames.egress_ns == [[] for _ in report.topology.stages]
         assert import_structured(export_structured(report)) == report
 
-    def test_stageless_report_keeps_its_frames(self):
-        # No stage column is left to carry the frame count, so frame_id must.
+    def test_stageless_report_rejected(self):
+        # Frames consistent with the empty chain, so only the topology check can object.
         doc = json.loads(export_structured(direct_report(n_frames=2)))
         doc["topology"]["stages"] = []
         for frame in doc["frames"]:
             frame["stage_times"], frame["buffer_bytes"] = [], {}
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        assert export_structured(import_structured(text)) == text
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match="report topology is not runnable: chain is non-empty"):
+                reader(json.dumps(doc))
+
+    def test_report_without_schema_version_rejected(self):
+        doc = json.loads(export_structured(direct_report()))
+        del doc["schema_version"]
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match="schema_version"):
+                reader(json.dumps(doc))
 
     @pytest.mark.parametrize("n_frames, edited", [(1, [0]), (3, [0]), (3, [2]), (3, [0, 1, 2])])
     @pytest.mark.parametrize("edit", ["short", "long"])
@@ -198,6 +206,8 @@ class TestStructuredExport:
             (("frames", 0, "buffer_bytes"), {"0": None}, "to an integer"),
             (("link_busy_ns",), {"\u0661": 7}, "non-index key"),
             (("aggregates", "high_water_bytes"), {"01": 5, "1": 6}, "non-index key"),
+            (("schema_version",), 2, r"unsupported schema_version 2 \(expected 1\)"),
+            (("topology", "stages", 0), {"kind": "host_memory"}, "not runnable: first stage is Sensor"),
         ],
         ids=[
             "frames-number",
@@ -214,6 +224,8 @@ class TestStructuredExport:
             "buffer-bytes-null",
             "link-busy-non-ascii-digit",
             "high-water-colliding-keys",
+            "schema-version-2",
+            "topology-without-sensor",
         ],
     )
     def test_malformed_report_parts_rejected(self, path, value, match):

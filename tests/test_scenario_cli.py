@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -209,7 +210,34 @@ class TestScenarioParsing:
             load_scenario(path)
 
 
+def expected_budget_rows() -> list:
+    """Every (label, rate in Gb/s) that `acqsim budget --all` prints, in order,
+    rebuilt from exact fractions: the README's PCIe ladder (raw GT/s times the
+    line code) and Camera Link (bits x 85 MHz), then the nominal rates of the
+    CoaXPress grades, GigE Vision, one CLHS lane and USB3."""
+    raw_gt = {1: Fraction(5, 2), 2: Fraction(5), 3: Fraction(8), 4: Fraction(16), 5: Fraction(32)}
+    code = {1: Fraction(8, 10), 2: Fraction(8, 10), 3: Fraction(128, 130), 4: Fraction(128, 130),
+            5: Fraction(128, 130)}
+    rows = [(f"pcie-gen{g}-x{n}", n * raw_gt[g] * code[g]) for g in raw_gt for n in (1, 2, 4, 8, 16)]
+    rows += [(f"camera-link-{config}", Fraction(bits * 85, 1000))
+             for config, bits in (("base", 24), ("medium", 48), ("full", 84))]
+    cxp = {"cxp1": "1.25", "cxp2": "2.5", "cxp3": "3.125", "cxp5": "5", "cxp6": "6.25", "cxp10": "10", "cxp12": "12.5"}
+    rows += [(grade, Fraction(gbps)) for grade, gbps in cxp.items()]
+    rows += [("gige-1g", Fraction(1)), ("gige-10g", Fraction(10)), ("clhs-x1", Fraction(103, 10)),
+             ("usb3", Fraction(5))]
+    return rows
+
+
 class TestBudgetCommand:
+    @pytest.mark.parametrize("argv", [["--all"], []], ids=["all", "no-flags"])
+    def test_full_table_pinned(self, argv, capsys):
+        assert main(["budget", *argv]) == 0
+        rows = expected_budget_rows()
+        assert len(rows) == 39
+        expected = ["# protocol efficiency: 1.000000", f"{'link':<20} {'rate_gbps':>12}"]
+        expected += [f"{label:<20} {float(rate):>12.3f}" for label, rate in rows]
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_single_row(self, capsys):
         assert main(["budget", "--gen", "3", "--lanes", "1"]) == 0
         out = capsys.readouterr().out
@@ -381,6 +409,21 @@ class TestSimulateCommand:
         assert (tmp_path / "m-cam0.json").exists()
         assert (tmp_path / "m-cam1.json").exists()
 
+    def test_envelope_warning_is_one_clean_line(self, tmp_path):
+        # Two cameras outside the envelope in the same way: one warning line
+        # naming no library source, then the link-demand warning of each.
+        doc = json.loads((SCENARIOS / "overflow-8to4.json").read_text(encoding="utf-8"))
+        doc["cameras"] = [doc["camera"], doc.pop("camera")]
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli("simulate", str(path), "-o", str(tmp_path / "two"))
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "warning: resolution 32768 px is outside the [1000000, 8000000] px envelope",
+            "warning: overflow-8to4-cam0: camera demand 8.000 Gb/s exceeds a link by 4.000 Gb/s",
+            "warning: overflow-8to4-cam1: camera demand 8.000 Gb/s exceeds a link by 4.000 Gb/s",
+        ]
+
 
 class TestCompareCommand:
     @pytest.fixture()
@@ -464,7 +507,7 @@ class TestCompareCommand:
         stem = str(tmp_path / "ov")
         simulated = run_cli("simulate", str(SCENARIOS / "overflow-8to4.json"), "-o", stem)
         assert simulated.returncode == 0
-        assert "EnvelopeWarning" in simulated.stderr
+        assert "warning: resolution 32768 px is outside" in simulated.stderr
         assert "<string>" not in simulated.stderr
         compared = run_cli("compare", stem + ".json", stem + ".json")
         assert compared.returncode == 0
@@ -487,6 +530,8 @@ class TestCompareCommand:
             (("aggregates", "violations"), 5),
             (("topology", "stages"), 5),
             (("occupancy", "1"), 5),
+            (("schema_version",), 2),
+            (("topology", "stages", 0), {"kind": "host_memory"}),
         ],
         ids=[
             "frame-number",
@@ -500,6 +545,8 @@ class TestCompareCommand:
             "violations-number",
             "stages-number",
             "occupancy-trace-number",
+            "schema-version-2",
+            "topology-without-sensor",
         ],
     )
     def test_malformed_report_exits_1_without_traceback(self, tmp_path, capsys, path, value):
