@@ -17,7 +17,6 @@ from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, OverheadModel
 from .simcore import SimConfig
 from .timing import DeadlineSpec
 from .topology import (
-    DEFAULT_BUFFER_CAPACITY,
     STAGE_KINDS,
     ProcessingModel,
     Topology,
@@ -57,16 +56,29 @@ _TOP_LEVEL_KEYS = {
 }
 _TOP_LEVEL_CHECKS = scalar_checks(_TOP_LEVEL_KEYS)
 
-# Top-level keys passed on to build_classic and build_direct as they are;
-# an absent key takes the builder's default (the forwarding default is
-# store-and-forward for classic, cut-through for direct).
-_BUILDER_KEYS = (
+# Per architecture: its builder (None for custom, whose document lists the
+# stages), the keys it requires (a builder's links, in argument order) and
+# the keys it passes to the builder, as they are except processing_time_ns,
+# which becomes `processing`.  An absent key takes the builder's default.
+_CHAIN_KEYS = (
     "camera_buffer_capacity_bytes",
     "camera_buffer_forwarding",
     "sensor_latency_ns",
     "host_latency_ns",
+    "processing_time_ns",
     "processor_latency_ns",
 )
+_ARCHITECTURES = {
+    "classic": (
+        build_classic,
+        ("camera_interface", "pcie"),
+        ("grabber_capacity_bytes", "grabber_latency_ns", *_CHAIN_KEYS),
+    ),
+    "direct": (build_direct, ("pcie",), _CHAIN_KEYS),
+    "custom": (None, ("stages",), ()),
+}
+# The keys every architecture reads: the top-level keys no architecture owns.
+_COMMON_KEYS = set(_TOP_LEVEL_KEYS).difference(*(req + own for _, req, own in _ARCHITECTURES.values()))
 
 
 class ScenarioError(ValueError):
@@ -85,12 +97,6 @@ class Scenario:
         return [replace(base, seed=base.seed + i) for i in range(len(self.pipelines))]
 
 
-def _require(d: dict, key: str, context: str):
-    if key not in d:
-        raise ScenarioError(f"{context} requires {key!r}")
-    return d[key]
-
-
 def _with_overhead(doc, overhead: Optional[OverheadModel]):
     """A link or link-stage document in which a PCIe link that states no
     protocol efficiency of its own inherits the overhead-derived one."""
@@ -104,8 +110,6 @@ def _with_overhead(doc, overhead: Optional[OverheadModel]):
 
 
 def _parse_processing(value) -> ProcessingModel:
-    if value is None:
-        return ProcessingModel()
     if type(value) is int:
         return ProcessingModel.fixed(value)
     if isinstance(value, dict):
@@ -144,43 +148,38 @@ def _parse(doc: dict) -> Scenario:
 
     overhead = from_dict(OverheadModel, doc["overhead"]) if "overhead" in doc else None
     deadlines = from_dict(DeadlineSpec, doc.get("deadlines", {}))
-    processing = _parse_processing(doc.get("processing_time_ns"))
 
-    sim = _require(doc, "sim", "scenario")
+    sim = doc.get("sim")
     if not isinstance(sim, dict):
-        raise ScenarioError("'sim' must be an object")
+        raise ScenarioError("scenario requires a 'sim' object")
     if "seed" not in sim:
         raise ScenarioError("sim requires an explicit 'seed'")
     if "clock" in sim:
         raise ScenarioError("'clock' is a top-level key, not a sim key")
     base_config = from_dict(SimConfig, {**sim, "clock": doc.get("clock", {})})
 
-    architecture = _require(doc, "architecture", "scenario")
-    if architecture == "custom":
-        stage_docs = _require(doc, "stages", "custom architecture")
+    architecture = doc.get("architecture")
+    if architecture not in _ARCHITECTURES:
+        raise ScenarioError(f"'architecture' must be one of {sorted(_ARCHITECTURES)}, got {architecture!r}")
+    builder, required, own = _ARCHITECTURES[architecture]
+    for key in required:
+        if key not in doc:
+            raise ScenarioError(f"{architecture} architecture requires {key!r}")
+    foreign = sorted(set(doc) - _COMMON_KEYS - set(required) - set(own))
+    if foreign:
+        raise ScenarioError(f"{architecture} architecture does not read {', '.join(map(repr, foreign))}")
+    if builder is None:
+        stage_docs = doc["stages"]
         if not isinstance(stage_docs, list):
             raise ScenarioError("'stages' must be an array of stages")
         stages = tuple(from_dict(STAGE_KINDS, _with_overhead(sd, overhead)) for sd in stage_docs)
         topo = Topology(name=name, stages=stages, camera=cameras[0], deadlines=deadlines)
-    elif architecture in ("classic", "direct"):
-        kwargs = {key: doc[key] for key in _BUILDER_KEYS if key in doc}
-        kwargs.update(name=name, processing=processing, deadlines=deadlines)
-        pcie_doc = _require(doc, "pcie", f"{architecture} architecture")
-        pcie = from_dict(LINK_KINDS, _with_overhead(pcie_doc, overhead))
-        if architecture == "direct":
-            topo = build_direct(cameras[0], pcie, **kwargs)
-        else:
-            ci_doc = _require(doc, "camera_interface", "classic architecture")
-            topo = build_classic(
-                cameras[0],
-                from_dict(LINK_KINDS, _with_overhead(ci_doc, overhead)),
-                pcie,
-                doc.get("grabber_capacity_bytes", DEFAULT_BUFFER_CAPACITY),
-                grabber_latency_ns=doc.get("grabber_latency_ns", 0),
-                **kwargs,
-            )
     else:
-        raise ScenarioError(f"unknown architecture {architecture!r}")
+        kwargs = {key: doc[key] for key in own if key in doc}
+        if "processing_time_ns" in kwargs:
+            kwargs["processing"] = _parse_processing(kwargs.pop("processing_time_ns"))
+        links = [from_dict(LINK_KINDS, _with_overhead(doc[key], overhead)) for key in required]
+        topo = builder(cameras[0], *links, name=name, deadlines=deadlines, **kwargs)
     problems = validate(topo)
     if problems:
         rules = "; ".join(v.rule for v in problems)

@@ -234,38 +234,6 @@ def copy_count(t: Topology) -> int:
     return sum(1 for s in t.stages if isinstance(s, COPY_KINDS))
 
 
-def build_classic(
-    cam: CameraSpec,
-    ci: Link,
-    pcie: Link,
-    grabber_capacity_bytes: int,
-    *,
-    name: str = "classic",
-    camera_buffer_capacity_bytes: int = DEFAULT_BUFFER_CAPACITY,
-    camera_buffer_forwarding: str = STORE_AND_FORWARD,
-    sensor_latency_ns: int = 0,
-    grabber_latency_ns: int = 0,
-    host_latency_ns: int = 0,
-    processing: Optional[ProcessingModel] = None,
-    processor_latency_ns: int = 0,
-    deadlines: Optional[DeadlineSpec] = None,
-) -> Topology:
-    """Camera -> camera-interface -> frame grabber -> host bus -> host."""
-    stages = (
-        Sensor(fixed_latency_ns=sensor_latency_ns),
-        BufferStage(
-            capacity_bytes=camera_buffer_capacity_bytes,
-            forwarding=camera_buffer_forwarding,
-        ),
-        LinkStage(link=ci),
-        FrameGrabber(capacity_bytes=grabber_capacity_bytes, fixed_latency_ns=grabber_latency_ns),
-        LinkStage(link=pcie),
-        HostMemory(fixed_latency_ns=host_latency_ns),
-        Processor(processing=processing or ProcessingModel(), fixed_latency_ns=processor_latency_ns),
-    )
-    return Topology(name=name, stages=stages, camera=cam, deadlines=deadlines or DeadlineSpec())
-
-
 def build_direct(
     cam: CameraSpec,
     pcie: Link,
@@ -296,6 +264,29 @@ def build_direct(
         Processor(processing=processing or ProcessingModel(), fixed_latency_ns=processor_latency_ns),
     )
     return Topology(name=name, stages=stages, camera=cam, deadlines=deadlines or DeadlineSpec())
+
+
+def build_classic(
+    cam: CameraSpec,
+    ci: Link,
+    pcie: Link,
+    grabber_capacity_bytes: int = DEFAULT_BUFFER_CAPACITY,
+    *,
+    name: str = "classic",
+    camera_buffer_forwarding: str = STORE_AND_FORWARD,
+    grabber_latency_ns: int = 0,
+    **chain,
+) -> Topology:
+    """The direct chain plus the hop the paper removes: a camera-interface
+    link and a frame grabber between the camera buffer and the host bus.
+
+    The other keywords are build_direct's, with its defaults, except that
+    the camera buffer stores and forwards.
+    """
+    direct = build_direct(cam, pcie, name=name, camera_buffer_forwarding=camera_buffer_forwarding, **chain)
+    sensor, camera_buffer, *rest = direct.stages
+    hop = (LinkStage(link=ci), FrameGrabber(grabber_capacity_bytes, grabber_latency_ns))
+    return dataclasses.replace(direct, stages=(sensor, camera_buffer, *hop, *rest))
 
 
 # --- JSON codec ------------------------------------------------------------

@@ -352,6 +352,8 @@ DEEP_FAULTS = {
     "buffer-bytes-null": lambda doc: doc["frames"][-1]["buffer_bytes"].update({"0": None}),
     "violation-missing-key": lambda doc: _last_violation(doc).pop("budget_ns"),
     "violation-extra-key": lambda doc: _last_violation(doc).update(note="x"),
+    # The right number of keys, one of them renamed: the column decode gives way to the record decode.
+    "violation-renamed-key": lambda doc: (v := _last_violation(doc)).update(budget=v.pop("budget_ns")),
     **{
         f"{key}-{token}": lambda doc, key=key, value=value: _last_violation(doc).update({key: value})
         for key in ("measured_ns", "budget_ns")

@@ -46,22 +46,25 @@ def base_doc(**overrides):
     return doc
 
 
-def custom_doc(extra_stage_keys=None, processing=None):
-    """A valid custom chain; the buffer stage gains extra_stage_keys and the
-    processor takes `processing` when given."""
+def custom_doc(extra_stage_keys=None, processing=None, link=None):
+    """A valid custom chain, without base_doc's pcie key, which custom does not
+    read; the buffer stage gains extra_stage_keys, the processor takes
+    `processing` when given, and the link stage carries `link` (default USB3)."""
     processor = {"kind": "processor"}
     if processing is not None:
         processor["processing"] = processing
-    return base_doc(
+    doc = base_doc(
         architecture="custom",
         stages=[
             {"kind": "sensor"},
             {"kind": "buffer", "capacity_bytes": 4096, **(extra_stage_keys or {})},
-            {"kind": "link", "link": {"kind": "usb3"}},
+            {"kind": "link", "link": link or {"kind": "usb3"}},
             {"kind": "host_memory"},
             processor,
         ],
     )
+    del doc["pcie"]
+    return doc
 
 
 def run_cli(*argv):
@@ -100,18 +103,20 @@ class TestScenarioParsing:
         ]
 
     def test_custom_stages(self):
-        doc = base_doc(
-            architecture="custom",
-            stages=[
-                {"kind": "sensor"},
-                {"kind": "buffer", "capacity_bytes": 4096},
-                {"kind": "link", "link": {"kind": "usb3"}},
-                {"kind": "host_memory"},
-                {"kind": "processor", "processing": {"distribution": "fixed", "fixed_ns": 10}},
-            ],
-        )
+        doc = custom_doc(processing={"distribution": "fixed", "fixed_ns": 10})
         sc = parse_scenario(doc)
         assert sc.pipelines[0].stages[2].link.kind == "usb3"
+        assert sc.pipelines[0].stages[-1].processing.fixed_ns == 10
+
+    @pytest.mark.parametrize("stated", [None, 0.5], ids=["inherited", "stated"])
+    def test_overhead_reaches_custom_pcie_link(self, stated):
+        link = {"kind": "pcie", "generation": 3, "lanes": 1}
+        if stated is not None:
+            link["protocol_efficiency"] = stated
+        doc = custom_doc(link=link)
+        doc["overhead"] = {"max_payload_bytes": 256, "header_overhead_bytes": 28}
+        efficiency = parse_scenario(doc).pipelines[0].stages[2].link.protocol_efficiency
+        assert efficiency == (OverheadModel().efficiency if stated is None else stated)
 
     def test_overhead_inherited_by_pcie(self):
         doc = base_doc(overhead={"max_payload_bytes": 256, "header_overhead_bytes": 28})
@@ -167,7 +172,7 @@ class TestScenarioParsing:
             lambda d: d.update(deadlines={"safety": 5}),
             lambda d: d.update(overhead={"max_payload": 256}),
             lambda d: d["camera"].update(fps=1000),
-            lambda d: d.update(custom_doc(extra_stage_keys={"forwarding_mode": "cut_through"})),
+            lambda d: d.update(custom_doc(extra_stage_keys={"forwarding_mode": "cut_through"})) or d.pop("pcie"),
             lambda d: d.update(processing_time_ns={"distribution": "fixed", "fixed": 5}),
             lambda d: d.update(processing_time_ns={"distribution": "fixed", "low_ns": 5}),
             lambda d: d["sim"].update(clock={"jitter_sigma_ns": 20.0}),
@@ -176,8 +181,8 @@ class TestScenarioParsing:
             lambda d: d.update(cameras=3) or d.pop("camera"),
             lambda d: d.update(clock="x"),
             lambda d: d.update(overhead=5),
-            lambda d: d.update(custom_doc(processing=7)),
-            lambda d: d.update(architecture="custom", stages=5),
+            lambda d: d.update(custom_doc(processing=7)) or d.pop("pcie"),
+            lambda d: d.update(architecture="custom", stages=5) or d.pop("pcie"),
             # Values of the wrong type or out of range.
             lambda d: d["camera"].update(resolution_pixels="1000000"),
             lambda d: d["camera"].update(frame_rate=float("inf")),
@@ -199,9 +204,45 @@ class TestScenarioParsing:
             parse_scenario(doc)
 
     def test_custom_must_validate(self):
-        doc = base_doc(architecture="custom", stages=[{"kind": "sensor"}, {"kind": "processor"}])
-        with pytest.raises(ScenarioError):
+        doc = custom_doc()
+        doc["stages"] = [{"kind": "sensor"}, {"kind": "processor"}]
+        with pytest.raises(ScenarioError, match="invalid topology: at least one LinkStage present"):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize(
+        "architecture, key",
+        [
+            ("direct", "grabber_capacity_bytes"),
+            ("direct", "grabber_latency_ns"),
+            ("direct", "camera_interface"),
+            ("custom", "pcie"),
+            ("custom", "processing_time_ns"),
+            ("custom", "sensor_latency_ns"),
+            ("custom", "camera_buffer_capacity_bytes"),
+            ("classic", "stages"),
+        ],
+    )
+    def test_key_the_architecture_does_not_read_exits_1(self, tmp_path, capsys, architecture, key):
+        docs = {
+            "direct": base_doc(),
+            "custom": custom_doc(),
+            "classic": base_doc(architecture="classic", camera_interface={"kind": "camera_link", "config": "full"}),
+        }
+        values = {
+            "grabber_capacity_bytes": 1024,
+            "grabber_latency_ns": 7,
+            "camera_interface": {"kind": "camera_link", "config": "full"},
+            "pcie": {"kind": "pcie", "generation": 3, "lanes": 1},
+            "processing_time_ns": 100_000,
+            "sensor_latency_ns": 7,
+            "camera_buffer_capacity_bytes": 4096,
+            "stages": [{"kind": "sensor"}],
+        }
+        doc = {**docs[architecture], key: values[key]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", str(path), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {architecture} architecture does not read {key!r}\n"
 
     def test_load_scenario_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -278,7 +319,8 @@ class TestBudgetCommand:
         assert capsys.readouterr().err.startswith("error: --efficiency cannot be combined")
 
     @pytest.mark.parametrize(
-        "argv", [["--max-payload", "0"], ["--header-overhead", "-1"], ["--flow-control", "2"], ["--efficiency", "0"]]
+        "argv",
+        [["--max-payload", "0"], ["--header-overhead", "-1"], ["--flow-control", "2"], ["--efficiency", "0"], ["--lanes", "3"]],
     )
     def test_out_of_range_efficiency_exits_1(self, argv, capsys):
         assert main(["budget", *argv]) == 1
@@ -444,6 +486,8 @@ class TestCompareCommand:
         table = json.loads(delta_path.read_text())
         assert table["copy_count"]["delta"] == -1
         assert table["latency_p50_ns"]["delta"] == -1_120_449
+        assert main(["compare", a, b, "--output", str(tmp_path / "missing" / "delta.json")]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot write delta table")
 
     def test_self_compare_all_zero(self, two_reports, capsys):
         a, _ = two_reports
