@@ -3,6 +3,7 @@ discrete-event simulator for the grabber-based and direct-to-host
 architectures."""
 
 from .linkmodel import (
+    BudgetRow,
     CameraSpec,
     CameraLinkIf,
     CLHSIf,
@@ -16,6 +17,7 @@ from .linkmodel import (
     PCIeLink,
     USB3If,
     aggregate_rate,
+    budget_table,
     camera_stream_rate,
     effective_link_rate,
     feasible,
@@ -23,10 +25,8 @@ from .linkmodel import (
 )
 from .metrics import (
     Aggregates,
-    BudgetRow,
     IncomparableRunsError,
     SimReport,
-    budget_table,
     compare,
     export_structured,
     export_tabular,

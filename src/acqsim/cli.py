@@ -25,12 +25,12 @@ from .linkmodel import (
     InvalidSpecError,
     OverheadModel,
     aggregate_rate,
+    budget_table,
     camera_stream_rate,
     feasible,
 )
 from .metrics import (
     IncomparableRunsError,
-    budget_table,
     compare,
     export_structured,
     export_tabular,

@@ -1,22 +1,24 @@
-"""Stream-rate and link-throughput arithmetic for camera acquisition paths.
+"""Stream-rate and link-throughput arithmetic for camera acquisition paths,
+and the link budget table.
 
 All data rates in this package are decimal gigabits per second
 (1 Gb/s = 1e9 b/s), which conveniently equals bits per nanosecond.
 Buffer and frame sizes are plain bytes (binary prefixes only in docs).
 Keeping the two conventions separate avoids the classic ~7% unit bug.
 
-Rates are exposed as doubles; internally each link also carries an exact
-rational rate so that the simulator can compute integer-nanosecond
-transmission times with a true ceiling (see simcore).
+Each link has one exact rational rate: its kind's raw rate times its
+protocol efficiency.  The simulator computes integer-nanosecond
+transmission times from it with a true ceiling (see simcore), and the
+double a link's rate is reported as is that rate rounded once.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional
 
 
 class InvalidSpecError(ValueError):
@@ -161,23 +163,33 @@ class OverheadModel:
         )
 
 
-def _check_common(cable_length_m: float, protocol_efficiency: float) -> None:
-    if not 0 <= cable_length_m * PROPAGATION_NS_PER_M < math.inf:
-        raise InvalidSpecError(f"cable_length_m must be >= 0 with a finite delay, got {cable_length_m}")
-    if not 0.0 < protocol_efficiency <= 1.0:
-        raise InvalidSpecError(
-            f"protocol_efficiency must be in (0, 1], got {protocol_efficiency}"
-        )
+@dataclass(frozen=True)
+class Link:
+    """A point-to-point link: the cable and protocol efficiency every kind shares.
+
+    Each kind names its exact raw rate in Gb/s, before protocol efficiency,
+    with raw_gbps().
+    """
+
+    _: KW_ONLY
+    cable_length_m: float = 0.0
+    protocol_efficiency: float = 1.0
+
+    def __post_init__(self):
+        if not 0 <= self.cable_length_m * PROPAGATION_NS_PER_M < math.inf:
+            raise InvalidSpecError(f"cable_length_m must be >= 0 with a finite delay, got {self.cable_length_m}")
+        if not 0.0 < self.protocol_efficiency <= 1.0:
+            raise InvalidSpecError(
+                f"protocol_efficiency must be in (0, 1], got {self.protocol_efficiency}"
+            )
 
 
 @dataclass(frozen=True)
-class PCIeLink:
+class PCIeLink(Link):
     """A PCI Express link: generation 1-5, lane width from the allowed set."""
 
     generation: int
     lanes: int
-    cable_length_m: float = 0.0
-    protocol_efficiency: float = 1.0
 
     kind = "pcie"
 
@@ -188,33 +200,35 @@ class PCIeLink:
             raise InvalidSpecError(
                 f"PCIe lanes must be one of {PCIE_ALLOWED_LANES}, got {self.lanes}"
             )
-        _check_common(self.cable_length_m, self.protocol_efficiency)
+        super().__post_init__()
+
+    def raw_gbps(self) -> Fraction:
+        return self.lanes * _pcie_lane_gbps(self.generation)
 
 
 @dataclass(frozen=True)
-class CameraLinkIf:
+class CameraLinkIf(Link):
     """Classic Camera Link in base/medium/full configuration."""
 
     config: str = "full"
-    cable_length_m: float = 0.0
-    protocol_efficiency: float = 1.0
 
     kind = "camera_link"
 
     def __post_init__(self):
         if self.config not in _CAMERALINK_BITS:
             raise InvalidSpecError(f"Camera Link config must be base/medium/full, got {self.config!r}")
-        _check_common(self.cable_length_m, self.protocol_efficiency)
+        super().__post_init__()
+
+    def raw_gbps(self) -> Fraction:
+        return Fraction(_CAMERALINK_BITS[self.config] * _CAMERALINK_CLOCK_HZ, 1_000_000_000)
 
 
 @dataclass(frozen=True)
-class CoaXPressIf:
+class CoaXPressIf(Link):
     """CoaXPress with a speed grade and 1..4 aggregated connections."""
 
     speed_grade: str = "cxp6"
     links: int = 1
-    cable_length_m: float = 0.0
-    protocol_efficiency: float = 1.0
 
     kind = "coaxpress"
 
@@ -225,55 +239,55 @@ class CoaXPressIf:
             )
         if not 1 <= self.links <= 4:
             raise InvalidSpecError(f"CoaXPress links must be 1..4, got {self.links}")
-        _check_common(self.cable_length_m, self.protocol_efficiency)
+        super().__post_init__()
+
+    def raw_gbps(self) -> Fraction:
+        return self.links * _CXP_GBPS[self.speed_grade]
 
 
 @dataclass(frozen=True)
-class GigEVisionIf:
+class GigEVisionIf(Link):
     """GigE Vision at a 1 or 10 Gb/s rate preset."""
 
     rate_preset: str = "1g"
-    cable_length_m: float = 0.0
-    protocol_efficiency: float = 1.0
 
     kind = "gige_vision"
 
     def __post_init__(self):
         if self.rate_preset not in _GIGE_GBPS:
             raise InvalidSpecError(f"GigE Vision preset must be 1g or 10g, got {self.rate_preset!r}")
-        _check_common(self.cable_length_m, self.protocol_efficiency)
+        super().__post_init__()
+
+    def raw_gbps(self) -> Fraction:
+        return _GIGE_GBPS[self.rate_preset]
 
 
 @dataclass(frozen=True)
-class CLHSIf:
+class CLHSIf(Link):
     """Camera Link HS with 1..8 lanes at 10.3 Gb/s each."""
 
     lanes: int = 1
-    cable_length_m: float = 0.0
-    protocol_efficiency: float = 1.0
 
     kind = "clhs"
 
     def __post_init__(self):
         if not 1 <= self.lanes <= 8:
             raise InvalidSpecError(f"CLHS lanes must be 1..8, got {self.lanes}")
-        _check_common(self.cable_length_m, self.protocol_efficiency)
+        super().__post_init__()
+
+    def raw_gbps(self) -> Fraction:
+        return self.lanes * _CLHS_LANE_GBPS
 
 
 @dataclass(frozen=True)
-class USB3If:
+class USB3If(Link):
     """USB3 SuperSpeed, 5 Gb/s."""
-
-    cable_length_m: float = 0.0
-    protocol_efficiency: float = 1.0
 
     kind = "usb3"
 
-    def __post_init__(self):
-        _check_common(self.cable_length_m, self.protocol_efficiency)
+    def raw_gbps(self) -> Fraction:
+        return _USB3_GBPS
 
-
-Link = Union[PCIeLink, CameraLinkIf, CoaXPressIf, GigEVisionIf, CLHSIf, USB3If]
 
 # Link classes by the "kind" tag that names them in JSON.
 LINK_KINDS = {
@@ -288,44 +302,20 @@ def _pcie_lane_gbps(generation: int) -> Fraction:
     return _PCIE_RAW_GT[generation] * _ENCODING[generation]
 
 
-def _raw_rate_fraction(link: Link) -> Fraction:
-    """Preset rate before protocol efficiency, Gb/s, exact."""
-    if isinstance(link, PCIeLink):
-        return link.lanes * _pcie_lane_gbps(link.generation)
-    if isinstance(link, CameraLinkIf):
-        bits = _CAMERALINK_BITS[link.config]
-        return Fraction(bits * _CAMERALINK_CLOCK_HZ, 1_000_000_000)
-    if isinstance(link, CoaXPressIf):
-        return link.links * _CXP_GBPS[link.speed_grade]
-    if isinstance(link, GigEVisionIf):
-        return _GIGE_GBPS[link.rate_preset]
-    if isinstance(link, CLHSIf):
-        return link.lanes * _CLHS_LANE_GBPS
-    if isinstance(link, USB3If):
-        return _USB3_GBPS
-    raise InvalidSpecError(f"unknown link type: {type(link).__name__}")
-
-
 def effective_rate_fraction(link: Link) -> Fraction:
     """Exact effective rate in Gb/s (= bits per nanosecond)."""
-    rate = _raw_rate_fraction(link) * Fraction(link.protocol_efficiency)
+    rate = link.raw_gbps() * Fraction(link.protocol_efficiency)
     if rate <= 0:
         raise InvalidSpecError("effective link rate must be strictly positive")
     return rate
 
 
 def effective_link_rate(link: Link) -> float:
-    """Effective data rate of a link in Gb/s.
+    """Effective data rate of a link in Gb/s: the exact rate, rounded once.
 
     PCIe: lanes x raw GT/s x line-code efficiency x protocol efficiency.
     Presets: preset raw rate x protocol efficiency.
     """
-    if isinstance(link, PCIeLink):
-        # Multiply lane count last so lane scaling is *exactly* linear
-        # in double precision as well.
-        return link.lanes * float(
-            _pcie_lane_gbps(link.generation) * Fraction(link.protocol_efficiency)
-        )
     return float(effective_rate_fraction(link))
 
 
@@ -377,3 +367,45 @@ def min_lanes(cam: CameraSpec, generation: int, overhead: OverheadModel) -> int:
         f"camera demands {float(demand):.3f} Gb/s, above gen {generation} x16 "
         f"capacity {float(16 * lane_rate):.3f} Gb/s"
     )
+
+
+# --- Link budget table ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BudgetRow:
+    label: str
+    kind: str
+    generation: Optional[int]
+    lanes: Optional[int]
+    rate_gbps: float
+
+
+# The interface presets budget_table lists after the PCIe matrix: label,
+# link class and the class's parameters.
+_PRESETS = (
+    ("camera-link-base", CameraLinkIf, {"config": "base"}),
+    ("camera-link-medium", CameraLinkIf, {"config": "medium"}),
+    ("camera-link-full", CameraLinkIf, {"config": "full"}),
+    *((grade, CoaXPressIf, {"speed_grade": grade})
+      for grade in ("cxp1", "cxp2", "cxp3", "cxp5", "cxp6", "cxp10", "cxp12")),
+    ("gige-1g", GigEVisionIf, {"rate_preset": "1g"}),
+    ("gige-10g", GigEVisionIf, {"rate_preset": "10g"}),
+    ("clhs-x1", CLHSIf, {"lanes": 1}),
+    ("usb3", USB3If, {}),
+)
+
+
+def budget_table(
+    generations=PCIE_GENERATIONS,
+    lane_set=PCIE_ALLOWED_LANES,
+    include_presets: bool = True,
+    protocol_efficiency: float = 1.0,
+) -> list[BudgetRow]:
+    """Effective rates for every (generation, lanes) pair plus presets."""
+    links = [(f"pcie-gen{gen}-x{lanes}", gen, lanes, PCIeLink(gen, lanes, protocol_efficiency=protocol_efficiency))
+             for gen in generations for lanes in lane_set]
+    if include_presets:
+        links += [(label, None, None, cls(**params, protocol_efficiency=protocol_efficiency))
+                  for label, cls, params in _PRESETS]
+    return [BudgetRow(label, link.kind, gen, lanes, effective_link_rate(link)) for label, gen, lanes, link in links]

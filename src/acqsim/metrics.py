@@ -1,4 +1,4 @@
-"""Report assembly, canonical serialization, comparison, budget tables.
+"""Report assembly, canonical serialization and comparison.
 
 Structured exports are canonical JSON: sorted keys, compact separators,
 shortest round-trip float formatting.  Byte equality of two exports is
@@ -17,20 +17,9 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .linkmodel import (
-    PCIE_ALLOWED_LANES,
-    PCIE_GENERATIONS,
-    CameraLinkIf,
-    CLHSIf,
-    CoaXPressIf,
-    GigEVisionIf,
-    InvalidSpecError,
-    PCIeLink,
-    USB3If,
-    effective_link_rate,
-)
+from .linkmodel import InvalidSpecError
 from .simcore import (
     DISPOSITION_DELIVERED,
     DISPOSITION_DROPPED,
@@ -211,18 +200,20 @@ def check_frames(docs, n_stages: int) -> tuple:
     """The stage_times and the buffer_bytes of each frame of docs, once docs
     is checked to be a JSON array of frames of the exported shape: exactly
     the frame keys, stage_times an array of n_stages [ingress, egress] pairs
-    and buffer_bytes an object from stage index to an integer.  Each check
-    runs a key column at a time over every frame."""
+    of integers or nulls and buffer_bytes an object from stage index to an
+    integer.  Each check runs a key column at a time over every frame."""
     if not isinstance(docs, list):
         raise InvalidSpecError(f"frames must be a JSON array, got {type(docs).__name__}")
     if (not set(map(type, docs)) <= {dict} or set(map(len, docs)) - {len(_FRAME_KEYS)}
             or not all(map(_FRAME_KEYS.issuperset, docs))):
         raise InvalidSpecError(_BAD_FRAME)
     spans = list(map(itemgetter("stage_times"), docs))
-    if not set(map(type, spans)) <= _ARRAYS or not _all_pairs(list(chain.from_iterable(spans))):
+    if not set(map(type, spans)) <= _ARRAYS or not _all_pairs(pairs := list(chain.from_iterable(spans))):
         raise InvalidSpecError("a frame's stage_times must be a JSON array of [ingress, egress] pairs")
     if set(map(len, spans)) - {n_stages}:
         raise InvalidSpecError(_BAD_WIDTH)
+    if not set(map(type, chain.from_iterable(pairs))) <= {int, type(None)}:
+        raise InvalidSpecError("a frame's stage_times must hold an integer or null for each ingress and egress")
     held = list(map(itemgetter("buffer_bytes"), docs))
     if not set(map(type, held)) <= {dict}:
         check_int_keyed(next(m for m in held if type(m) is not dict))  # raises, naming the first non-object
@@ -380,45 +371,3 @@ def compare(a: SimReport | ReportSummary, b: SimReport | ReportSummary) -> dict:
         vb = getattr(b.aggregates, metric)
         table[metric] = {"a": va, "b": vb, "delta": vb - va}
     return table
-
-
-# --- Link budget table ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BudgetRow:
-    label: str
-    kind: str
-    generation: Optional[int]
-    lanes: Optional[int]
-    rate_gbps: float
-
-
-# The interface presets budget_table lists after the PCIe matrix: label,
-# link class and the class's parameters.
-_PRESETS = (
-    ("camera-link-base", CameraLinkIf, {"config": "base"}),
-    ("camera-link-medium", CameraLinkIf, {"config": "medium"}),
-    ("camera-link-full", CameraLinkIf, {"config": "full"}),
-    *((grade, CoaXPressIf, {"speed_grade": grade})
-      for grade in ("cxp1", "cxp2", "cxp3", "cxp5", "cxp6", "cxp10", "cxp12")),
-    ("gige-1g", GigEVisionIf, {"rate_preset": "1g"}),
-    ("gige-10g", GigEVisionIf, {"rate_preset": "10g"}),
-    ("clhs-x1", CLHSIf, {"lanes": 1}),
-    ("usb3", USB3If, {}),
-)
-
-
-def budget_table(
-    generations=PCIE_GENERATIONS,
-    lane_set=PCIE_ALLOWED_LANES,
-    include_presets: bool = True,
-    protocol_efficiency: float = 1.0,
-) -> list[BudgetRow]:
-    """Effective rates for every (generation, lanes) pair plus presets."""
-    links = [(f"pcie-gen{gen}-x{lanes}", gen, lanes, PCIeLink(gen, lanes, protocol_efficiency=protocol_efficiency))
-             for gen in generations for lanes in lane_set]
-    if include_presets:
-        links += [(label, None, None, cls(**params, protocol_efficiency=protocol_efficiency))
-                  for label, cls, params in _PRESETS]
-    return [BudgetRow(label, link.kind, gen, lanes, effective_link_rate(link)) for label, gen, lanes, link in links]

@@ -1,5 +1,6 @@
 """Rate arithmetic: ladders, encodings, presets, feasibility, lane sizing."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from acqsim import (
     feasible,
     min_lanes,
 )
-from acqsim.linkmodel import LINK_KINDS
+from acqsim.linkmodel import LINK_KINDS, effective_rate_fraction
 from acqsim.topology import from_dict, to_dict
 
 
@@ -179,6 +180,22 @@ class TestLinkValidation:
             GigEVisionIf(rate_preset="40g")
         with pytest.raises(InvalidSpecError):
             CLHSIf(lanes=9)
+
+    @pytest.mark.parametrize("kind", LINK_KINDS)
+    def test_shared_fields_checked(self, kind):
+        cls, own = LINK_KINDS[kind], {"generation": 3, "lanes": 1} if kind == "pcie" else {}
+        for bad, match in (
+            ({"cable_length_m": -1}, "cable_length_m"),
+            ({"cable_length_m": math.inf}, "cable_length_m"),
+            ({"protocol_efficiency": 0.0}, "protocol_efficiency"),
+            ({"protocol_efficiency": 1.5}, "protocol_efficiency"),
+            ({"protocol_efficiency": math.nan}, "protocol_efficiency"),
+        ):
+            with pytest.raises(InvalidSpecError, match=match):
+                cls(**own, **bad)
+        for efficiency in (1.0, 0.9, 1 / 3):
+            link = cls(**own, cable_length_m=2.0, protocol_efficiency=efficiency)
+            assert effective_link_rate(link) == float(effective_rate_fraction(link))
 
     def test_serialization_round_trip(self):
         links = [

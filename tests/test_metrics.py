@@ -208,6 +208,7 @@ class TestStructuredExport:
             (("aggregates", "high_water_bytes"), {"01": 5, "1": 6}, "non-index key"),
             (("schema_version",), 2, r"unsupported schema_version 2 \(expected 1\)"),
             (("topology", "stages", 0), {"kind": "host_memory"}, "not runnable: first stage is Sensor"),
+            *((("frames", 1, "stage_times", 6, 1), value, "an integer or null") for value in ("late", 2.5, True)),
         ],
         ids=[
             "frames-number",
@@ -226,6 +227,9 @@ class TestStructuredExport:
             "high-water-colliding-keys",
             "schema-version-2",
             "topology-without-sensor",
+            "stage-times-string",
+            "stage-times-float",
+            "stage-times-bool",
         ],
     )
     def test_malformed_report_parts_rejected(self, path, value, match):
@@ -350,6 +354,10 @@ DEEP_FAULTS = {
     "buffer-bytes-leading-zero": lambda doc: doc["frames"][-1]["buffer_bytes"].update({"01": 5}),
     "buffer-bytes-past-last-stage": lambda doc: doc["frames"][-1]["buffer_bytes"].update({"7": 5}),  # 7 stages
     "buffer-bytes-null": lambda doc: doc["frames"][-1]["buffer_bytes"].update({"0": None}),
+    **{
+        f"stage-times-{token}": lambda doc, value=value: doc["frames"][-1]["stage_times"][-1].__setitem__(1, value)
+        for token, value in (("string", "late"), ("float", 2.5), ("bool", True))
+    },
     "violation-missing-key": lambda doc: _last_violation(doc).pop("budget_ns"),
     "violation-extra-key": lambda doc: _last_violation(doc).update(note="x"),
     # The right number of keys, one of them renamed: the column decode gives way to the record decode.

@@ -67,6 +67,73 @@ def custom_doc(extra_stage_keys=None, processing=None, link=None):
     return doc
 
 
+# Each malformed scenario document: a mutation of base_doc() and the reason
+# its ScenarioError must give, so a case cannot pass on an unrelated fault.
+MALFORMED_DOCUMENTS = dict(
+    [
+        (lambda d: d.update(schema_version=2), r"unsupported schema_version 2 \(expected 1\)"),
+        (lambda d: d.update(unknown_key=1), r"unknown scenario keys: \['unknown_key'\]"),
+        (lambda d: d.pop("architecture"), "'architecture' must be one of .*, got None"),
+        (lambda d: d.pop("pcie"), "direct architecture requires 'pcie'"),
+        (lambda d: d.pop("sim"), "scenario requires a 'sim' object"),
+        (lambda d: d["sim"].pop("seed"), "sim requires an explicit 'seed'"),
+        (lambda d: d["sim"].update(duration_ns=10), "set exactly one of n_frames or duration_ns"),
+        (lambda d: d.update(architecture="ring"), "'architecture' must be one of .*, got 'ring'"),
+        (lambda d: d.update(cameras=[]) or d.pop("camera"), "'cameras' must be a non-empty array"),
+        (lambda d: d.update(pcie={"kind": "pcie", "generation": 9, "lanes": 1}), "PCIe generation must be 1..5"),
+        (lambda d: d.update(sim=5), "scenario requires a 'sim' object"),
+        (lambda d: d["sim"].update(seed="x"), "SimConfig 'seed' must be an integer, got 'x'"),
+        (lambda d: d["sim"].update(seed=True), "SimConfig 'seed' must be an integer, got True"),
+        # Unknown keys inside objects.
+        (lambda d: d.update(clock={"jitter_sigma": 20}), r"ClockModel: unknown keys \['jitter_sigma'\]"),
+        (lambda d: d.update(deadlines={"safety": 5}), r"DeadlineSpec: unknown keys \['safety'\]"),
+        (lambda d: d.update(overhead={"max_payload": 256}), r"OverheadModel: unknown keys \['max_payload'\]"),
+        (lambda d: d["camera"].update(fps=1000), r"CameraSpec: unknown keys \['fps'\]"),
+        (
+            lambda d: d.update(custom_doc(extra_stage_keys={"forwarding_mode": "cut_through"})) or d.pop("pcie"),
+            r"BufferStage: unknown keys \['forwarding_mode'\]",
+        ),
+        (
+            lambda d: d.update(processing_time_ns={"distribution": "fixed", "fixed": 5}),
+            r"ProcessingModel: unknown keys \['fixed'\]",
+        ),
+        (
+            lambda d: d.update(processing_time_ns={"distribution": "fixed", "low_ns": 5}),
+            "fixed processing takes no low_ns",
+        ),
+        (lambda d: d["sim"].update(clock={"jitter_sigma_ns": 20.0}), "'clock' is a top-level key, not a sim key"),
+        # Objects and arrays of the wrong shape.
+        (lambda d: d.update(camera=[]), "CameraSpec must be a JSON object"),
+        (lambda d: d.update(cameras=3) or d.pop("camera"), "'cameras' must be a non-empty array"),
+        (lambda d: d.update(clock="x"), "ClockModel must be a JSON object"),
+        (lambda d: d.update(overhead=5), "OverheadModel must be a JSON object"),
+        (lambda d: d.update(custom_doc(processing=7)) or d.pop("pcie"), "ProcessingModel must be a JSON object"),
+        (
+            lambda d: d.update(architecture="custom", stages=5) or d.pop("pcie"),
+            "'stages' must be an array of stages",
+        ),
+        # Values of the wrong type or out of range.
+        (
+            lambda d: d["camera"].update(resolution_pixels="1000000"),
+            "CameraSpec 'resolution_pixels' must be an integer",
+        ),
+        (lambda d: d["camera"].update(frame_rate=float("inf")), "CameraSpec 'frame_rate' must be a finite number"),
+        (lambda d: d["camera"].update(frame_rate=float("nan")), "CameraSpec 'frame_rate' must be a finite number"),
+        (lambda d: d.update(deadlines={"safety_ns": 0}), "deadline budgets must be strictly positive"),
+        (lambda d: d.update(processing_time_ns=True), "processing_time_ns must be an integer or a distribution"),
+        (lambda d: d["sim"].update(n_frames=1.5), "SimConfig 'n_frames' must be an integer or null"),
+        (lambda d: d["sim"].update(n_frames=True), "SimConfig 'n_frames' must be an integer or null"),
+        (
+            lambda d: d.update(sim={"seed": 5, "duration_ns": 2.5}),
+            "SimConfig 'duration_ns' must be an integer or null",
+        ),
+        (lambda d: d["pcie"].update(lanes=True), "PCIeLink 'lanes' must be an integer"),
+        (lambda d: d.update(sensor_latency_ns=1.5), "scenario 'sensor_latency_ns' must be an integer"),
+        (lambda d: d.update(schema_version=True), "scenario 'schema_version' must be an integer"),
+    ]
+)
+
+
 def run_cli(*argv):
     """`python -m acqsim *argv` in a fresh interpreter, output captured."""
     env = dict(os.environ)
@@ -151,56 +218,11 @@ class TestScenarioParsing:
         proc = sc.pipelines[0].stages[-1]
         assert proc.processing.fixed_ns == 150_000
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda d: d.update(schema_version=2),
-            lambda d: d.update(unknown_key=1),
-            lambda d: d.pop("architecture"),
-            lambda d: d.pop("pcie"),
-            lambda d: d.pop("sim"),
-            lambda d: d["sim"].pop("seed"),
-            lambda d: d["sim"].update(duration_ns=10),
-            lambda d: d.update(architecture="ring"),
-            lambda d: d.update(cameras=[]) or d.pop("camera"),
-            lambda d: d.update(pcie={"kind": "pcie", "generation": 9, "lanes": 1}),
-            lambda d: d.update(sim=5),
-            lambda d: d["sim"].update(seed="x"),
-            lambda d: d["sim"].update(seed=True),
-            # Unknown keys inside objects.
-            lambda d: d.update(clock={"jitter_sigma": 20}),
-            lambda d: d.update(deadlines={"safety": 5}),
-            lambda d: d.update(overhead={"max_payload": 256}),
-            lambda d: d["camera"].update(fps=1000),
-            lambda d: d.update(custom_doc(extra_stage_keys={"forwarding_mode": "cut_through"})) or d.pop("pcie"),
-            lambda d: d.update(processing_time_ns={"distribution": "fixed", "fixed": 5}),
-            lambda d: d.update(processing_time_ns={"distribution": "fixed", "low_ns": 5}),
-            lambda d: d["sim"].update(clock={"jitter_sigma_ns": 20.0}),
-            # Objects and arrays of the wrong shape.
-            lambda d: d.update(camera=[]),
-            lambda d: d.update(cameras=3) or d.pop("camera"),
-            lambda d: d.update(clock="x"),
-            lambda d: d.update(overhead=5),
-            lambda d: d.update(custom_doc(processing=7)) or d.pop("pcie"),
-            lambda d: d.update(architecture="custom", stages=5) or d.pop("pcie"),
-            # Values of the wrong type or out of range.
-            lambda d: d["camera"].update(resolution_pixels="1000000"),
-            lambda d: d["camera"].update(frame_rate=float("inf")),
-            lambda d: d["camera"].update(frame_rate=float("nan")),
-            lambda d: d.update(deadlines={"safety_ns": 0}),
-            lambda d: d.update(processing_time_ns=True),
-            lambda d: d["sim"].update(n_frames=1.5),
-            lambda d: d["sim"].update(n_frames=True),
-            lambda d: d.update(sim={"seed": 5, "duration_ns": 2.5}),
-            lambda d: d["pcie"].update(lanes=True),
-            lambda d: d.update(sensor_latency_ns=1.5),
-            lambda d: d.update(schema_version=True),
-        ],
-    )
+    @pytest.mark.parametrize("mutate", list(MALFORMED_DOCUMENTS))
     def test_malformed_documents_rejected(self, mutate):
         doc = base_doc()
         mutate(doc)
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=MALFORMED_DOCUMENTS[mutate]):
             parse_scenario(doc)
 
     def test_custom_must_validate(self):
