@@ -221,7 +221,7 @@ def _cmd_simulate(args) -> int:
             f"violations: safety={a.safety_violations} control={a.control_violations} "
             f"timestamp={a.timestamp_violations}"
         )
-        total_violations += len(a.violations)
+        total_violations += a.safety_violations + a.control_violations + a.timestamp_violations
 
     return EXIT_VIOLATIONS if total_violations else EXIT_OK
 

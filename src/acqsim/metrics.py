@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -37,8 +39,8 @@ from .topology import (
     copy_count,
     decode_int_keyed,
     from_dict,
-    many,
     one,
+    record_columns,
     to_dict,
     topology_digest,
     validate,
@@ -78,19 +80,10 @@ class Aggregates:
     copy_count: int
     high_water_bytes: dict
     timestamp_rms_ns: float
-    violations: list
-
-    @property
-    def safety_violations(self) -> int:
-        return sum(1 for v in self.violations if v.kind == "safety")
-
-    @property
-    def control_violations(self) -> int:
-        return sum(1 for v in self.violations if v.kind == "control")
-
-    @property
-    def timestamp_violations(self) -> int:
-        return sum(1 for v in self.violations if v.kind == "timestamp")
+    # Deadline misses by kind: delivered frames over each latency budget, and 1 if the RMS is over its budget.
+    safety_violations: int
+    control_violations: int
+    timestamp_violations: int
 
 
 def summarize(frames: FrameTable, topology: Topology, elapsed_ns: int, occupancy: dict) -> Aggregates:
@@ -113,7 +106,7 @@ def summarize(frames: FrameTable, topology: Topology, elapsed_ns: int, occupancy
         raise InvalidSpecError("latencies too large for a finite mean") from None
 
     rms = timestamp_rms(frames) if disposition else 0.0
-    violations = check_deadlines(frames, topology.deadlines, rms)
+    deadlines = topology.deadlines
 
     return Aggregates(
         empty=not disposition,
@@ -130,7 +123,9 @@ def summarize(frames: FrameTable, topology: Topology, elapsed_ns: int, occupancy
         copy_count=copy_count(topology),
         high_water_bytes=high_water,
         timestamp_rms_ns=rms,
-        violations=violations,
+        safety_violations=len(latencies) - bisect_right(latencies, deadlines.safety_ns),
+        control_violations=len(latencies) - bisect_right(latencies, deadlines.control_ns),
+        timestamp_violations=int(rms > deadlines.timestamp_rms_ns),
     )
 
 
@@ -244,10 +239,30 @@ def _frames_to_docs(t: FrameTable) -> list:
     ]
 
 
-def _occupancy_trace(v) -> list:
+def _check_trace(v) -> list:
     if type(v) not in _ARRAYS or not _all_pairs(v):
         raise InvalidSpecError("an occupancy trace must be a JSON array of [time_ns, bytes] pairs")
-    return list(map(tuple, v))
+    return v
+
+
+# Schema v1 holds a record per deadline miss where Aggregates holds the counts by kind.
+_VIOLATION_COUNTS = {"safety": "safety_violations", "control": "control_violations",
+                     "timestamp": "timestamp_violations"}
+
+
+def _aggregates_from_v1(d) -> Aggregates:
+    """Aggregates from their v1 JSON object: every violation record is checked
+    as from_dict checks a DeadlineViolation, but only the counts by kind are kept."""
+    if not isinstance(d, dict):
+        return from_dict(Aggregates, d)  # raises, naming the fault
+    if "violations" not in d:
+        raise InvalidSpecError("Aggregates: missing key 'violations'")
+    if counted := d.keys() & _VIOLATION_COUNTS.values():
+        raise InvalidSpecError(f"Aggregates: unknown keys {sorted(counted)}")
+    d = dict(d)
+    kinds = Counter(record_columns(DeadlineViolation, d.pop("violations"))["kind"])
+    d.update({key: kinds[kind] for kind, key in _VIOLATION_COUNTS.items()})
+    return from_dict(Aggregates, d)
 
 
 def _supported_version(version: int) -> int:
@@ -256,23 +271,31 @@ def _supported_version(version: int) -> int:
     return version
 
 
-JSON_FORMS[Aggregates] = {"high_water_bytes": INT_KEYED, "violations": many(DeadlineViolation)}
+JSON_FORMS[Aggregates] = {"high_water_bytes": INT_KEYED}
 JSON_FORMS[SimReport] = {
     # Decoded first, so a report of another version is named as such before its other keys are read.
     "schema_version": (int, _supported_version),
     "topology": one(Topology),
     "config": one(SimConfig),
     "frames": (_frames_to_docs, lambda docs: docs),  # decoded by _import, which knows the stage count
-    "occupancy": (INT_KEYED[0], lambda occ: decode_int_keyed(occ, _occupancy_trace)),
+    # Checked here, built only by import_structured.
+    "occupancy": (INT_KEYED[0], lambda occ: decode_int_keyed(occ, _check_trace)),
     "link_busy_ns": INT_KEYED,
-    "aggregates": one(Aggregates),
+    "aggregates": (to_dict, _aggregates_from_v1),
 }
 
 
 def export_structured(report: SimReport) -> str:
     """Canonical JSON: sorted keys, compact, shortest-round-trip floats."""
+    doc = to_dict(report)
+    # v1's aggregates hold the deadline misses themselves, which follow from the frames.
+    aggregates = doc["aggregates"]
+    for key in _VIOLATION_COUNTS.values():
+        del aggregates[key]
+    misses = check_deadlines(report.frames, report.topology.deadlines, report.aggregates.timestamp_rms_ns)
+    aggregates["violations"] = [to_dict(v) for v in misses]
     # to_dict builds a fresh tree without cycles, so nothing needs checking for one.
-    return json.dumps(to_dict(report), sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _import(text: str) -> tuple:
@@ -295,6 +318,7 @@ def import_structured(text: str) -> SimReport:
         egress_ns=[[s[i][1] for s in spans] for i in stages],
         buffer_bytes=[[b.get(str(i)) for b in held] for i in stages],
     )
+    report.occupancy = {i: list(map(tuple, trace)) for i, trace in report.occupancy.items()}
     return report
 
 
@@ -311,7 +335,8 @@ def import_summary(text: str) -> ReportSummary:
     """The parts of a structured report that compare reads.
 
     The whole document is checked as import_structured checks it, and
-    every part but the frames is decoded: the frames are checked, not built.
+    every part but the frames, the occupancy traces and the violation
+    records is decoded: those are checked, not built.
     """
     report, _ = _import(text)
     return ReportSummary(report.scenario, report.digest, report.topology, report.aggregates)

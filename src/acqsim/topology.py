@@ -183,6 +183,8 @@ class Processor:
             raise InvalidSpecError("fixed_latency_ns must be >= 0")
 
 
+# The link kinds a LinkStage can carry: the bare Link base has no raw rate.
+_LINK_CLASSES = tuple(LINK_KINDS.values())
 # Stages that can hold a complete frame and feed a downstream link.
 EMITTER_KINDS = (Sensor, BufferStage, FrameGrabber)
 # Stages where a full frame is materialized in a memory.
@@ -226,6 +228,8 @@ def validate(t: Topology) -> list[Violation]:
             v.append(
                 Violation(i, "LinkStage preceded by an emitting stage", f"preceded by {prev}")
             )
+        if isinstance(s, LinkStage) and not isinstance(s.link, _LINK_CLASSES):
+            v.append(Violation(i, "LinkStage carries a link of a known kind", f"found {type(s.link).__name__}"))
     return v
 
 
@@ -389,36 +393,48 @@ def one(cls_or_kinds) -> tuple:
     return to_dict, functools.partial(from_dict, cls_or_kinds)
 
 
-def _from_columns(cls, docs):
-    """The records of cls that JSON objects hold, checked and built a field
-    column at a time; None unless cls has fields, none with a JSON form, and
-    each object holds exactly them, each scalar of its JSON type."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    if not names or cls in JSON_FORMS or not set(map(type, docs)) <= {dict} or set(map(len, docs)) - {len(names)}:
-        return None
-    try:
-        columns = {key: list(map(itemgetter(key), docs)) for key in names}
-    except KeyError:
-        return None
-    for key, types, _ in _field_checks(cls):
-        kinds = set(map(type, columns[key]))
-        floats = [v for v in columns[key] if type(v) is float] if float in kinds else ()  # an int is always finite
-        if not kinds.issubset(types) or not all(map(math.isfinite, floats)):
-            return None
-    return list(map(cls, *columns.values()))
+def _check_array(docs) -> None:
+    if not isinstance(docs, list):
+        raise InvalidSpecError(f"a sequence of records must be a JSON array, got {type(docs).__name__}")
 
 
 def many(cls_or_kinds, container=list) -> tuple:
-    """JSON form of a field holding a sequence of records, decoded a column at
-    a time where _from_columns can, else (also to name a fault) one by one."""
+    """JSON form of a field holding a sequence of records."""
 
     def decode(docs):
-        if not isinstance(docs, list):
-            raise InvalidSpecError(f"a sequence of records must be a JSON array, got {type(docs).__name__}")
-        records = None if isinstance(cls_or_kinds, dict) else _from_columns(cls_or_kinds, docs)
-        return container([from_dict(cls_or_kinds, doc) for doc in docs] if records is None else records)
+        _check_array(docs)
+        return container([from_dict(cls_or_kinds, doc) for doc in docs])
 
     return lambda records: [to_dict(r) for r in records], decode
+
+
+def record_columns(cls, docs) -> dict:
+    """Field name -> column of the values that docs, a JSON array of records
+    of cls, holds, once every record is checked as from_dict checks it.
+
+    The checks run a field column at a time and build no record: each object
+    must hold exactly the fields of cls, each scalar of its JSON type.  Only
+    where that fails (or cls has a field with a JSON form) are the records
+    decoded one by one, which names the fault."""
+    _check_array(docs)
+    names = [f.name for f in dataclasses.fields(cls)]
+    if cls not in JSON_FORMS and set(map(type, docs)) <= {dict} and not set(map(len, docs)) - {len(names)}:
+        try:
+            columns = {key: list(map(itemgetter(key), docs)) for key in names}
+        except KeyError:  # an object holds a key of another name
+            pass
+        else:
+            if all(_column_ok(columns[key], types) for key, types, _ in _field_checks(cls)):
+                return columns
+    records = [from_dict(cls, doc) for doc in docs]
+    return {key: [getattr(r, key) for r in records] for key in names}
+
+
+def _column_ok(column: list, types: tuple) -> bool:
+    """Whether each value of column has one of the JSON types, a float also being finite."""
+    kinds = set(map(type, column))
+    floats = [v for v in column if type(v) is float] if float in kinds else ()  # an int is always finite
+    return kinds.issubset(types) and all(map(math.isfinite, floats))
 
 
 def check_int_keyed(m) -> dict:

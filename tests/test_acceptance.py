@@ -5,6 +5,7 @@ live) and then asserts, so the suite both documents and enforces the
 target numbers at their stated tolerances.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 
 from acqsim import (
     CameraSpec,
+    LinkStage,
     PCIeLink,
     SimConfig,
     aggregate_rate,
@@ -130,11 +132,11 @@ def test_criterion_4_deadline_gating(tmp_path, capsys):
     code_hot, hot = _simulate(tmp_path, "deadline-150us.json", "d150")
     code_ok, _ = _simulate(tmp_path, "deadline-80us.json", "d80")
     with capsys.disabled():
-        safeties = [v for v in hot.aggregates.violations if v.kind == "safety"]
+        safeties = hot.aggregates.safety_violations
         _criterion(
             "criterion-4 deadline gating",
-            code_hot == 2 and len(safeties) == 1 and code_ok == 0,
-            f"150us exit={code_hot} safety-violations={len(safeties)}; 80us exit={code_ok}",
+            code_hot == 2 and safeties == 1 and code_ok == 0,
+            f"150us exit={code_hot} safety-violations={safeties}; 80us exit={code_ok}",
         )
 
 
@@ -238,6 +240,29 @@ def test_first_drop_store_and_forward(congested_frames):
     dropped = frames.disposition.index(DISPOSITION_DROPPED)
     assert dropped == first, f"engine drops frame {dropped} first, store-and-forward predicts {first}"
     assert frames.drop_time_ns[dropped] == first * period == frames.generated_at_ns[dropped]
+
+
+@pytest.mark.parametrize("name", sorted(benchmark_workloads()))
+def test_cable_shift_on_last_pcie_link(name):
+    # Metamorphic relation: more cable on the last link (PCIe in every
+    # workload) delays each frame's arrival at host memory, and so every
+    # later event, by the same whole number of nanoseconds, and decides
+    # nothing differently.  The shift follows from the README's 5 ns/m.
+    extra_m, ns_per_m = 3, 5
+    shift_ns = extra_m * ns_per_m
+    scenario = parse_scenario(benchmark_workloads()[name](1, 2_000))
+    topo, cfg = scenario.pipelines[0], scenario.configs()[0]
+    last = max(i for i, s in enumerate(topo.stages) if isinstance(s, LinkStage))
+    link = topo.stages[last].link
+    assert isinstance(link, PCIeLink)
+    longer = dataclasses.replace(link, cable_length_m=link.cable_length_m + extra_m)
+    stages = (*topo.stages[:last], LinkStage(longer), *topo.stages[last + 1:])
+    base = run(topo, cfg).frames
+    shifted = run(dataclasses.replace(topo, stages=stages), cfg).frames
+    assert shifted.disposition == base.disposition
+    delivered = [(a, b) for a, b in zip(base.latency_ns(), shifted.latency_ns()) if a is not None]
+    assert len(delivered) > 900  # overload-oldest delivers about half of its 2,000 frames
+    assert all(b - a == shift_ns for a, b in delivered)
 
 
 class TestCriterion7PropertySuites:

@@ -1,8 +1,11 @@
 """Aggregation, exports, comparison, and the link budget table."""
 
+import dataclasses
 import json
 import math
+from collections import Counter
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from acqsim import (
     budget_table,
     build_classic,
     build_direct,
+    check_deadlines,
     compare,
     effective_link_rate,
     export_structured,
@@ -28,10 +32,17 @@ from acqsim import (
     run,
     summarize,
 )
+from acqsim import metrics
 from acqsim.metrics import import_summary, nearest_rank
 from acqsim.timing import DeadlineViolation
-from acqsim.topology import from_dict, many
-from conftest import assert_tabular_matches_structured, benchmark_workloads, json_nodes, replace_node
+from acqsim.topology import from_dict, record_columns
+from conftest import (
+    assert_tabular_matches_structured,
+    benchmark_workloads,
+    frame_table,
+    json_nodes,
+    replace_node,
+)
 
 CAM = CameraSpec(1_000_000, 8, 1000)
 RELAXED = DeadlineSpec(safety_ns=10**9, control_ns=10**10, timestamp_rms_ns=50.0)
@@ -47,6 +58,31 @@ def direct_report(n_frames=1, seed=1):
 def classic_report(n_frames=1, seed=1):
     topo = build_classic(CAM, CameraLinkIf("full"), PCIeLink(3, 1), 64 * MIB, deadlines=RELAXED)
     return run(topo, SimConfig(seed=seed, n_frames=n_frames))
+
+
+def counts(aggregates) -> dict:
+    """The deadline-miss counts of Aggregates, by kind."""
+    return {kind: getattr(aggregates, f"{kind}_violations") for kind in ("safety", "control", "timestamp")}
+
+
+def record_counts(kinds) -> dict:
+    """Counts by kind of the violation kinds given, with 0 for a kind that is absent."""
+    found = Counter(kinds)
+    return {kind: found[kind] for kind in ("safety", "control", "timestamp")}
+
+
+@st.composite
+def runs_against_budgets(draw):
+    """(frames, deadlines): delivered latencies that may sit exactly at a budget,
+    under budgets in either order, and one timestamp error shared by every frame,
+    so that the run's RMS is exactly its size and may equal the RMS budget."""
+    safety, control = draw(st.integers(1, 1_000)), draw(st.integers(1, 1_000))
+    rms_budget = draw(st.integers(1, 50))
+    latency = st.none() | st.integers(0, 1_100) | st.sampled_from([safety, control])
+    latencies = draw(st.lists(latency, max_size=30))
+    error = draw(st.integers(-60, 60) | st.sampled_from([rms_budget, -rms_budget]))
+    records = [SimpleNamespace(generated_at_ns=100, camera_timestamp_ns=100 + error, latency_ns=v) for v in latencies]
+    return frame_table(records), DeadlineSpec(safety_ns=safety, control_ns=control, timestamp_rms_ns=rms_budget)
 
 
 class TestNearestRank:
@@ -87,7 +123,7 @@ class TestSummarize:
         assert a.delivered == a.dropped == a.in_flight == 0
         assert a.throughput_gbps == 0.0
         assert a.latency_max_ns == 0
-        assert a.violations == []
+        assert a.safety_violations == a.control_violations == a.timestamp_violations == 0
 
     def test_throughput_definition(self):
         report = direct_report(n_frames=5)
@@ -104,6 +140,32 @@ class TestSummarize:
             occupancy=report.occupancy,
         )
         assert again == report.aggregates
+
+    def test_counts_match_deadline_records(self, run_pool):
+        for topo, _, report in run_pool:
+            a = report.aggregates
+            misses = check_deadlines(report.frames, topo.deadlines, a.timestamp_rms_ns)
+            assert counts(a) == record_counts(v.kind for v in misses)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=runs_against_budgets())
+    def test_counts_match_deadline_records_at_any_budget(self, case):
+        frames, deadlines = case
+        a = summarize(frames, build_direct(CAM, PCIeLink(3, 1), deadlines=deadlines), 1, {})
+        assert counts(a) == record_counts(v.kind for v in check_deadlines(frames, deadlines, a.timestamp_rms_ns))
+        # A latency or an RMS equal to its budget is not a miss.
+        latencies = [v for v in frames.latency_ns() if v is not None]
+        assert a.safety_violations == sum(v > deadlines.safety_ns for v in latencies)
+        assert a.control_violations == sum(v > deadlines.control_ns for v in latencies)
+        assert a.timestamp_violations == (a.timestamp_rms_ns > deadlines.timestamp_rms_ns)
+
+    def test_builds_no_deadline_record(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("summarize checked the deadlines record by record")
+
+        monkeypatch.setattr(metrics, "check_deadlines", refuse)
+        a = classic_report(n_frames=3).aggregates
+        assert a.safety_violations == a.control_violations == 0
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
@@ -323,6 +385,35 @@ class TestReportReaders:
         text = json.dumps(replace_node(json.loads(json.dumps(FUZZ_REPORT)), path, value))
         assert _verdict(import_summary, text) == _verdict(import_structured, text)
 
+    @pytest.mark.parametrize("report", ["fuzz", "deep"])
+    def test_counts_are_the_kinds_of_the_records(self, report):
+        doc = {"fuzz": FUZZ_REPORT, "deep": DEEP_REPORT}[report]
+        text = json.dumps(doc)
+        expected = record_counts(v["kind"] for v in doc["aggregates"]["violations"])
+        assert expected["safety"]
+        for reader in (import_structured, import_summary):
+            assert counts(reader(text).aggregates) == expected
+
+    def test_builds_no_violation_record(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("a reader built a violation record")
+
+        text = json.dumps(DEEP_REPORT)
+        monkeypatch.setattr(DeadlineViolation, "__init__", refuse)
+        for reader in (import_structured, import_summary):
+            assert reader(text).aggregates.safety_violations
+
+    def test_aggregates_hold_the_records_not_the_counts(self):
+        counted = json.loads(json.dumps(FUZZ_REPORT))
+        counted["aggregates"]["safety_violations"] = 0
+        bare = json.loads(json.dumps(FUZZ_REPORT))
+        del bare["aggregates"]["violations"]
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match=r"unknown keys \['safety_violations'\]"):
+                reader(json.dumps(counted))
+            with pytest.raises(InvalidSpecError, match="missing key 'violations'"):
+                reader(json.dumps(bare))
+
     def test_summary_matches_full_import(self):
         text = json.dumps(FUZZ_REPORT)
         report, summary = import_structured(text), import_summary(text)
@@ -383,10 +474,12 @@ class TestDeepFaults:
     def test_huge_integer_measure_accepted(self):
         doc = json.loads(json.dumps(DEEP_REPORT))
         doc["aggregates"]["violations"][0]["measured_ns"] = 2.5  # a float column, so its finiteness is checked
-        _last_violation(doc)["measured_ns"] = huge = 10**399  # 400 digits, past the float range
+        _last_violation(doc)["measured_ns"] = 10**399  # 400 digits, past the float range
+        assert [from_dict(DeadlineViolation, v) for v in doc["aggregates"]["violations"]]  # the record decode accepts
+        expected = record_counts(v["kind"] for v in doc["aggregates"]["violations"])
         text = json.dumps(doc)
         for reader in (import_structured, import_summary):
-            assert reader(text).aggregates.violations[-1].measured_ns == huge
+            assert counts(reader(text).aggregates) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -394,17 +487,29 @@ class TestDeepFaults:
         value=json_values | st.sampled_from([True, math.inf, -math.inf, math.nan, 10**400, 2.5]),
     )
     def test_columns_decode_as_records_do(self, path, value):
-        # The column decode must accept exactly what from_dict accepts record by record, and build the same records.
-        docs = replace_node(json.loads(json.dumps(FUZZ_REPORT["aggregates"]["violations"])), path, value)
+        # The column check must accept exactly what from_dict accepts record by record, pull the same values, and
+        # let both readers keep the counts of the records' kinds.
+        doc = json.loads(json.dumps(FUZZ_REPORT))
+        docs = replace_node(doc["aggregates"]["violations"], path, value)
 
-        def outcome(decode):
+        def outcome(decode, *args):
             try:
-                return decode(docs)
+                return decode(*args)
             except InvalidSpecError:
                 return "rejected"
 
-        by_records = outcome(lambda docs: [from_dict(DeadlineViolation, d) for d in docs])
-        assert outcome(many(DeadlineViolation)[1]) == by_records
+        by_records = outcome(lambda: [from_dict(DeadlineViolation, d) for d in docs])
+        by_columns = outcome(record_columns, DeadlineViolation, docs)
+        text = json.dumps(doc)
+        if by_records == "rejected":
+            assert by_columns == "rejected"
+            expected = "rejected"
+        else:
+            fields = [f.name for f in dataclasses.fields(DeadlineViolation)]
+            assert by_columns == {name: [getattr(r, name) for r in by_records] for name in fields}
+            expected = record_counts(r.kind for r in by_records)
+        for reader in (import_structured, import_summary):
+            assert outcome(lambda: counts(reader(text).aggregates)) == expected
 
 
 class TestCompare:

@@ -363,8 +363,7 @@ class TestSimulateCommand:
         code = main(["simulate", str(SCENARIOS / "deadline-150us.json"), "--output", stem])
         assert code == 2
         report = import_structured((tmp_path / "d150.json").read_text())
-        safeties = [v for v in report.aggregates.violations if v.kind == "safety"]
-        assert len(safeties) == 1
+        assert report.aggregates.safety_violations == 1
 
     def test_below_deadline_exits_0(self, tmp_path, capsys):
         code = main(["simulate", str(SCENARIOS / "deadline-80us.json"), "--output", str(tmp_path / "d80")])

@@ -19,6 +19,7 @@ from acqsim import (
     GigEVisionIf,
     HostMemory,
     InvalidSpecError,
+    InvalidTopologyError,
     LinkStage,
     OverheadModel,
     PCIeLink,
@@ -31,6 +32,7 @@ from acqsim import (
     USB3If,
     build_classic,
     build_direct,
+    check_deadlines,
     copy_count,
     export_structured,
     import_structured,
@@ -38,7 +40,7 @@ from acqsim import (
     topology_digest,
     validate,
 )
-from acqsim.linkmodel import LINK_KINDS
+from acqsim.linkmodel import LINK_KINDS, Link
 from acqsim.topology import (
     CUT_THROUGH,
     JSON_FORMS,
@@ -142,6 +144,14 @@ class TestValidate:
         )
         assert any(v.rule == "Sensor only at the head" and v.stage_index == 3 for v in validate(t))
 
+    @pytest.mark.parametrize("link", [Link(), "pcie"], ids=["bare-link", "string"])
+    def test_link_of_no_known_kind(self, link):
+        t = build_direct(CAM, link)
+        bad = [v for v in validate(t) if v.rule == "LinkStage carries a link of a known kind"]
+        assert len(bad) == 1 and bad[0].stage_index == 2
+        with pytest.raises(InvalidTopologyError, match="LinkStage carries a link of a known kind"):
+            run(t, SimConfig(seed=1, n_frames=1))
+
     def test_missing_tail_processor(self):
         t = Topology("bad", (Sensor(), BufferStage(1024), LinkStage(G3X4), HostMemory()), CAM)
         assert any(v.rule == "last stage is Processor" for v in validate(t))
@@ -215,7 +225,8 @@ class TestSerialization:
         )
         config = SimConfig(seed=3, n_frames=3, clock=ClockModel(5.0, 1.5, 2.0))
         report = run(topo, config)
-        assert report.aggregates.violations
+        misses = check_deadlines(report.frames, topo.deadlines, report.aggregates.timestamp_rms_ns)
+        assert misses
         links = [
             PCIeLink(4, 8, cable_length_m=12.5, protocol_efficiency=0.9),
             CameraLinkIf(config="medium", cable_length_m=5.0),
@@ -243,7 +254,7 @@ class TestSerialization:
                 (OverheadModel, OverheadModel(512, 20, 0.75)),
                 (ClockModel, config.clock),
                 (DeadlineSpec, topo.deadlines),
-                (DeadlineViolation, report.aggregates.violations[0]),
+                (DeadlineViolation, misses[0]),
                 (SimConfig, config),
                 (Aggregates, report.aggregates),
                 (Topology, topo),
@@ -256,15 +267,15 @@ class TestSerialization:
         covered = {type(record) for _, record in samples}
         assert set(JSON_FORMS) | set(LINK_KINDS.values()) | set(STAGE_KINDS.values()) <= covered
         for cls_or_kinds, record in samples:
-            text = json.dumps(to_dict(record))
             if cls_or_kinds is SimReport:  # its frames decode only with its topology's stage count
-                assert import_structured(text) == record
+                assert import_structured(export_structured(record)) == record
             else:
-                assert from_dict(cls_or_kinds, json.loads(text)) == record
+                assert from_dict(cls_or_kinds, json.loads(json.dumps(to_dict(record)))) == record
 
     def test_codec_rejects_unknown_keys(self):
         for cls_or_kinds, record in self.codec_samples():
-            doc = to_dict(record)
+            # A report's JSON object is its export, whose aggregates hold the violation records.
+            doc = json.loads(export_structured(record)) if cls_or_kinds is SimReport else to_dict(record)
             doc["unexpected"] = 1
             with pytest.raises(InvalidSpecError, match="unexpected"):
                 from_dict(cls_or_kinds, doc)
