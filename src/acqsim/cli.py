@@ -5,7 +5,8 @@ Exit codes:
   1  usage or configuration error (bad flags, malformed scenario,
      incomparable reports)
   2  simulation completed but deadline violations exist (for CI gating)
-  3  output could not be written
+  3  output could not be written (a report file, or stdout once its
+     reader has gone, as in `acqsim compare a.json b.json | head -5`)
 """
 
 from __future__ import annotations
@@ -201,21 +202,23 @@ def _cmd_simulate(args) -> int:
         try:
             for suffix in suffixes:
                 _write(base + suffix, exporters[suffix](report))
-                print(f"wrote {base}{suffix}")
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_IO
+        for suffix in suffixes:
+            print(f"wrote {base}{suffix}")
 
         a = report.aggregates
         print(
             f"{topo.name}: generated={a.generated} delivered={a.delivered} "
             f"dropped={a.dropped} in_flight={a.in_flight}"
         )
-        print(
-            f"{topo.name}: latency ns min={a.latency_min_ns} p50={a.latency_p50_ns} "
-            f"p99={a.latency_p99_ns} max={a.latency_max_ns} "
-            f"throughput={a.throughput_gbps:.6f} Gb/s"
+        latency = (
+            f"min={a.latency_min_ns} p50={a.latency_p50_ns} p99={a.latency_p99_ns} max={a.latency_max_ns}"
+            if a.delivered
+            else "n/a (no frame delivered)"  # the report keeps its zeros
         )
+        print(f"{topo.name}: latency ns {latency} throughput={a.throughput_gbps:.6f} Gb/s")
         print(
             f"{topo.name}: timestamp rms={a.timestamp_rms_ns:.3f} ns, "
             f"violations: safety={a.safety_violations} control={a.control_violations} "
@@ -261,10 +264,10 @@ def _cmd_compare(args) -> int:
     if args.output is not None:
         try:
             _write(args.output, json.dumps(table, sort_keys=True, indent=2) + "\n")
-            print(f"wrote {args.output}")
         except OSError as exc:
             print(f"error: cannot write delta table: {exc}", file=sys.stderr)
             return EXIT_IO
+        print(f"wrote {args.output}")
     return EXIT_OK
 
 
@@ -284,10 +287,17 @@ def main(argv=None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return commands[args.command](args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a stdout whose reader has gone fails here, not at exit
+    except BrokenPipeError:
+        # Send what is still buffered to the null device, so that the flush
+        # at exit cannot fail again (the SIGPIPE note of the signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     finally:
         if was_enabled:
             gc.enable()
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

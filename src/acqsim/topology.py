@@ -20,7 +20,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from operator import itemgetter
 from random import Random
 from typing import Optional
@@ -95,10 +95,11 @@ class ProcessingModel:
 
 
 @dataclass(frozen=True)
-class Sensor:
-    fixed_latency_ns: int = 0
+class Stage:
+    """A stage that holds a frame: the fixed latency every kind but a link shares."""
 
-    kind = "sensor"
+    _: KW_ONLY
+    fixed_latency_ns: int = 0
 
     def __post_init__(self):
         if self.fixed_latency_ns < 0:
@@ -106,7 +107,12 @@ class Sensor:
 
 
 @dataclass(frozen=True)
-class BufferStage:
+class Sensor(Stage):
+    kind = "sensor"
+
+
+@dataclass(frozen=True)
+class BufferStage(Stage):
     """A frame memory with a forwarding discipline.
 
     Store-and-forward holds the whole frame before sending it on;
@@ -116,7 +122,6 @@ class BufferStage:
 
     capacity_bytes: int
     forwarding: str = STORE_AND_FORWARD
-    fixed_latency_ns: int = 0
 
     kind = "buffer"
 
@@ -125,8 +130,7 @@ class BufferStage:
             raise InvalidSpecError("buffer capacity must be positive")
         if self.forwarding not in (STORE_AND_FORWARD, CUT_THROUGH):
             raise InvalidSpecError(f"unknown forwarding mode {self.forwarding!r}")
-        if self.fixed_latency_ns < 0:
-            raise InvalidSpecError("fixed_latency_ns must be >= 0")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -137,50 +141,33 @@ class LinkStage:
 
 
 @dataclass(frozen=True)
-class FrameGrabber:
+class FrameGrabber(Stage):
     """Capture card buffer; always store-and-forward by construction."""
 
     capacity_bytes: int
-    fixed_latency_ns: int = 0
 
     kind = "frame_grabber"
 
     def __post_init__(self):
         if self.capacity_bytes <= 0:
             raise InvalidSpecError("frame grabber capacity must be positive")
-        if self.fixed_latency_ns < 0:
-            raise InvalidSpecError("fixed_latency_ns must be >= 0")
-
-    @property
-    def forwarding(self) -> str:
-        return STORE_AND_FORWARD
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class HostMemory:
+class HostMemory(Stage):
     """Infinite sink; holds frames until the next stage picks them up."""
-
-    fixed_latency_ns: int = 0
 
     kind = "host_memory"
 
-    def __post_init__(self):
-        if self.fixed_latency_ns < 0:
-            raise InvalidSpecError("fixed_latency_ns must be >= 0")
-
 
 @dataclass(frozen=True)
-class Processor:
+class Processor(Stage):
     """Single-server consumer; service time = fixed latency + drawn compute."""
 
     processing: ProcessingModel = field(default_factory=ProcessingModel)
-    fixed_latency_ns: int = 0
 
     kind = "processor"
-
-    def __post_init__(self):
-        if self.fixed_latency_ns < 0:
-            raise InvalidSpecError("fixed_latency_ns must be >= 0")
 
 
 # The link kinds a LinkStage can carry: the bare Link base has no raw rate.
@@ -289,7 +276,7 @@ def build_classic(
     """
     direct = build_direct(cam, pcie, name=name, camera_buffer_forwarding=camera_buffer_forwarding, **chain)
     sensor, camera_buffer, *rest = direct.stages
-    hop = (LinkStage(link=ci), FrameGrabber(grabber_capacity_bytes, grabber_latency_ns))
+    hop = (LinkStage(link=ci), FrameGrabber(grabber_capacity_bytes, fixed_latency_ns=grabber_latency_ns))
     return dataclasses.replace(direct, stages=(sensor, camera_buffer, *hop, *rest))
 
 
@@ -454,8 +441,14 @@ def decode_int_keyed(m, value=lambda v: v) -> dict:
     return {int(k): value(v) for k, v in check_int_keyed(m).items()}
 
 
-# JSON form of a map keyed by stage index: JSON object keys are strings.
-INT_KEYED = (lambda m: {str(k): v for k, v in m.items()}, decode_int_keyed)
+def _check_int(v) -> int:
+    if type(v) is not int:
+        raise InvalidSpecError(f"a map keyed by stage index must map each index to an integer, got {v!r}")
+    return v
+
+
+# JSON form of a map keyed by stage index to integers: JSON object keys are strings.
+INT_KEYED = (lambda m: {str(k): v for k, v in m.items()}, functools.partial(decode_int_keyed, value=_check_int))
 
 JSON_FORMS: dict = {
     Topology: {

@@ -119,12 +119,12 @@ def tie_cases(draw):
         kind = draw(st.sampled_from(["buffer", "grabber"] if emitter else ["buffer", "grabber", "host"]))
         if kind == "buffer":
             forwarding = draw(st.sampled_from([STORE_AND_FORWARD, CUT_THROUGH]))
-            return BufferStage(capacity(), forwarding, fixed())
+            return BufferStage(capacity(), forwarding, fixed_latency_ns=fixed())
         if kind == "grabber":
-            return FrameGrabber(capacity(), fixed())
-        return HostMemory(fixed())
+            return FrameGrabber(capacity(), fixed_latency_ns=fixed())
+        return HostMemory(fixed_latency_ns=fixed())
 
-    stages = [Sensor(fixed())]
+    stages = [Sensor(fixed_latency_ns=fixed())]
     for n, link in enumerate(links):
         # A link is preceded by the sensor, a buffer or a grabber.
         extra = draw(st.integers(0 if n == 0 else 1, 2))
@@ -137,7 +137,7 @@ def tie_cases(draw):
              ProcessingModel.uniform(0, 2 * period)]
         )
     )
-    stages.append(Processor(processing, fixed()))
+    stages.append(Processor(processing, fixed_latency_ns=fixed()))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EnvelopeWarning)

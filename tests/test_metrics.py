@@ -271,6 +271,9 @@ class TestStructuredExport:
             (("schema_version",), 2, r"unsupported schema_version 2 \(expected 1\)"),
             (("topology", "stages", 0), {"kind": "host_memory"}, "not runnable: first stage is Sensor"),
             *((("frames", 1, "stage_times", 6, 1), value, "an integer or null") for value in ("late", 2.5, True)),
+            *((path, value, "map each index to an integer")
+              for path in (("link_busy_ns", "2"), ("aggregates", "high_water_bytes", "1"))
+              for value in ("big", None, True, 1.5)),
         ],
         ids=[
             "frames-number",
@@ -292,6 +295,8 @@ class TestStructuredExport:
             "stage-times-string",
             "stage-times-float",
             "stage-times-bool",
+            *(f"{where}-{what}" for where in ("link-busy", "high-water")
+              for what in ("string", "null", "bool", "float")),
         ],
     )
     def test_malformed_report_parts_rejected(self, path, value, match):

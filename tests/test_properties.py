@@ -180,7 +180,7 @@ class TestEngineProperties:
             topo = make_topology(rng, generous_capacity=True)
             def with_forwarding(t, mode):
                 stages = tuple(
-                    BufferStage(s.capacity_bytes, mode, s.fixed_latency_ns)
+                    BufferStage(s.capacity_bytes, mode, fixed_latency_ns=s.fixed_latency_ns)
                     if isinstance(s, BufferStage)
                     else s
                     for s in t.stages

@@ -357,6 +357,24 @@ class TestSimulateCommand:
         report = import_structured((tmp_path / "direct.json").read_text())
         assert report.frames.latency_ns()[0] == 1_015_625
         assert (tmp_path / "direct.csv").exists()
+        out = capsys.readouterr().out.splitlines()
+        assert "direct-1mpx: latency ns min=1015625 p50=1015625 p99=1015625 max=1015625 " \
+               "throughput=7.876923 Gb/s" in out
+
+    def test_nothing_delivered_prints_no_latency(self, tmp_path, capsys):
+        # A camera buffer smaller than one frame drops every frame on arrival.
+        doc = json.loads((SCENARIOS / "direct-1mpx.json").read_text(encoding="utf-8"))
+        doc["camera_buffer_capacity_bytes"] = 1000
+        doc["sim"]["n_frames"] = 5
+        path = tmp_path / "tiny-buffer.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", str(path), "-o", str(tmp_path / "tiny")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "direct-1mpx: generated=5 delivered=0 dropped=5 in_flight=0" in out
+        assert "direct-1mpx: latency ns n/a (no frame delivered) throughput=0.000000 Gb/s" in out
+        # The report keeps its zero aggregates.
+        a = import_structured((tmp_path / "tiny.json").read_text()).aggregates
+        assert (a.latency_min_ns, a.latency_p50_ns, a.latency_p99_ns, a.latency_max_ns) == (0, 0, 0, 0)
 
     def test_deadline_violation_exits_2(self, tmp_path, capsys):
         stem = str(tmp_path / "d150")
@@ -621,6 +639,42 @@ class TestCompareCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert_clean_config_error("compare", str(good), str(bad))
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+class TestClosedStdout:
+    """A stdout whose reader has gone, as in `acqsim compare a.json b.json | head -5`,
+    ends the command with exit 3 and nothing on stderr, whether stdout is buffered or not."""
+
+    @staticmethod
+    def run_closed(unbuffered, *argv, cwd):
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        try:
+            return subprocess.run([sys.executable, "-m", "acqsim", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, cwd=cwd)
+        finally:
+            os.close(write)
+
+    def test_budget(self, unbuffered, tmp_path):
+        proc = self.run_closed(unbuffered, "budget", "--gen", "3", "--lanes", "1", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (3, "")
+
+    def test_simulate_writes_every_file(self, unbuffered, tmp_path, capsys):
+        scenario = str(SCENARIOS / "direct-1mpx.json")
+        proc = self.run_closed(unbuffered, "simulate", scenario, "-o", "p", cwd=tmp_path)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr and "error" not in proc.stderr
+        assert main(["simulate", scenario, "-o", str(tmp_path / "open")]) == 0
+        for suffix in (".json", ".csv"):
+            assert (tmp_path / ("p" + suffix)).read_bytes() == (tmp_path / ("open" + suffix)).read_bytes()
+
+    def test_compare(self, unbuffered, tmp_path, capsys):
+        assert main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "-o", str(tmp_path / "r")]) == 0
+        proc = self.run_closed(unbuffered, "compare", "r.json", "r.json", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (3, "")
 
 
 def _fuzz_scenarios() -> dict:

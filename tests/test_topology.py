@@ -41,6 +41,7 @@ from acqsim import (
     validate,
 )
 from acqsim.linkmodel import LINK_KINDS, Link
+from acqsim.simcore import DISPOSITION_DELIVERED, serialization_time_ns
 from acqsim.topology import (
     CUT_THROUGH,
     JSON_FORMS,
@@ -169,8 +170,18 @@ class TestStageSpecs:
         with pytest.raises(InvalidSpecError):
             BufferStage(1024, fixed_latency_ns=-1)
 
-    def test_grabber_always_store_and_forward(self):
-        assert FrameGrabber(1024).forwarding == STORE_AND_FORWARD
+    def test_grabber_stores_and_forwards(self):
+        # The PCIe link cannot finish a frame sooner than one whole transfer
+        # after the frame reached the grabber: nothing leaves before it is all in.
+        pcie = PCIeLink(3, 1)
+        topo = build_classic(CAM, CL, pcie)
+        assert isinstance(topo.stages[3], FrameGrabber) and topo.stages[4].link == pcie
+        frames = run(topo, SimConfig(seed=1, n_frames=20)).frames
+        whole = serialization_time_ns(CAM.frame_size_bytes, pcie)
+        delivered = [f for f, d in enumerate(frames.disposition) if d == DISPOSITION_DELIVERED]
+        assert len(delivered) == 20
+        for f in delivered:
+            assert frames.egress_ns[4][f] >= frames.ingress_ns[3][f] + whole
 
     def test_processing_model_validation(self):
         with pytest.raises(InvalidSpecError):
@@ -190,6 +201,27 @@ class TestStageSpecs:
         assert all(10 <= uni.draw(rng) <= 20 for _ in range(100))
         norm = ProcessingModel.normal(5.0, 50.0)
         assert all(norm.draw(rng) >= 0 for _ in range(200))
+
+
+# Each stage kind's own fields, in order, before the keyword-only fixed latency.
+_OWN_FIELDS = {
+    "sensor": {},
+    "buffer": {"capacity_bytes": 1024, "forwarding": STORE_AND_FORWARD},
+    "frame_grabber": {"capacity_bytes": 1024},
+    "host_memory": {},
+    "processor": {"processing": ProcessingModel()},
+}
+
+
+@pytest.mark.parametrize("kind", [k for k, cls in STAGE_KINDS.items() if cls is not LinkStage])
+def test_stage_shared_fields_checked(kind):
+    cls, own = STAGE_KINDS[kind], _OWN_FIELDS[kind]
+    with pytest.raises(InvalidSpecError, match="fixed_latency_ns must be >= 0"):
+        cls(**own, fixed_latency_ns=-1)
+    with pytest.raises(TypeError):
+        cls(*own.values(), 5)  # a fixed latency is keyword-only
+    assert to_dict(cls(**own))["fixed_latency_ns"] == 0
+    assert cls(**own, fixed_latency_ns=5).fixed_latency_ns == 5
 
 
 class TestSerialization:
