@@ -7,6 +7,13 @@ Exit codes:
   2  simulation completed but deadline violations exist (for CI gating)
   3  output could not be written (a report file, or stdout once its
      reader has gone, as in `acqsim compare a.json b.json | head -5`)
+
+`compare` reads its two reports in parallel where os.fork exists: a
+forked child reads report B while this process reads report A. It
+reads B itself instead when os.fork is missing, when other threads are
+running (forking them is unsafe), or when the child ends without a
+result. Each process peaks at one report's parse tree, but both trees
+are alive at once.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import gc
 import json
 import os
 import sys
+import threading
 import warnings
 
 from .linkmodel import (
@@ -58,6 +66,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        # argparse's own printer drops write errors; a stdout whose reader
+        # has gone must reach main's BrokenPipeError guard instead.
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
 
 
 def _build_parser() -> _Parser:
@@ -232,16 +247,78 @@ def _cmd_simulate(args) -> int:
 # --- compare ----------------------------------------------------------------
 
 
+_LOAD_ERRORS = (OSError, ValueError, KeyError)
+
+
+def _read_summary(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return import_summary(fh.read())
+
+
+def _read_summaries(path_a: str, path_b: str) -> tuple:
+    """Both reports' summaries; a forked child reads B while this process reads A.
+
+    A's error is raised first, as in a sequential read. B is read here
+    instead when os.fork is missing or fails, when other threads run, or
+    when the child ends without a result (a crash, a kill, an error that
+    does not pickle).
+    """
+    pid = None
+    if hasattr(os, "fork") and threading.active_count() == 1:  # forking other threads is unsafe
+        import pickle  # only here, so that the other commands do not import it
+
+        sys.stdout.flush()  # the child must not inherit buffered output
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
+        return _read_summary(path_a), _read_summary(path_b)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = _read_summary(path_b)
+            except _LOAD_ERRORS as exc:
+                result = exc
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            code = 0
+        finally:
+            os._exit(code)  # no exit handlers, no flush of the parent's files
+
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            summary_a = _read_summary(path_a)
+            payload = pipe.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)  # A failed, so B's result is not wanted
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if payload and os.waitstatus_to_exitcode(status) == 0:
+        result = pickle.loads(payload)
+    else:  # the child ended without a result
+        result = _read_summary(path_b)
+    if isinstance(result, BaseException):
+        raise result
+    return summary_a, result
+
+
 def _cmd_compare(args) -> int:
     try:
         # simulate already warned about any camera outside the envelope.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EnvelopeWarning)
-            with open(args.report_a, "r", encoding="utf-8") as fh:
-                report_a = import_summary(fh.read())
-            with open(args.report_b, "r", encoding="utf-8") as fh:
-                report_b = import_summary(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+            report_a, report_b = _read_summaries(args.report_a, args.report_b)
+    except _LOAD_ERRORS as exc:
         print(f"error: cannot load reports: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -273,13 +350,6 @@ def _cmd_compare(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return EXIT_CONFIG
-
     commands = {"budget": _cmd_budget, "simulate": _cmd_simulate, "compare": _cmd_compare}
     # The frame graphs a command builds hold no reference cycles
     # (tests/test_simcore.py::TestReferenceCycles), so collector passes over
@@ -287,8 +357,13 @@ def main(argv=None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = parser.parse_args(argv)  # --help prints and exits in here
         code = commands[args.command](args)
         sys.stdout.flush()  # a stdout whose reader has gone fails here, not at exit
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(parser.format_usage(), end="", file=sys.stderr)
+        return EXIT_CONFIG
     except BrokenPipeError:
         # Send what is still buffered to the null device, so that the flush
         # at exit cannot fail again (the SIGPIPE note of the signal docs).

@@ -2,12 +2,15 @@
 
 import copy
 import csv
+import errno
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -641,6 +644,132 @@ class TestCompareCommand:
         assert_clean_config_error("compare", str(good), str(bad))
 
 
+class TestParallelRead:
+    """compare reads report B in a forked child while it reads report A."""
+
+    @pytest.fixture()
+    def reports(self, tmp_path):
+        paths = {}
+        for name in ("classic-1mpx", "direct-1mpx"):
+            assert main(["simulate", str(SCENARIOS / f"{name}.json"), "-o", str(tmp_path / name)]) == 0
+            paths[name] = str(tmp_path / f"{name}.json")
+        doc = json.loads(Path(paths["direct-1mpx"]).read_text(encoding="utf-8"))
+        (tmp_path / "syntax.json").write_text("{", encoding="utf-8")
+        (tmp_path / "v2.json").write_text(json.dumps(dict(doc, schema_version=2)), encoding="utf-8")
+        paths.update(syntax=str(tmp_path / "syntax.json"), v2=str(tmp_path / "v2.json"),
+                     missing=str(tmp_path / "missing.json"))
+        return paths
+
+    @staticmethod
+    def compare_output(capsys, tmp_path, a, b):
+        capsys.readouterr()
+        delta = tmp_path / "delta.json"
+        delta.unlink(missing_ok=True)
+        code = main(["compare", a, b, "--output", str(delta)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, delta.read_bytes() if delta.exists() else None
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ("syntax", "direct-1mpx", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("direct-1mpx", "v2", "unsupported schema_version 2 (expected 1)"),
+            ("syntax", "v2", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("v2", "syntax", "unsupported schema_version 2 (expected 1)"),
+            ("classic-1mpx", "missing", "[Errno 2] No such file or directory: '{missing}'"),
+            ("missing", "v2", "[Errno 2] No such file or directory: '{missing}'"),
+        ],
+        ids=["a-bad", "b-bad", "both-bad", "both-bad-swapped", "b-missing", "a-missing"],
+    )
+    def test_error_precedence(self, reports, capsys, tmp_path, monkeypatch, fork, a, b, message):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        expected = f"error: cannot load reports: {message.format(missing=reports['missing'])}\n"
+        assert self.compare_output(capsys, tmp_path, reports[a], reports[b]) == (1, "", expected, None)
+
+    def test_output_identical_without_fork(self, reports, capsys, tmp_path, monkeypatch):
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        a, b = reports["classic-1mpx"], reports["direct-1mpx"]
+        parallel = self.compare_output(capsys, tmp_path, a, b)
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        assert self.compare_output(capsys, tmp_path, a, b) == parallel
+        assert parallel[0] == 0 and "copy_count" in parallel[1]
+
+    def test_other_threads_read_sequentially(self, reports, capsys, tmp_path, monkeypatch):
+        a, b = reports["classic-1mpx"], reports["direct-1mpx"]
+        expected = self.compare_output(capsys, tmp_path, a, b)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with another thread running"))
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert self.compare_output(capsys, tmp_path, a, b) == expected
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+
+    def test_failed_fork_reads_sequentially(self, reports, capsys, tmp_path, monkeypatch):
+        a, b = reports["classic-1mpx"], reports["direct-1mpx"]
+        expected = self.compare_output(capsys, tmp_path, a, b)
+
+        def no_process():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        open_fds = os.listdir("/dev/fd")
+        assert self.compare_output(capsys, tmp_path, a, b) == expected
+        assert os.listdir("/dev/fd") == open_fds  # the pipe is closed
+
+    @pytest.mark.parametrize("ending", ["exit", "kill", "unpicklable-error"])
+    def test_child_without_result_falls_back(self, reports, capsys, tmp_path, monkeypatch, ending):
+        class LocalError(ValueError):  # a local class does not pickle
+            pass
+
+        a, b = reports["classic-1mpx"], reports["direct-1mpx"]
+        sequential = self.compare_output(capsys, tmp_path, a, b)
+        parent = os.getpid()
+        read_summary = cli._read_summary
+
+        def child_ends(path):
+            if ending == "unpicklable-error":
+                raise LocalError(f"{os.getpid() == parent} {path}")
+            if os.getpid() != parent:
+                if ending == "exit":
+                    os._exit(0)  # a clean exit, but no result
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read_summary(path)
+
+        monkeypatch.setattr(cli, "_read_summary", child_ends)
+        if ending == "unpicklable-error":
+            # Both reads fail here, so A's error, raised by this process, is printed.
+            sequential = (1, "", f"error: cannot load reports: True {a}\n", None)
+        assert self.compare_output(capsys, tmp_path, a, b) == sequential
+
+    @pytest.mark.parametrize("a, b", [("classic-1mpx", "direct-1mpx"), ("missing", "direct-1mpx"),
+                                      ("classic-1mpx", "v2")], ids=["good", "a-missing", "b-bad"])
+    def test_no_child_left(self, reports, capsys, tmp_path, a, b):
+        self.compare_output(capsys, tmp_path, reports[a], reports[b])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_duplicated_stdout_in_a_pipe(self, reports, capsys, tmp_path):
+        a, b = reports["classic-1mpx"], reports["direct-1mpx"]
+        capsys.readouterr()
+        assert main(["compare", a, b]) == 0
+        expected = capsys.readouterr().out
+        # The line printed before main stays in stdout's buffer across the fork.
+        script = "import sys; from acqsim.cli import main; print('before'); sys.exit(main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONUNBUFFERED="")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, "compare", a, b], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before\n" + expected, "")
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 class TestClosedStdout:
     """A stdout whose reader has gone, as in `acqsim compare a.json b.json | head -5`,
@@ -674,6 +803,11 @@ class TestClosedStdout:
     def test_compare(self, unbuffered, tmp_path, capsys):
         assert main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "-o", str(tmp_path / "r")]) == 0
         proc = self.run_closed(unbuffered, "compare", "r.json", "r.json", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (3, "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]], ids=["acqsim", "simulate"])
+    def test_help(self, unbuffered, tmp_path, argv):
+        proc = self.run_closed(unbuffered, *argv, cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (3, "")
 
 
