@@ -8,12 +8,17 @@ Exit codes:
   3  output could not be written (a report file, or stdout once its
      reader has gone, as in `acqsim compare a.json b.json | head -5`)
 
-`compare` reads its two reports in parallel where os.fork exists: a
-forked child reads report B while this process reads report A. It
-reads B itself instead when os.fork is missing, when other threads are
-running (forking them is unsafe), or when the child ends without a
-result. Each process peaks at one report's parse tree, but both trees
-are alive at once.
+Where os.fork exists, two commands split their work with a forked child,
+one core each: `simulate --format both` builds the CSV text in the child
+while this process builds the JSON text, and `compare` reads report B in
+the child while this process reads report A. This process does the
+child's share itself when os.fork is missing or fails, when other threads
+are running (forking them is unsafe), or when the child ends without a
+result; `simulate` also does when a wrapper is installed on its tabular
+exporter. Files, stdout and exit codes are the same either way. Both
+processes hold memory at once: two parse trees for `compare`, and for
+`simulate` a second copy of most of the run's pages, since reading an
+object writes its reference count.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import sys
 import threading
 import warnings
 
+from . import metrics
 from .linkmodel import (
     PCIE_ALLOWED_LANES,
     PCIE_GENERATIONS,
@@ -155,12 +161,85 @@ def _cmd_budget(args) -> int:
     return EXIT_OK
 
 
+# --- two parts at once -------------------------------------------------------
+
+
+_LOAD_ERRORS = (OSError, ValueError, KeyError)
+
+
+def _parallel(here, there) -> tuple:
+    """(here(), there()), with there() run in a forked child while this process runs here().
+
+    The child sends there()'s result, or its error if it is one of
+    _LOAD_ERRORS, pickled over a pipe. here()'s error wins, and the child
+    is then killed. there() runs here instead when os.fork is missing or
+    fails, when other threads run, or when the child ends without a
+    result (a crash, a kill, any other error, or one that does not
+    pickle), so an unexpected error shows its own traceback.
+    """
+    pid = None
+    if hasattr(os, "fork") and threading.active_count() == 1:  # forking other threads is unsafe
+        import pickle  # only here, so that the commands that do not fork do not import it
+
+        sys.stdout.flush()  # the child must not inherit buffered output
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
+        return here(), there()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = there()
+            except _LOAD_ERRORS as exc:
+                result = exc
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            code = 0
+        finally:
+            os._exit(code)  # no exit handlers, no flush of the parent's files
+
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            result_here = here()
+            payload = pipe.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)  # here() failed, so there()'s result is not wanted
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if payload and os.waitstatus_to_exitcode(status) == 0:
+        result = pickle.loads(payload)
+    else:  # the child ended without a result
+        result = there()
+    if isinstance(result, BaseException):
+        raise result
+    return result_here, result
+
+
 # --- simulate ---------------------------------------------------------------
 
 
 def _write(path: str, content: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(content)
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether both paths name one existing file."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either is missing or cannot be read
+        return False
 
 
 def _cmd_simulate(args) -> int:
@@ -187,8 +266,10 @@ def _cmd_simulate(args) -> int:
     suffixes = {"structured": (".json",), "tabular": (".csv",), "both": (".json", ".csv")}[args.format]
     # Built per call, not at import, so that a wrapper installed on this module's exporters is the one called.
     exporters = {".json": export_structured, ".csv": export_tabular}
+    # A wrapper keeps what it records in the process that calls it, so a wrapped CSV exporter is called here.
+    parallel = args.format == "both" and export_tabular is metrics.export_tabular
     for path in (base + suffix for base in bases for suffix in suffixes):
-        if os.path.exists(path) and os.path.samefile(path, args.scenario):
+        if _same_file(path, args.scenario):
             print(f"error: output {path} would overwrite the scenario file", file=sys.stderr)
             return EXIT_CONFIG
     if multi:
@@ -215,8 +296,12 @@ def _cmd_simulate(args) -> int:
 
         base = bases[i]
         try:
-            for suffix in suffixes:
-                _write(base + suffix, exporters[suffix](report))
+            if parallel:
+                texts = _parallel(lambda: export_structured(report), lambda: export_tabular(report))
+            else:  # lazily, so that each text is built just before its write
+                texts = (exporters[suffix](report) for suffix in suffixes)
+            for suffix, text in zip(suffixes, texts):
+                _write(base + suffix, text)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -247,77 +332,23 @@ def _cmd_simulate(args) -> int:
 # --- compare ----------------------------------------------------------------
 
 
-_LOAD_ERRORS = (OSError, ValueError, KeyError)
-
-
 def _read_summary(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return import_summary(fh.read())
 
 
-def _read_summaries(path_a: str, path_b: str) -> tuple:
-    """Both reports' summaries; a forked child reads B while this process reads A.
-
-    A's error is raised first, as in a sequential read. B is read here
-    instead when os.fork is missing or fails, when other threads run, or
-    when the child ends without a result (a crash, a kill, an error that
-    does not pickle).
-    """
-    pid = None
-    if hasattr(os, "fork") and threading.active_count() == 1:  # forking other threads is unsafe
-        import pickle  # only here, so that the other commands do not import it
-
-        sys.stdout.flush()  # the child must not inherit buffered output
-        sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare
-            os.close(read_fd)
-            os.close(write_fd)
-    if pid is None:
-        return _read_summary(path_a), _read_summary(path_b)
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                result = _read_summary(path_b)
-            except _LOAD_ERRORS as exc:
-                result = exc
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(result))
-            code = 0
-        finally:
-            os._exit(code)  # no exit handlers, no flush of the parent's files
-
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            summary_a = _read_summary(path_a)
-            payload = pipe.read()
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)  # A failed, so B's result is not wanted
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if payload and os.waitstatus_to_exitcode(status) == 0:
-        result = pickle.loads(payload)
-    else:  # the child ended without a result
-        result = _read_summary(path_b)
-    if isinstance(result, BaseException):
-        raise result
-    return summary_a, result
-
-
 def _cmd_compare(args) -> int:
+    for path in (args.report_a, args.report_b):
+        if args.output is not None and _same_file(args.output, path):
+            print(f"error: output {args.output} would overwrite the report {path}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         # simulate already warned about any camera outside the envelope.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EnvelopeWarning)
-            report_a, report_b = _read_summaries(args.report_a, args.report_b)
+            report_a, report_b = _parallel(
+                lambda: _read_summary(args.report_a), lambda: _read_summary(args.report_b)
+            )
     except _LOAD_ERRORS as exc:
         print(f"error: cannot load reports: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,7 +28,14 @@ from acqsim import (
     summarize,
 )
 from acqsim.cli import main
-from acqsim.simcore import DISPOSITION_DROPPED
+from acqsim.scenario import load_scenario
+from acqsim.simcore import (
+    DISPOSITION_DELIVERED,
+    DISPOSITION_DROPPED,
+    DISPOSITION_IN_FLIGHT,
+    DROP_NEWEST,
+    DROP_OLDEST,
+)
 from conftest import benchmark_workloads, insert_stage, insertable_buffer, make_topology
 
 pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
@@ -263,6 +270,84 @@ def test_cable_shift_on_last_pcie_link(name):
     delivered = [(a, b) for a, b in zip(base.latency_ns(), shifted.latency_ns()) if a is not None]
     assert len(delivered) > 900  # overload-oldest delivers about half of its 2,000 frames
     assert all(b - a == shift_ns for a, b in delivered)
+
+
+SHIPPED = sorted(path.stem for path in SCENARIOS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", ["direct-steady", "classic-congested", *SHIPPED])
+def test_drop_policy_only_decides_drops(name):
+    # Metamorphic relation: the drop policy only picks which frames a full
+    # buffer sheds, so on a run that sheds none, drop_oldest and drop_newest
+    # give equal frames.  classic-congested's backlog reaches its first drop
+    # at frame 614 (test_first_drop_store_and_forward), so 600 frames queue
+    # deep without one.  overflow-8to4 overflows its buffer, so there the
+    # policies pick different frames.
+    sizes = {"direct-steady": 2_000, "classic-congested": 600}
+    if name in sizes:
+        scenario = parse_scenario(benchmark_workloads()[name](1, sizes[name]))
+    else:
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
+    topo, cfg = scenario.pipelines[0], scenario.configs()[0]
+    newest = run(topo, dataclasses.replace(cfg, drop_policy=DROP_NEWEST)).frames
+    oldest = run(topo, dataclasses.replace(cfg, drop_policy=DROP_OLDEST)).frames
+    if name == "overflow-8to4":
+        assert newest.disposition.count(DISPOSITION_DROPPED) == 9
+        assert oldest != newest
+    else:
+        assert DISPOSITION_DROPPED not in newest.disposition
+        assert oldest == newest
+
+
+def _cut(frames, limit: int) -> dict:
+    """The frames generated within limit, each time past limit erased and
+    each disposition following from the times that are left."""
+    n = sum(t <= limit for t in frames.generated_at_ns)
+
+    def erase(column):
+        return [t if t is not None and t <= limit else None for t in column[:n]]
+
+    delivered = [d == DISPOSITION_DELIVERED and t <= limit for d, t in zip(frames.disposition, frames.egress_ns[-1])]
+    dropped = [d == DISPOSITION_DROPPED and t <= limit for d, t in zip(frames.disposition, frames.drop_time_ns)]
+    return {
+        "scalars": [column[:n] for column in (frames.frame_id, frames.size_bytes, frames.generated_at_ns,
+                                              frames.camera_timestamp_ns, frames.timestamp_clamped)],
+        "ingress_ns": [erase(column) for column in frames.ingress_ns],
+        "egress_ns": [erase(column) for column in frames.egress_ns],
+        # A frame's bytes at a stage are counted when it enters the stage.
+        "buffer_bytes": [
+            [b if t is not None and t <= limit else None for b, t in zip(held[:n], ingress)]
+            for held, ingress in zip(frames.buffer_bytes, frames.ingress_ns)
+        ],
+        "disposition": [
+            DISPOSITION_DELIVERED if d else DISPOSITION_DROPPED if x else DISPOSITION_IN_FLIGHT
+            for d, x in zip(delivered[:n], dropped[:n])
+        ],
+        "drops": [
+            (stage, reason, t) if x else (None, None, None)
+            for stage, reason, t, x in zip(frames.drop_stage, frames.drop_reason, frames.drop_time_ns, dropped[:n])
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(benchmark_workloads()))
+def test_duration_prefix(name):
+    # Metamorphic relation: an event runs if and only if its time is within
+    # duration_ns, so a run cut at D is the longer run with every time past
+    # D erased.  The cut run's own times past D are erased too: a link's
+    # egress, for one, is set when its transmission ends, a propagation
+    # delay before it.
+    scenario = parse_scenario(benchmark_workloads()[name](1, 400))
+    topo, cfg = scenario.pipelines[0], scenario.configs()[0]
+    period = run(topo, dataclasses.replace(cfg, n_frames=2, duration_ns=None)).frames.generated_at_ns[1]
+    long = run(topo, dataclasses.replace(cfg, n_frames=None, duration_ns=400 * period - 1)).frames
+    assert len(long.frame_id) == 400
+    deliveries = [t for t in long.egress_ns[-1] if t is not None and t < 300 * period]
+    # Mid-period, at a generation instant, and at a delivery instant.
+    for limit in (150 * period + period // 3, 200 * period, max(deliveries)):
+        short = run(topo, dataclasses.replace(cfg, n_frames=None, duration_ns=limit)).frames
+        assert _cut(short, limit) == _cut(long, limit)
+    assert limit in short.egress_ns[-1]  # a delivery at the cut itself is kept
 
 
 class TestCriterion7PropertySuites:

@@ -6,6 +6,7 @@ import errno
 import gc
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -144,6 +145,15 @@ def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "acqsim", *argv], capture_output=True, text=True, env=env
     )
+
+
+def two_camera_scenario(tmp_path) -> str:
+    """overflow-8to4 with its camera twice, as a scenario file under tmp_path."""
+    doc = json.loads((SCENARIOS / "overflow-8to4.json").read_text(encoding="utf-8"))
+    doc["cameras"] = [doc["camera"], doc.pop("camera")]
+    path = tmp_path / "two-cameras.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 def assert_clean_config_error(*argv):
@@ -496,11 +506,7 @@ class TestSimulateCommand:
     def test_envelope_warning_is_one_clean_line(self, tmp_path):
         # Two cameras outside the envelope in the same way: one warning line
         # naming no library source, then the link-demand warning of each.
-        doc = json.loads((SCENARIOS / "overflow-8to4.json").read_text(encoding="utf-8"))
-        doc["cameras"] = [doc["camera"], doc.pop("camera")]
-        path = tmp_path / "two.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        proc = run_cli("simulate", str(path), "-o", str(tmp_path / "two"))
+        proc = run_cli("simulate", two_camera_scenario(tmp_path), "-o", str(tmp_path / "two"))
         assert proc.returncode == 0
         assert proc.stderr.splitlines() == [
             "warning: resolution 32768 px is outside the [1000000, 8000000] px envelope",
@@ -538,6 +544,22 @@ class TestCompareCommand:
         lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith(("#", "metric"))]
         for line in lines:
             assert line.split()[-1] in ("0", "0.000000")
+
+    @pytest.mark.parametrize("target", ["a", "b", "a-dotted", "a-with-b-missing"])
+    def test_output_onto_report_refused(self, two_reports, tmp_path, capsys, monkeypatch, target):
+        a, b = two_reports
+        if target == "a-with-b-missing":  # refused before either report is read
+            b = str(tmp_path / "missing.json")
+        (tmp_path / "sub").mkdir()
+        output = {"b": b, "a-dotted": str(tmp_path / "sub" / ".." / Path(a).name)}.get(target, a)
+        before = {a: Path(a).read_bytes(), **({b: Path(b).read_bytes()} if Path(b).exists() else {})}
+        monkeypatch.setattr(cli, "_read_summary", lambda path: pytest.fail(f"read {path}"))
+        capsys.readouterr()
+        assert main(["compare", a, b, "--output", output]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output {output} would overwrite the report {b if target == 'b' else a}\n"
+        assert {path: Path(path).read_bytes() for path in before} == before
 
     def test_mismatched_frame_counts_exit_1(self, tmp_path, capsys):
         doc = json.loads((SCENARIOS / "direct-1mpx.json").read_text())
@@ -768,6 +790,106 @@ class TestParallelRead:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", script, "compare", a, b], capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before\n" + expected, "")
+
+
+class TestParallelSimulate:
+    """simulate --format both builds the CSV text in a forked child while it builds the JSON text."""
+
+    @staticmethod
+    def simulate_output(capsys, tmp_path, scenario, *flags):
+        """Exit code, stdout, stderr and every written file's bytes by name."""
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        capsys.readouterr()
+        code = main(["simulate", scenario, "-o", str(out / "r"), *flags])
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return code, captured.out.replace(str(out), "<out>"), captured.err, files
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        return forks
+
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")) + ["two-cameras"])
+    def test_output_identical_without_fork(self, capsys, tmp_path, monkeypatch, forks, name):
+        scenario = two_camera_scenario(tmp_path) if name == "two-cameras" else str(SCENARIOS / f"{name}.json")
+        parallel = self.simulate_output(capsys, tmp_path, scenario)
+        pipelines = 2 if name == "two-cameras" else 1
+        assert len(forks) == pipelines
+        assert len(parallel[3]) == 2 * pipelines
+        monkeypatch.delattr(os, "fork")
+        assert self.simulate_output(capsys, tmp_path, scenario) == parallel
+
+    @pytest.mark.parametrize("ending", ["exit", "kill"])
+    def test_child_without_result_falls_back(self, capsys, tmp_path, monkeypatch, forks, ending):
+        scenario = str(SCENARIOS / "overflow-8to4.json")
+        sequential = self.simulate_output(capsys, tmp_path, scenario, "--format", "tabular")[3]
+        sequential.update(self.simulate_output(capsys, tmp_path, scenario, "--format", "structured")[3])
+        expected = self.simulate_output(capsys, tmp_path, scenario)
+        assert expected[3] == sequential
+        parent = os.getpid()
+        export_tabular = metrics.export_tabular
+
+        def child_ends(report):
+            if os.getpid() != parent:
+                if ending == "exit":
+                    os._exit(0)  # a clean exit, but no result
+                os.kill(os.getpid(), signal.SIGKILL)
+            return export_tabular(report)
+
+        # Installed as the library's own exporter too, so that simulate still forks.
+        monkeypatch.setattr(metrics, "export_tabular", child_ends)
+        monkeypatch.setattr(cli, "export_tabular", child_ends)
+        forks.clear()
+        assert self.simulate_output(capsys, tmp_path, scenario) == expected
+        assert forks == [1]
+
+    def test_wrapped_exporter_called_here(self, capsys, tmp_path, monkeypatch):
+        scenario = str(SCENARIOS / "classic-1mpx.json")
+        expected = self.simulate_output(capsys, tmp_path, scenario)
+        calls = []
+        export_tabular = metrics.export_tabular
+
+        def recorded(report):
+            calls.append(os.getpid())
+            return export_tabular(report)
+
+        monkeypatch.setattr(cli, "export_tabular", recorded)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a wrapped exporter"))
+        assert self.simulate_output(capsys, tmp_path, scenario) == expected
+        assert calls == [os.getpid()]
+
+    @pytest.mark.parametrize("fmt", ["structured", "tabular"])
+    def test_one_format_never_forks(self, capsys, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail(f"forked for --format {fmt}"))
+        code, _, _, files = self.simulate_output(capsys, tmp_path, str(SCENARIOS / "classic-1mpx.json"), "--format", fmt)
+        assert (code, list(files)) == (0, ["r.json" if fmt == "structured" else "r.csv"])
+
+    @pytest.mark.parametrize("scenario", ["classic-1mpx", "two-cameras"])
+    def test_no_child_left(self, capsys, tmp_path, forks, scenario):
+        path = two_camera_scenario(tmp_path) if scenario == "two-cameras" else str(SCENARIOS / f"{scenario}.json")
+        assert self.simulate_output(capsys, tmp_path, path)[0] == 0
+        assert forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+    def test_json_path_a_directory_exits_3(self, capsys, tmp_path, monkeypatch, fork):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        (tmp_path / "r.json").mkdir()
+        code = main(["simulate", str(SCENARIOS / "classic-1mpx.json"), "-o", str(tmp_path / "r")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.endswith(f"\nerror: cannot write report: [Errno 21] Is a directory: '{tmp_path / 'r.json'}'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
