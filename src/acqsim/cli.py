@@ -13,9 +13,9 @@ one core each: `simulate --format both` builds the CSV text in the child
 while this process builds the JSON text, and `compare` reads report B in
 the child while this process reads report A. This process does the
 child's share itself when os.fork is missing or fails, when other threads
-are running (forking them is unsafe), or when the child ends without a
-result; `simulate` also does when a wrapper is installed on its tabular
-exporter. Files, stdout and exit codes are the same either way. Both
+are running (forking them is unsafe), when stdout cannot be flushed before
+the fork, or when the child ends without a result; `simulate` also does
+when a wrapper is installed on its tabular exporter. Files, stdout and exit codes are the same either way. Both
 processes hold memory at once: two parse trees for `compare`, and for
 `simulate` a second copy of most of the run's pages, since reading an
 object writes its reference count.
@@ -172,23 +172,30 @@ def _parallel(here, there) -> tuple:
 
     The child sends there()'s result, or its error if it is one of
     _LOAD_ERRORS, pickled over a pipe. here()'s error wins, and the child
-    is then killed. there() runs here instead when os.fork is missing or
-    fails, when other threads run, or when the child ends without a
-    result (a crash, a kill, any other error, or one that does not
-    pickle), so an unexpected error shows its own traceback.
+    is then killed. there() runs here instead when os.fork is missing,
+    when other threads run, when the flush of stdout or stderr, the pipe
+    or the fork fails, or when the child ends without a result (a crash,
+    a kill, any other error, or one that does not pickle), so an
+    unexpected error shows its own traceback. A stdout whose reader has
+    gone thus fails at main's last flush, as without a fork, and not in
+    the caller.
     """
     pid = None
     if hasattr(os, "fork") and threading.active_count() == 1:  # forking other threads is unsafe
         import pickle  # only here, so that the commands that do not fork do not import it
 
-        sys.stdout.flush()  # the child must not inherit buffered output
-        sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
         try:
-            pid = os.fork()
-        except OSError:  # no process to spare
-            os.close(read_fd)
-            os.close(write_fd)
+            sys.stdout.flush()  # the child must not inherit buffered output
+            sys.stderr.flush()
+            read_fd, write_fd = os.pipe()
+        except OSError:  # a reader gone, or no descriptor to spare
+            pass
+        else:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                os.close(read_fd)
+                os.close(write_fd)
     if pid is None:
         return here(), there()
     if pid == 0:
@@ -266,7 +273,8 @@ def _cmd_simulate(args) -> int:
     suffixes = {"structured": (".json",), "tabular": (".csv",), "both": (".json", ".csv")}[args.format]
     # Built per call, not at import, so that a wrapper installed on this module's exporters is the one called.
     exporters = {".json": export_structured, ".csv": export_tabular}
-    # A wrapper keeps what it records in the process that calls it, so a wrapped CSV exporter is called here.
+    # A wrapper keeps what it records in the process that calls it, so a wrapped CSV exporter is called
+    # here. This keeps the benchmark's tracer working until it times _parallel itself (ROADMAP).
     parallel = args.format == "both" and export_tabular is metrics.export_tabular
     for path in (base + suffix for base in bases for suffix in suffixes):
         if _same_file(path, args.scenario):

@@ -878,6 +878,18 @@ class TestParallelSimulate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_failed_pipe_builds_here(self, capsys, tmp_path, monkeypatch, forks):
+        scenario = str(SCENARIOS / "classic-1mpx.json")
+        expected = self.simulate_output(capsys, tmp_path, scenario)
+
+        def no_descriptor():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_descriptor)
+        forks.clear()
+        assert self.simulate_output(capsys, tmp_path, scenario) == expected
+        assert forks == []
+
     @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
     def test_json_path_a_directory_exits_3(self, capsys, tmp_path, monkeypatch, fork):
         if not fork:
@@ -921,6 +933,19 @@ class TestClosedStdout:
         assert main(["simulate", scenario, "-o", str(tmp_path / "open")]) == 0
         for suffix in (".json", ".csv"):
             assert (tmp_path / ("p" + suffix)).read_bytes() == (tmp_path / ("open" + suffix)).read_bytes()
+
+    def test_simulate_two_cameras(self, unbuffered, tmp_path, capsys):
+        scenario = two_camera_scenario(tmp_path)
+        proc = self.run_closed(unbuffered, "simulate", scenario, "-o", "p", cwd=tmp_path)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr and "error" not in proc.stderr
+        assert main(["simulate", scenario, "-o", str(tmp_path / "open")]) == 0
+        written = sorted(p.name for p in tmp_path.glob("p-*"))
+        if not unbuffered:  # the last flush fails, after every file
+            assert written == ["p-cam0.csv", "p-cam0.json", "p-cam1.csv", "p-cam1.json"]
+        # An unbuffered stdout still fails at the first line, before any file is written.
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("p-", "open-")).read_bytes()
 
     def test_compare(self, unbuffered, tmp_path, capsys):
         assert main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "-o", str(tmp_path / "r")]) == 0
