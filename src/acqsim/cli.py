@@ -15,10 +15,10 @@ the child while this process reads report A. This process does the
 child's share itself when os.fork is missing or fails, when other threads
 are running (forking them is unsafe), when stdout cannot be flushed before
 the fork, or when the child ends without a result; `simulate` also does
-when a wrapper is installed on its tabular exporter. Files, stdout and exit codes are the same either way. Both
-processes hold memory at once: two parse trees for `compare`, and for
-`simulate` a second copy of most of the run's pages, since reading an
-object writes its reference count.
+when a wrapper is installed on its tabular exporter. Files, stdout and
+exit codes are the same either way. Both processes hold memory at once:
+two parse trees for `compare`, and for `simulate` a second copy of most
+of the run's pages, since reading an object writes its reference count.
 """
 
 from __future__ import annotations
