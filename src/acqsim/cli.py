@@ -5,27 +5,21 @@ Exit codes:
   1  usage or configuration error (bad flags, malformed scenario,
      incomparable reports)
   2  simulation completed but deadline violations exist (for CI gating)
-  3  output could not be written (a report file, or stdout once its
-     reader has gone, as in `acqsim compare a.json b.json | head -5`)
+  3  output could not be written: a report file, or stdout
 
-Where os.fork exists, two commands split their work with a forked child,
-one core each: `simulate --format both` builds the CSV text in the child
-while this process builds the JSON text, and `compare` reads report B in
-the child while this process reads report A. This process does the
-child's share itself when os.fork is missing or fails, when other threads
-are running (forking them is unsafe), when stdout cannot be flushed before
-the fork, or when the child ends without a result; `simulate` also does
-when a wrapper is installed on its tabular exporter. Files, stdout and
-exit codes are the same either way. Both processes hold memory at once:
-two parse trees for `compare`, and for `simulate` a second copy of most
-of the run's pages, since reading an object writes its reference count.
+A command writes its files, then its stdout: main holds what the command
+prints and writes it once, at the end. Where os.fork exists, `simulate
+--format both` and `compare` split their work with a forked child, one
+core each (_parallel), to the same files, stdout and exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import os
 import sys
@@ -72,13 +66,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-    def print_help(self, file=None):
-        # argparse's own printer drops write errors; a stdout whose reader
-        # has gone must reach main's BrokenPipeError guard instead.
-        file = file or sys.stdout
-        file.write(self.format_help())
-        file.flush()
 
 
 def _build_parser() -> _Parser:
@@ -171,24 +158,20 @@ def _parallel(here, there) -> tuple:
     """(here(), there()), with there() run in a forked child while this process runs here().
 
     The child sends there()'s result, or its error if it is one of
-    _LOAD_ERRORS, pickled over a pipe. here()'s error wins, and the child
-    is then killed. there() runs here instead when os.fork is missing,
-    when other threads run, when the flush of stdout or stderr, the pipe
-    or the fork fails, or when the child ends without a result (a crash,
-    a kill, any other error, or one that does not pickle), so an
-    unexpected error shows its own traceback. A stdout whose reader has
-    gone thus fails at main's last flush, as without a fork, and not in
-    the caller.
+    _LOAD_ERRORS, pickled over a pipe, and leaves through os._exit, so it
+    writes no buffer it inherited. here()'s error wins, and the child is
+    then killed. there() runs here instead when os.fork is missing, when
+    other threads run, when the pipe or the fork fails, or when the child
+    ends without a result (a crash, a kill, any other error, or one that
+    does not pickle), so an unexpected error shows its own traceback.
     """
     pid = None
     if hasattr(os, "fork") and threading.active_count() == 1:  # forking other threads is unsafe
         import pickle  # only here, so that the commands that do not fork do not import it
 
         try:
-            sys.stdout.flush()  # the child must not inherit buffered output
-            sys.stderr.flush()
             read_fd, write_fd = os.pipe()
-        except OSError:  # a reader gone, or no descriptor to spare
+        except OSError:  # no descriptor to spare
             pass
         else:
             try:
@@ -396,21 +379,34 @@ def main(argv=None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        args = parser.parse_args(argv)  # --help prints and exits in here
-        code = commands[args.command](args)
-        sys.stdout.flush()  # a stdout whose reader has gone fails here, not at exit
+        with contextlib.redirect_stdout(io.StringIO()) as held:  # written below, after every file
+            args = parser.parse_args(argv)  # --help prints and exits in here
+            code = commands[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return EXIT_CONFIG
-    except BrokenPipeError:
-        # Send what is still buffered to the null device, so that the flush
-        # at exit cannot fail again (the SIGPIPE note of the signal docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_IO
+    except SystemExit as exc:  # from --help
+        code = exc.code
     finally:
         if was_enabled:
             gc.enable()
+
+    text = held.getvalue()
+    if not text:
+        return code
+    if sys.stdout is None:  # closed from the start, as by `>&-`
+        print("error: cannot write stdout: it is closed", file=sys.stderr)
+        return EXIT_IO
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Send what is still buffered to the null device, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that has gone needs no message
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_IO
     return code
 
 

@@ -299,13 +299,16 @@ def export_structured(report: SimReport) -> str:
 
 
 def _import(text: str) -> tuple:
-    """A structured report of this schema version and a runnable topology
-    whose frames are still their checked JSON objects, and those frames'
-    stage_times and buffer_bytes (check_frames)."""
+    """A structured report of this schema version that carries the digest and
+    name of its runnable topology and whose frames are still their checked
+    JSON objects, and those frames' stage_times and buffer_bytes (check_frames)."""
     report = from_dict(SimReport, json.loads(text))
     problems = validate(report.topology)
     if problems:
         raise InvalidSpecError(f"report topology is not runnable: {'; '.join(v.rule for v in problems)}")
+    for key, expected in (("digest", topology_digest(report.topology)), ("scenario", report.topology.name)):
+        if getattr(report, key) != expected:
+            raise InvalidSpecError(f"report {key} {getattr(report, key)!r} is not its topology's {expected!r}")
     return report, check_frames(report.frames, len(report.topology.stages))
 
 

@@ -385,12 +385,12 @@ def _check_array(docs) -> None:
         raise InvalidSpecError(f"a sequence of records must be a JSON array, got {type(docs).__name__}")
 
 
-def many(cls_or_kinds, container=list) -> tuple:
-    """JSON form of a field holding a sequence of records."""
+def many(cls_or_kinds) -> tuple:
+    """JSON form of a field holding a tuple of records."""
 
     def decode(docs):
         _check_array(docs)
-        return container([from_dict(cls_or_kinds, doc) for doc in docs])
+        return tuple(from_dict(cls_or_kinds, doc) for doc in docs)
 
     return lambda records: [to_dict(r) for r in records], decode
 
@@ -436,8 +436,8 @@ def check_int_keyed(m) -> dict:
     return m
 
 
-def decode_int_keyed(m, value=lambda v: v) -> dict:
-    """A map keyed by stage index from its JSON object, whose keys are strings."""
+def decode_int_keyed(m, value) -> dict:
+    """A map keyed by stage index from its JSON object, whose keys are strings, each value put through value()."""
     return {int(k): value(v) for k, v in check_int_keyed(m).items()}
 
 
@@ -454,7 +454,7 @@ JSON_FORMS: dict = {
     Topology: {
         "camera": one(CameraSpec),
         "deadlines": one(DeadlineSpec),
-        "stages": many(STAGE_KINDS, tuple),
+        "stages": many(STAGE_KINDS),
     },
     LinkStage: {"link": one(LINK_KINDS)},
     Processor: {"processing": one(ProcessingModel)},

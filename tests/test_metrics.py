@@ -270,6 +270,8 @@ class TestStructuredExport:
             (("aggregates", "high_water_bytes"), {"01": 5, "1": 6}, "non-index key"),
             (("schema_version",), 2, r"unsupported schema_version 2 \(expected 1\)"),
             (("topology", "stages", 0), {"kind": "host_memory"}, "not runnable: first stage is Sensor"),
+            (("digest",), "0000000000000000", "report digest '0000000000000000' is not its topology's"),
+            (("scenario",), "other", "report scenario 'other' is not its topology's"),
             *((("frames", 1, "stage_times", 6, 1), value, "an integer or null") for value in ("late", 2.5, True)),
             *((path, value, "map each index to an integer")
               for path in (("link_busy_ns", "2"), ("aggregates", "high_water_bytes", "1"))
@@ -292,6 +294,8 @@ class TestStructuredExport:
             "high-water-colliding-keys",
             "schema-version-2",
             "topology-without-sensor",
+            "digest-of-another-topology",
+            "scenario-of-another-name",
             "stage-times-string",
             "stage-times-float",
             "stage-times-bool",

@@ -3,6 +3,7 @@
 import copy
 import csv
 import errno
+import functools
 import gc
 import json
 import os
@@ -640,6 +641,7 @@ class TestCompareCommand:
             (("occupancy", "1"), 5),
             (("schema_version",), 2),
             (("topology", "stages", 0), {"kind": "host_memory"}),
+            (("digest",), "0000000000000000"),
         ],
         ids=[
             "frame-number",
@@ -655,6 +657,7 @@ class TestCompareCommand:
             "occupancy-trace-number",
             "schema-version-2",
             "topology-without-sensor",
+            "digest-of-another-topology",
         ],
     )
     def test_malformed_report_exits_1_without_traceback(self, tmp_path, capsys, path, value):
@@ -904,20 +907,37 @@ class TestParallelSimulate:
             os.waitpid(-1, os.WNOHANG)
 
 
+# The stderr of a command whose stdout is /dev/full ("full") or closed from the start ("none").
+STDOUT_ERRORS = {
+    "full": f"error: cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n",
+    "none": "error: cannot write stdout: it is closed\n",
+}
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 class TestClosedStdout:
-    """A stdout whose reader has gone, as in `acqsim compare a.json b.json | head -5`,
-    ends the command with exit 3 and nothing on stderr, whether stdout is buffered or not."""
+    """A stdout that cannot be written ends the command with exit 3 once it has
+    written every file, whether stdout is buffered or not. A reader that has
+    gone, as in `acqsim compare a.json b.json | head -5`, leaves stderr empty;
+    a full device or no stdout at all gives one error line."""
 
     @staticmethod
-    def run_closed(unbuffered, *argv, cwd):
-        read, write = os.pipe()
-        os.close(read)
+    def run_closed(unbuffered, *argv, cwd, stdout="gone"):
+        """`python -m acqsim *argv` with stdout a pipe whose reader has gone,
+        /dev/full ("full") or closed from the start ("none")."""
         env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "acqsim", *argv]
+        if stdout == "none":
+            command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+        run = functools.partial(subprocess.run, command, stderr=subprocess.PIPE, text=True, env=env, cwd=cwd)
+        if stdout == "full":
+            with open("/dev/full", "wb") as full:
+                return run(stdout=full)
+        read, write = os.pipe()
+        os.close(read)
         try:
-            return subprocess.run([sys.executable, "-m", "acqsim", *argv], stdout=write,
-                                  stderr=subprocess.PIPE, text=True, env=env, cwd=cwd)
+            return run(stdout=write)
         finally:
             os.close(write)
 
@@ -941,21 +961,46 @@ class TestClosedStdout:
         assert "Traceback" not in proc.stderr and "error" not in proc.stderr
         assert main(["simulate", scenario, "-o", str(tmp_path / "open")]) == 0
         written = sorted(p.name for p in tmp_path.glob("p-*"))
-        if not unbuffered:  # the last flush fails, after every file
-            assert written == ["p-cam0.csv", "p-cam0.json", "p-cam1.csv", "p-cam1.json"]
-        # An unbuffered stdout still fails at the first line, before any file is written.
+        assert written == ["p-cam0.csv", "p-cam0.json", "p-cam1.csv", "p-cam1.json"]
         for name in written:
             assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("p-", "open-")).read_bytes()
 
     def test_compare(self, unbuffered, tmp_path, capsys):
         assert main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "-o", str(tmp_path / "r")]) == 0
-        proc = self.run_closed(unbuffered, "compare", "r.json", "r.json", cwd=tmp_path)
+        proc = self.run_closed(unbuffered, "compare", "r.json", "r.json", "--output", "d.json", cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (3, "")
+        report = str(tmp_path / "r.json")
+        assert main(["compare", report, report, "--output", str(tmp_path / "open.json")]) == 0
+        assert (tmp_path / "d.json").read_bytes() == (tmp_path / "open.json").read_bytes()
 
     @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]], ids=["acqsim", "simulate"])
     def test_help(self, unbuffered, tmp_path, argv):
         proc = self.run_closed(unbuffered, *argv, cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (3, "")
+
+    @pytest.mark.parametrize("stdout", ["full", "none"])
+    @pytest.mark.parametrize("command", ["budget", "simulate", "compare", "help"])
+    def test_unwritable_stdout_one_error_line(self, unbuffered, tmp_path, capsys, stdout, command):
+        if stdout == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        scenario = str(SCENARIOS / "direct-1mpx.json")
+        report = str(tmp_path / "r.json")
+        assert main(["simulate", scenario, "-o", str(tmp_path / "r")]) == 0
+        assert main(["compare", report, report, "--output", str(tmp_path / "d.json")]) == 0
+        argv, files = {
+            "budget": (["budget", "--gen", "3", "--lanes", "1"], {}),
+            "simulate": (["simulate", scenario, "-o", "p"], {"p.json": "r.json", "p.csv": "r.csv"}),
+            "compare": (["compare", "r.json", "r.json", "--output", "p.json"], {"p.json": "d.json"}),
+            "help": (["--help"], {}),
+        }[command]
+        proc = self.run_closed(unbuffered, *argv, cwd=tmp_path, stdout=stdout)
+        assert proc.returncode == 3
+        # simulate warns that direct-1mpx's camera outruns a link.
+        errors = "".join(line for line in proc.stderr.splitlines(keepends=True) if not line.startswith("warning: "))
+        assert errors == STDOUT_ERRORS[stdout]
+        assert sorted(p.name for p in tmp_path.glob("p.*")) == sorted(files)
+        for name, expected in files.items():
+            assert (tmp_path / name).read_bytes() == (tmp_path / expected).read_bytes()
 
 
 def _fuzz_scenarios() -> dict:
