@@ -7,8 +7,10 @@ Exit codes:
   2  simulation completed but deadline violations exist (for CI gating)
   3  output could not be written: a report file, or stdout
 
-A command writes its files, then its stdout: main holds what the command
-prints and writes it once, at the end. Where os.fork exists, `simulate
+A command that cannot go on raises; main alone prints its one `error: `
+line and picks the exit code. A command writes its files, then its
+stdout: main holds what the command prints and writes it once, at the
+end, after any error line. Where os.fork exists, `simulate
 --format both` and `compare` split their work with a forked child, one
 core each (_parallel), to the same files, stdout and exit code.
 """
@@ -61,6 +63,10 @@ class _UsageError(Exception):
     pass
 
 
+class _Failure(Exception):
+    """_Failure(code, message): the command stops, and main prints `error: <message>` and exits with code."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems instead of exiting with 2."""
 
@@ -109,18 +115,15 @@ def _build_parser() -> _Parser:
 
 def _cmd_budget(args) -> int:
     if args.gen is not None and args.gen not in PCIE_GENERATIONS:
-        print(f"error: --gen must be 1..5, got {args.gen}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Failure(EXIT_CONFIG, f"--gen must be 1..5, got {args.gen}")
     if args.lanes is not None and args.lanes not in PCIE_ALLOWED_LANES:
-        print(f"error: --lanes must be one of 1/2/4/8/16, got {args.lanes}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Failure(EXIT_CONFIG, f"--lanes must be one of 1/2/4/8/16, got {args.lanes}")
 
     given = vars(args)
     overhead = {f.name: given[f.name] for f in dataclasses.fields(OverheadModel) if f.name in given}
     if overhead and "efficiency" in given:
         flags = "--max-payload, --header-overhead or --flow-control"
-        print(f"error: --efficiency cannot be combined with {flags}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Failure(EXIT_CONFIG, f"--efficiency cannot be combined with {flags}")
 
     generations = (args.gen,) if args.gen is not None else PCIE_GENERATIONS
     lanes = (args.lanes,) if args.lanes is not None else PCIE_ALLOWED_LANES
@@ -129,18 +132,13 @@ def _cmd_budget(args) -> int:
     if args.all:
         generations, lanes = PCIE_GENERATIONS, PCIE_ALLOWED_LANES
 
-    try:
-        efficiency = OverheadModel(**overhead).efficiency if overhead else given.get("efficiency", 1.0)
-        rows = budget_table(
-            generations=generations,
-            lane_set=lanes,
-            include_presets=include_presets,
-            protocol_efficiency=efficiency,
-        )
-    except InvalidSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    efficiency = OverheadModel(**overhead).efficiency if overhead else given.get("efficiency", 1.0)
+    rows = budget_table(
+        generations=generations,
+        lane_set=lanes,
+        include_presets=include_presets,
+        protocol_efficiency=efficiency,
+    )
     print(f"# protocol efficiency: {efficiency:.6f}")
     print(f"{'link':<20} {'rate_gbps':>12}")
     for row in rows:
@@ -237,12 +235,8 @@ def _cmd_simulate(args) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", EnvelopeWarning)
             scenario = load_scenario(args.scenario)
-    except (ScenarioError, InvalidSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Failure(EXIT_CONFIG, f"cannot read scenario: {exc}")
     for message in dict.fromkeys(str(w.message) for w in caught):  # each distinct message once, in order
         print(f"warning: {message}", file=sys.stderr)
 
@@ -261,8 +255,7 @@ def _cmd_simulate(args) -> int:
     parallel = args.format == "both" and export_tabular is metrics.export_tabular
     for path in (base + suffix for base in bases for suffix in suffixes):
         if _same_file(path, args.scenario):
-            print(f"error: output {path} would overwrite the scenario file", file=sys.stderr)
-            return EXIT_CONFIG
+            raise _Failure(EXIT_CONFIG, f"output {path} would overwrite the scenario file")
     if multi:
         demand = aggregate_rate(scenario.cameras)
         print(f"aggregate camera demand: {demand:.3f} Gb/s over {len(scenario.cameras)} pipelines")
@@ -279,11 +272,7 @@ def _cmd_simulate(args) -> int:
                         f"{-verdict.margin_gbps:.3f} Gb/s",
                         file=sys.stderr,
                     )
-        try:
-            report = run(topo, cfg)
-        except InvalidSpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        report = run(topo, cfg)
 
         base = bases[i]
         try:
@@ -294,8 +283,7 @@ def _cmd_simulate(args) -> int:
             for suffix, text in zip(suffixes, texts):
                 _write(base + suffix, text)
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return EXIT_IO
+            raise _Failure(EXIT_IO, f"cannot write report: {exc}")
         for suffix in suffixes:
             print(f"wrote {base}{suffix}")
 
@@ -331,8 +319,7 @@ def _read_summary(path: str):
 def _cmd_compare(args) -> int:
     for path in (args.report_a, args.report_b):
         if args.output is not None and _same_file(args.output, path):
-            print(f"error: output {args.output} would overwrite the report {path}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise _Failure(EXIT_CONFIG, f"output {args.output} would overwrite the report {path}")
     try:
         # simulate already warned about any camera outside the envelope.
         with warnings.catch_warnings():
@@ -341,14 +328,11 @@ def _cmd_compare(args) -> int:
                 lambda: _read_summary(args.report_a), lambda: _read_summary(args.report_b)
             )
     except _LOAD_ERRORS as exc:
-        print(f"error: cannot load reports: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+        raise _Failure(EXIT_CONFIG, f"cannot load reports: {exc}")
     try:
         table = compare(report_a, report_b)
     except IncomparableRunsError as exc:
-        print(f"error: incomparable runs: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise _Failure(EXIT_CONFIG, f"incomparable runs: {exc}")
 
     print(f"# a: {report_a.scenario} ({report_a.digest})")
     print(f"# b: {report_b.scenario} ({report_b.digest})")
@@ -364,8 +348,7 @@ def _cmd_compare(args) -> int:
         try:
             _write(args.output, json.dumps(table, sort_keys=True, indent=2) + "\n")
         except OSError as exc:
-            print(f"error: cannot write delta table: {exc}", file=sys.stderr)
-            return EXIT_IO
+            raise _Failure(EXIT_IO, f"cannot write delta table: {exc}")
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -388,6 +371,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SystemExit as exc:  # from --help
         code = exc.code
+    except (_Failure, ScenarioError, InvalidSpecError) as exc:
+        code, message = exc.args if isinstance(exc, _Failure) else (EXIT_CONFIG, str(exc))
+        print(f"error: {message}", file=sys.stderr)
     finally:
         if was_enabled:
             gc.enable()

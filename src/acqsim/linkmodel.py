@@ -384,13 +384,9 @@ class BudgetRow:
 # The interface presets budget_table lists after the PCIe matrix: label,
 # link class and the class's parameters.
 _PRESETS = (
-    ("camera-link-base", CameraLinkIf, {"config": "base"}),
-    ("camera-link-medium", CameraLinkIf, {"config": "medium"}),
-    ("camera-link-full", CameraLinkIf, {"config": "full"}),
-    *((grade, CoaXPressIf, {"speed_grade": grade})
-      for grade in ("cxp1", "cxp2", "cxp3", "cxp5", "cxp6", "cxp10", "cxp12")),
-    ("gige-1g", GigEVisionIf, {"rate_preset": "1g"}),
-    ("gige-10g", GigEVisionIf, {"rate_preset": "10g"}),
+    *((f"camera-link-{config}", CameraLinkIf, {"config": config}) for config in _CAMERALINK_BITS),
+    *((grade, CoaXPressIf, {"speed_grade": grade}) for grade in _CXP_GBPS),
+    *((f"gige-{preset}", GigEVisionIf, {"rate_preset": preset}) for preset in _GIGE_GBPS),
     ("clhs-x1", CLHSIf, {"lanes": 1}),
     ("usb3", USB3If, {}),
 )

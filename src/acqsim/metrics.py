@@ -36,6 +36,7 @@ from .topology import (
     JSON_FORMS,
     Topology,
     check_int_keyed,
+    check_runnable,
     copy_count,
     decode_int_keyed,
     from_dict,
@@ -43,7 +44,6 @@ from .topology import (
     record_columns,
     to_dict,
     topology_digest,
-    validate,
 )
 
 SCHEMA_VERSION = 1
@@ -302,10 +302,12 @@ def _import(text: str) -> tuple:
     """A structured report of this schema version that carries the digest and
     name of its runnable topology and whose frames are still their checked
     JSON objects, and those frames' stage_times and buffer_bytes (check_frames)."""
-    report = from_dict(SimReport, json.loads(text))
-    problems = validate(report.topology)
-    if problems:
-        raise InvalidSpecError(f"report topology is not runnable: {'; '.join(v.rule for v in problems)}")
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:  # nested past the decoder's limit
+        raise InvalidSpecError(str(exc)) from exc
+    report = from_dict(SimReport, doc)
+    check_runnable(report.topology)
     for key, expected in (("digest", topology_digest(report.topology)), ("scenario", report.topology.name)):
         if getattr(report, key) != expected:
             raise InvalidSpecError(f"report {key} {getattr(report, key)!r} is not its topology's {expected!r}")

@@ -23,9 +23,9 @@ from .topology import (
     build_classic,
     build_direct,
     check_json_types,
+    check_runnable,
     from_dict,
     scalar_checks,
-    validate,
 )
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -180,10 +180,7 @@ def _parse(doc: dict) -> Scenario:
             kwargs["processing"] = _parse_processing(kwargs.pop("processing_time_ns"))
         links = [from_dict(LINK_KINDS, _with_overhead(doc[key], overhead)) for key in required]
         topo = builder(cameras[0], *links, name=name, deadlines=deadlines, **kwargs)
-    problems = validate(topo)
-    if problems:
-        rules = "; ".join(v.rule for v in problems)
-        raise ScenarioError(f"scenario resolves to an invalid topology: {rules}")
+    check_runnable(topo)
 
     # The stages do not depend on the camera: each camera gets its own
     # pipeline by swapping the camera and the name.
@@ -195,10 +192,13 @@ def _parse(doc: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and parse a scenario file; JSON errors become ScenarioError."""
+    """Read and parse a scenario file; JSON errors become ScenarioError.
+
+    Text that is not UTF-8, and arrays or objects nested past the
+    decoder's recursion limit, are JSON errors too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     return parse_scenario(doc)

@@ -43,7 +43,8 @@ from typing import Optional
 
 from .linkmodel import InvalidSpecError, Link, effective_rate_fraction, propagation_delay_ns
 from .timing import ClockModel, sample_timestamp_detailed
-from .topology import CUT_THROUGH, JSON_FORMS, BufferStage, LinkStage, Processor, Topology, one, validate
+from .topology import CUT_THROUGH, JSON_FORMS, BufferStage, LinkStage, Processor, Topology, check_runnable, one
+from .topology import InvalidTopologyError  # noqa: F401  (exported here, where run raises it)
 
 DROP_NEWEST = "drop_newest"
 DROP_OLDEST = "drop_oldest"
@@ -54,10 +55,6 @@ DISPOSITION_IN_FLIGHT = "in_flight"
 
 REASON_OVERFLOW = "buffer_overflow"
 REASON_BACKPRESSURE = "backpressure"
-
-
-class InvalidTopologyError(InvalidSpecError):
-    """The topology failed validation and cannot be simulated."""
 
 
 @dataclass
@@ -449,10 +446,7 @@ def run(topo: Topology, cfg: SimConfig):
     with equal (topology, config) produce byte-identical canonical
     reports.
     """
-    problems = validate(topo)
-    if problems:
-        rules = "; ".join(v.rule for v in problems)
-        raise InvalidTopologyError(f"topology failed validation: {rules}")
+    check_runnable(topo)
     result = _Passes(topo, cfg).run()
     from .metrics import build_report  # local import: metrics depends on this module
 

@@ -193,12 +193,17 @@ class Violation:
     detail: str = ""
 
 
+class InvalidTopologyError(InvalidSpecError):
+    """The topology breaks a rule of validate and cannot be simulated."""
+
+
 def validate(t: Topology) -> list[Violation]:
     """Structural rule check; an empty list means the topology is runnable."""
     v: list[Violation] = []
     stages = t.stages
     if not stages:
         return [Violation(None, "chain is non-empty")]
+    frame = t.camera.frame_size_bytes
     if not isinstance(stages[0], Sensor):
         v.append(Violation(0, "first stage is Sensor", f"found {stages[0].kind}"))
     if not isinstance(stages[-1], Processor):
@@ -217,7 +222,21 @@ def validate(t: Topology) -> list[Violation]:
             )
         if isinstance(s, LinkStage) and not isinstance(s.link, _LINK_CLASSES):
             v.append(Violation(i, "LinkStage carries a link of a known kind", f"found {type(s.link).__name__}"))
+        # A buffer holds a whole frame, except a cut-through one fed by a link, which holds only the residue.
+        if isinstance(s, (BufferStage, FrameGrabber)) and s.capacity_bytes < frame:
+            residue = getattr(s, "forwarding", None) == CUT_THROUGH and i > 0 and isinstance(stages[i - 1], LinkStage)
+            if not residue:
+                v.append(Violation(i, "buffer holds a whole frame", f"{s.capacity_bytes} < {frame} bytes"))
     return v
+
+
+def check_runnable(t: Topology) -> None:
+    """Raise InvalidTopologyError naming each rule of validate that t
+    breaks, with its stage where the rule has one."""
+    problems = validate(t)
+    if problems:
+        rules = "; ".join(v.rule if v.stage_index is None else f"{v.rule} (stage {v.stage_index})" for v in problems)
+        raise InvalidTopologyError(f"topology is not runnable: {rules}")
 
 
 def copy_count(t: Topology) -> int:

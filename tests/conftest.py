@@ -86,8 +86,8 @@ def make_topology(rng: Random, generous_capacity: bool = False) -> Topology:
     if generous_capacity:
         cap = 64 * 1024 * 1024
     else:
-        # Tight capacities force overflow and eviction paths.
-        cap = rng.choice([max(1, frame // 2), frame, 2 * frame, 8 * frame, 64 * 1024 * 1024])
+        # Tight capacities force overflow and eviction paths; every buffer holds one whole frame.
+        cap = rng.choice([frame + frame // 2, frame, 2 * frame, 8 * frame, 64 * 1024 * 1024])
     deadlines = DeadlineSpec(
         safety_ns=rng.choice([100_000, 10_000_000]),
         control_ns=20_000_000,

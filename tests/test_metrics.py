@@ -35,7 +35,7 @@ from acqsim import (
 from acqsim import metrics
 from acqsim.metrics import import_summary, nearest_rank
 from acqsim.timing import DeadlineViolation
-from acqsim.topology import from_dict, record_columns
+from acqsim.topology import Topology, from_dict, record_columns, topology_digest
 from conftest import (
     assert_tabular_matches_structured,
     benchmark_workloads,
@@ -206,7 +206,16 @@ class TestStructuredExport:
         for frame in doc["frames"]:
             frame["stage_times"], frame["buffer_bytes"] = [], {}
         for reader in (import_structured, import_summary):
-            with pytest.raises(InvalidSpecError, match="report topology is not runnable: chain is non-empty"):
+            with pytest.raises(InvalidSpecError, match="^topology is not runnable: chain is non-empty$"):
+                reader(json.dumps(doc))
+
+    def test_report_with_buffer_smaller_than_frame_rejected(self):
+        # The digest is that of the edited topology, so only the buffer rule can object.
+        doc = json.loads(export_structured(direct_report()))
+        doc["topology"]["stages"][1]["capacity_bytes"] = 1000
+        doc["digest"] = topology_digest(from_dict(Topology, doc["topology"]))
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match=r"^topology is not runnable: buffer holds a whole frame \(stage 1\)$"):
                 reader(json.dumps(doc))
 
     def test_report_without_schema_version_rejected(self):

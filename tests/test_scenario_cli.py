@@ -32,6 +32,7 @@ from acqsim import (
 from acqsim import cli, metrics
 from acqsim.cli import main
 from acqsim.scenario import load_scenario
+from acqsim.topology import Topology, from_dict, topology_digest
 from conftest import json_nodes, replace_node
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,7 +63,7 @@ def custom_doc(extra_stage_keys=None, processing=None, link=None):
         architecture="custom",
         stages=[
             {"kind": "sensor"},
-            {"kind": "buffer", "capacity_bytes": 4096, **(extra_stage_keys or {})},
+            {"kind": "buffer", "capacity_bytes": 1_000_000, **(extra_stage_keys or {})},
             {"kind": "link", "link": link or {"kind": "usb3"}},
             {"kind": "host_memory"},
             processor,
@@ -176,7 +177,7 @@ class TestScenarioParsing:
         doc = base_doc(
             architecture="classic",
             camera_interface={"kind": "camera_link", "config": "full"},
-            grabber_capacity_bytes=1024,
+            grabber_capacity_bytes=1_000_000,
         )
         sc = parse_scenario(doc)
         assert [s.kind for s in sc.pipelines[0].stages] == [
@@ -242,7 +243,7 @@ class TestScenarioParsing:
     def test_custom_must_validate(self):
         doc = custom_doc()
         doc["stages"] = [{"kind": "sensor"}, {"kind": "processor"}]
-        with pytest.raises(ScenarioError, match="invalid topology: at least one LinkStage present"):
+        with pytest.raises(ScenarioError, match="^topology is not runnable: at least one LinkStage present$"):
             parse_scenario(doc)
 
     @pytest.mark.parametrize(
@@ -376,18 +377,17 @@ class TestSimulateCommand:
                "throughput=7.876923 Gb/s" in out
 
     def test_nothing_delivered_prints_no_latency(self, tmp_path, capsys):
-        # A camera buffer smaller than one frame drops every frame on arrival.
+        # The run ends before the first frame, about 1.02 ms in transit, reaches the processor.
         doc = json.loads((SCENARIOS / "direct-1mpx.json").read_text(encoding="utf-8"))
-        doc["camera_buffer_capacity_bytes"] = 1000
-        doc["sim"]["n_frames"] = 5
-        path = tmp_path / "tiny-buffer.json"
+        doc["sim"] = {"seed": 1, "duration_ns": 1_000_000}
+        path = tmp_path / "short-run.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["simulate", str(path), "-o", str(tmp_path / "tiny")]) == 0
+        assert main(["simulate", str(path), "-o", str(tmp_path / "short")]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert "direct-1mpx: generated=5 delivered=0 dropped=5 in_flight=0" in out
+        assert "direct-1mpx: generated=2 delivered=0 dropped=0 in_flight=2" in out
         assert "direct-1mpx: latency ns n/a (no frame delivered) throughput=0.000000 Gb/s" in out
         # The report keeps its zero aggregates.
-        a = import_structured((tmp_path / "tiny.json").read_text()).aggregates
+        a = import_structured((tmp_path / "short.json").read_text()).aggregates
         assert (a.latency_min_ns, a.latency_p50_ns, a.latency_p99_ns, a.latency_max_ns) == (0, 0, 0, 0)
 
     def test_deadline_violation_exits_2(self, tmp_path, capsys):
@@ -503,6 +503,30 @@ class TestSimulateCommand:
         assert "aggregate camera demand: 16.000 Gb/s" in out
         assert (tmp_path / "m-cam0.json").exists()
         assert (tmp_path / "m-cam1.json").exists()
+
+    def test_failed_pipeline_keeps_earlier_output(self, tmp_path, capsys):
+        # The second camera's run fails after the first pipeline wrote its files and summary.
+        camera = {"resolution_pixels": 1_000_000, "bit_depth": 8, "frame_rate": 1000}
+        doc = base_doc(cameras=[camera, dict(camera, frame_rate=0)], pcie={"kind": "pcie", "generation": 5, "lanes": 16},
+                       sim={"seed": 3, "n_frames": 3})
+        del doc["camera"]
+        path = tmp_path / "zero-rate.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", str(path), "-o", str(tmp_path / "m")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "aggregate camera demand: 8.000 Gb/s over 2 pipelines",
+            f"wrote {tmp_path / 'm-cam0.json'}",
+            f"wrote {tmp_path / 'm-cam0.csv'}",
+            "unit-cam0: generated=3 delivered=3 dropped=0 in_flight=0",
+            "unit-cam0: latency ns min=15870 p50=15870 p99=15870 max=15870 throughput=11.905530 Gb/s",
+            "unit-cam0: timestamp rms=0.000 ns, violations: safety=0 control=0 timestamp=0",
+        ]
+        assert captured.err.splitlines() == [
+            "warning: frame rate 0 fps is outside the [50.0, 50000.0] fps envelope",
+            "error: cannot generate frames from a zero frame-rate camera",
+        ]
+        assert sorted(p.name for p in tmp_path.glob("m-*")) == ["m-cam0.csv", "m-cam0.json"]
 
     def test_envelope_warning_is_one_clean_line(self, tmp_path):
         # Two cameras outside the envelope in the same way: one warning line
@@ -905,6 +929,127 @@ class TestParallelSimulate:
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def failing_inputs(tmp_path_factory):
+    """A folder of files that each make a command fail: scenarios, reports,
+    and a folder where the delta table should go. No case writes to it."""
+    tmp_path = tmp_path_factory.mktemp("failing")
+    direct = json.loads((SCENARIOS / "direct-1mpx.json").read_text(encoding="utf-8"))
+    (tmp_path / "direct.json").write_text(json.dumps(direct), encoding="utf-8")
+    (tmp_path / "two-frames.json").write_text(json.dumps(dict(direct, sim=dict(direct["sim"], n_frames=2))), encoding="utf-8")
+    for forwarding in ("cut_through", "store_and_forward"):  # a camera buffer smaller than one frame
+        tiny = dict(direct, camera_buffer_capacity_bytes=1000, camera_buffer_forwarding=forwarding)
+        (tmp_path / f"tiny-{forwarding}.json").write_text(json.dumps(tiny), encoding="utf-8")
+    linkless = dict(custom_doc(), stages=[{"kind": "sensor"}, {"kind": "processor"}])
+    (tmp_path / "linkless.json").write_text(json.dumps(linkless), encoding="utf-8")
+    (tmp_path / "syntax.json").write_text("{", encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    (tmp_path / "folder").mkdir()
+    for stem in ("direct", "two-frames"):
+        assert main(["simulate", str(tmp_path / f"{stem}.json"), "-o", str(tmp_path / f"r-{stem}")]) == 0
+    doc = json.loads((tmp_path / "r-direct.json").read_text(encoding="utf-8"))
+    # Each edited report keeps the digest of its topology, so that only the named fault is found.
+    for name, edit in (("other-camera", ("camera", "bit_depth", 16)), ("tiny", ("stages", 1, "capacity_bytes", 1000))):
+        *path, value = edit
+        topology = replace_node(copy.deepcopy(doc["topology"]), path, value)
+        edited = dict(doc, topology=topology, digest=topology_digest(from_dict(Topology, topology)))
+        (tmp_path / f"r-{name}.json").write_text(json.dumps(edited), encoding="utf-8")
+    return tmp_path
+
+
+# Each failure path's arguments, exit code and error line, {tmp} standing
+# for failing_inputs' folder; the paths other tests pin are left out.
+ERROR_LINES = {
+    "budget-gen": (["budget", "--gen", "7"], 1, "--gen must be 1..5, got 7"),
+    "budget-lanes": (["budget", "--lanes", "3"], 1, "--lanes must be one of 1/2/4/8/16, got 3"),
+    "budget-efficiency-and-overhead": (
+        ["budget", "--efficiency", "0.5", "--flow-control", "1"],
+        1,
+        "--efficiency cannot be combined with --max-payload, --header-overhead or --flow-control",
+    ),
+    "budget-efficiency-range": (["budget", "--efficiency", "0"], 1, "protocol_efficiency must be in (0, 1], got 0.0"),
+    "budget-overhead-range": (["budget", "--max-payload", "0"], 1, "max_payload_bytes must be positive"),
+    "simulate-missing": (
+        ["simulate", "{tmp}/missing.json"],
+        1,
+        "cannot read scenario: [Errno 2] No such file or directory: '{tmp}/missing.json'",
+    ),
+    "simulate-syntax": (
+        ["simulate", "{tmp}/syntax.json"],
+        1,
+        "invalid JSON in {tmp}/syntax.json: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "simulate-not-utf8": (
+        ["simulate", "{tmp}/latin1.json"],
+        1,
+        "invalid JSON in {tmp}/latin1.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
+    "simulate-deep": (
+        ["simulate", "{tmp}/deep.json"],
+        1,
+        "invalid JSON in {tmp}/deep.json: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+    ),
+    "simulate-no-link": (["simulate", "{tmp}/linkless.json"], 1, "topology is not runnable: at least one LinkStage present"),
+    **{
+        f"simulate-tiny-{forwarding}": (
+            ["simulate", f"{{tmp}}/tiny-{forwarding}.json"],
+            1,
+            "topology is not runnable: buffer holds a whole frame (stage 1)",
+        )
+        for forwarding in ("cut_through", "store_and_forward")
+    },
+    "simulate-onto-scenario": (
+        ["simulate", "{tmp}/direct.json", "-o", "{tmp}/direct", "--format", "structured"],
+        1,
+        "output {tmp}/direct.json would overwrite the scenario file",
+    ),
+    "compare-other-camera": (
+        ["compare", "{tmp}/r-direct.json", "{tmp}/r-other-camera.json"],
+        1,
+        "incomparable runs: runs use different cameras",
+    ),
+    "compare-frame-counts": (
+        ["compare", "{tmp}/r-direct.json", "{tmp}/r-two-frames.json"],
+        1,
+        "incomparable runs: runs generated different frame counts (1 vs 2)",
+    ),
+    "compare-tiny-buffer": (
+        ["compare", "{tmp}/r-direct.json", "{tmp}/r-tiny.json"],
+        1,
+        "cannot load reports: topology is not runnable: buffer holds a whole frame (stage 1)",
+    ),
+    **{
+        f"compare-deep-{side}": (
+            ["compare", *pair],
+            1,
+            "cannot load reports: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+        )
+        for side, pair in (("a", ("{tmp}/deep.json", "{tmp}/r-direct.json")), ("b", ("{tmp}/r-direct.json", "{tmp}/deep.json")))
+    },
+    "compare-not-utf8": (
+        ["compare", "{tmp}/r-direct.json", "{tmp}/latin1.json"],
+        1,
+        "cannot load reports: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
+    "compare-delta-table-unwritable": (
+        ["compare", "{tmp}/r-direct.json", "{tmp}/r-direct.json", "-o", "{tmp}/folder"],
+        3,
+        "cannot write delta table: [Errno 21] Is a directory: '{tmp}/folder'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", ERROR_LINES.values(), ids=ERROR_LINES)
+def test_error_line(failing_inputs, capsys, argv, code, message):
+    capsys.readouterr()
+    assert main([arg.format(tmp=failing_inputs) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(tmp=failing_inputs)}\n"
+    if code == 1:  # refused before anything was printed
+        assert captured.out == ""
 
 
 # The stderr of a command whose stdout is /dev/full ("full") or closed from the start ("none").

@@ -238,14 +238,14 @@ class TestOverflow:
         a = report.aggregates
         assert a.delivered + a.dropped + a.in_flight == a.generated
 
-    def test_buffer_smaller_than_frame_drops_everything(self):
+    def test_buffer_smaller_than_frame_rejected(self):
+        # A grabber that cannot hold one frame would drop every frame; the run is refused instead.
         camera = quiet_cam(32_768, 8, 1e9 / 32_768)
         topo = build_classic(
             camera, PCIeLink(1, 4), PCIeLink(1, 2), 1_000, deadlines=RELAXED
         )
-        report = run(topo, SimConfig(seed=7, n_frames=5))
-        assert report.aggregates.dropped == 5
-        assert report.aggregates.delivered == 0
+        with pytest.raises(InvalidTopologyError, match=r"buffer holds a whole frame \(stage 3\)"):
+            run(topo, SimConfig(seed=7, n_frames=5))
 
 
 class TestStopConditions:

@@ -105,8 +105,30 @@ class TestBuilders:
 
 class TestValidate:
     def test_constructed_chains_pass(self):
-        assert validate(build_classic(CAM, CL, G3X4, 1024)) == []
+        assert validate(build_classic(CAM, CL, G3X4, CAM.frame_size_bytes)) == []
         assert validate(build_direct(CAM, G3X4)) == []
+
+    @pytest.mark.parametrize(
+        "stages, index",
+        [
+            # Reached over no link: a camera buffer holds whole frames in either mode.
+            ((BufferStage(1024, forwarding="cut_through"), LinkStage(G3X4)), 1),
+            ((BufferStage(1024), LinkStage(G3X4)), 1),
+            # A frame grabber, and a store-and-forward buffer past a link.
+            ((BufferStage(10**6), LinkStage(CL), FrameGrabber(1024), LinkStage(G3X4)), 3),
+            ((BufferStage(10**6), LinkStage(CL), BufferStage(1024), LinkStage(G3X4)), 3),
+        ],
+        ids=["cut-through-camera-buffer", "camera-buffer", "frame-grabber", "store-and-forward-past-link"],
+    )
+    def test_buffer_smaller_than_frame(self, stages, index):
+        t = Topology("small", (Sensor(), *stages, HostMemory(), Processor()), CAM)
+        assert [(v.stage_index, v.rule) for v in validate(t)] == [(index, "buffer holds a whole frame")]
+        with pytest.raises(InvalidTopologyError, match=rf"^topology is not runnable: buffer holds a whole frame \(stage {index}\)$"):
+            run(t, SimConfig(seed=1, n_frames=1))
+
+    def test_cut_through_buffer_past_link_holds_a_residue(self):
+        stages = (BufferStage(10**6), LinkStage(CL), BufferStage(1024, forwarding="cut_through"), LinkStage(G3X4))
+        assert validate(Topology("residue", (Sensor(), *stages, HostMemory(), Processor()), CAM)) == []
 
     def test_missing_sensor_head(self):
         t = Topology("bad", (BufferStage(1024), LinkStage(G3X4), Processor()), CAM)
