@@ -312,8 +312,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_summary(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return import_summary(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return import_summary(fh.read())
+    except ValueError as exc:  # a JSON, UTF-8, nesting or schema fault; an OSError names its path
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_compare(args) -> int:

@@ -17,7 +17,7 @@ import json
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -223,20 +223,21 @@ def check_frames(docs, n_stages: int) -> tuple:
     return spans, held
 
 
-def _frames_to_docs(t: FrameTable) -> list:
-    """One JSON object per frame, straight from the table's columns."""
-    # Per frame, its (ingress, egress) and bytes held per stage; a runnable topology has stages.
-    spans = zip(*map(zip, t.ingress_ns, t.egress_ns))
-    keys = [str(i) for i in range(len(t.buffer_bytes))]
-    held = ({k: b for k, b in zip(keys, row) if b is not None} for row in zip(*t.buffer_bytes))
-    columns = (t.frame_id, t.size_bytes, t.generated_at_ns, t.camera_timestamp_ns, t.timestamp_clamped, spans,
-               held, t.disposition, t.drop_stage, t.drop_reason, t.drop_time_ns)
-    return [
-        {"frame_id": f, "size_bytes": size, "generated_at_ns": generated, "camera_timestamp_ns": stamp,
-         "timestamp_clamped": clamped, "stage_times": times, "buffer_bytes": held,
-         "disposition": d, "drop_stage": stage, "drop_reason": reason, "drop_time_ns": dropped_at}
-        for f, size, generated, stamp, clamped, times, held, d, stage, reason, dropped_at in zip(*columns)
-    ]
+def _frame_docs(t: FrameTable):
+    """One JSON object per frame, straight from the table's columns, with its
+    keys and its buffer_bytes keys in canonical order ("10" before "2")."""
+    keys = sorted(map(str, range(len(t.buffer_bytes))))  # a runnable topology has stages
+    rows = zip(*(t.buffer_bytes[int(k)] for k in keys))  # per frame, the bytes it held at each stage, in key order
+    held = ({k: b for k, b in zip(keys, row) if b is not None} for row in rows)
+    spans = zip(*map(zip, t.ingress_ns, t.egress_ns))  # per frame, its (ingress, egress) per stage
+    return (
+        {"buffer_bytes": held, "camera_timestamp_ns": stamp, "disposition": d, "drop_reason": reason,
+         "drop_stage": stage, "drop_time_ns": dropped_at, "frame_id": f, "generated_at_ns": generated,
+         "size_bytes": size, "stage_times": times, "timestamp_clamped": clamped}
+        for held, stamp, d, reason, stage, dropped_at, f, generated, size, times, clamped in zip(
+            held, t.camera_timestamp_ns, t.disposition, t.drop_reason, t.drop_stage, t.drop_time_ns, t.frame_id,
+            t.generated_at_ns, t.size_bytes, spans, t.timestamp_clamped)
+    )
 
 
 def _check_trace(v) -> list:
@@ -277,7 +278,7 @@ JSON_FORMS[SimReport] = {
     "schema_version": (int, _supported_version),
     "topology": one(Topology),
     "config": one(SimConfig),
-    "frames": (_frames_to_docs, lambda docs: docs),  # decoded by _import, which knows the stage count
+    "frames": (lambda t: list(_frame_docs(t)), lambda docs: docs),  # decoded by _import, which knows the stage count
     # Checked here, built only by import_structured.
     "occupancy": (INT_KEYED[0], lambda occ: decode_int_keyed(occ, _check_trace)),
     "link_busy_ns": INT_KEYED,
@@ -285,17 +286,41 @@ JSON_FORMS[SimReport] = {
 }
 
 
+# export_structured builds every value it encodes, without cycles, so nothing needs checking for one.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+_IN_ORDER = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode  # for dicts in canonical key order
+
+
+def _array(records) -> list:
+    """Text pieces of the JSON array of records, an iterator of dicts in
+    canonical key order, encoded 1,000 records at a time."""
+    pieces, comma = ["["], ""
+    while chunk := list(islice(records, 1000)):
+        pieces += (comma, _IN_ORDER(chunk)[1:-1])
+        comma = ","
+    return pieces + ["]"]
+
+
 def export_structured(report: SimReport) -> str:
-    """Canonical JSON: sorted keys, compact, shortest-round-trip floats."""
-    doc = to_dict(report)
-    # v1's aggregates hold the deadline misses themselves, which follow from the frames.
-    aggregates = doc["aggregates"]
-    for key in _VIOLATION_COUNTS.values():
-        del aggregates[key]
+    """Canonical JSON: sorted keys, compact, shortest-round-trip floats; each top-level
+    value encoded once, the frames and the deadline misses 1,000 records at a time."""
+    forms, pieces = JSON_FORMS[SimReport], ["{"]
     misses = check_deadlines(report.frames, report.topology.deadlines, report.aggregates.timestamp_rms_ns)
-    aggregates["violations"] = [to_dict(v) for v in misses]
-    # to_dict builds a fresh tree without cycles, so nothing needs checking for one.
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    for name, value in sorted(vars(report).items()):
+        pieces.append(f'"{name}":')
+        if name == "frames":
+            pieces += _array(_frame_docs(value))
+        elif name == "aggregates":  # v1 holds the deadline misses themselves, which follow from the frames
+            value = {k: v for k, v in to_dict(value).items() if k not in _VIOLATION_COUNTS.values()}
+            records = ({"budget_ns": v.budget_ns, "frame_id": v.frame_id, "kind": v.kind, "measured_ns": v.measured_ns}
+                       for v in misses)
+            # "violations" sorts after every other aggregate key.
+            pieces += (_CANONICAL(value)[:-1], ',"violations":', *_array(records), "}")
+        else:
+            pieces.append(_CANONICAL(forms[name][0](value) if name in forms else value))
+        pieces.append(",")
+    pieces[-1] = "}\n"
+    return "".join(pieces)
 
 
 def _import(text: str) -> tuple:

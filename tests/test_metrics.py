@@ -12,12 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acqsim import (
+    BufferStage,
     CameraSpec,
     CameraLinkIf,
+    ClockModel,
     DeadlineSpec,
+    FrameGrabber,
+    HostMemory,
     IncomparableRunsError,
     InvalidSpecError,
+    LinkStage,
     PCIeLink,
+    Processor,
+    Sensor,
     SimConfig,
     budget_table,
     build_classic,
@@ -35,7 +42,7 @@ from acqsim import (
 from acqsim import metrics
 from acqsim.metrics import import_summary, nearest_rank
 from acqsim.timing import DeadlineViolation
-from acqsim.topology import Topology, from_dict, record_columns, topology_digest
+from acqsim.topology import Topology, from_dict, record_columns, to_dict, topology_digest
 from conftest import (
     assert_tabular_matches_structured,
     benchmark_workloads,
@@ -333,6 +340,85 @@ class TestStructuredExport:
         text = export_structured(direct_report())
         doc = json.loads(text)
         assert list(doc.keys()) == sorted(doc.keys())
+
+
+def v1_document(report) -> dict:
+    """The v1 JSON document of a report, built here from its frame columns,
+    occupancy, link times and aggregates as docs/report-schema.md lays them
+    out: one object per frame, and a record per deadline miss, found here
+    from the frames' latencies and the timestamp RMS. Only the topology and
+    the config take the record codec's form (to_dict)."""
+    t, a, d = report.frames, report.aggregates, report.topology.deadlines
+    stages = range(len(report.topology.stages))
+    frames, misses = [], []
+    for f, frame_id in enumerate(t.frame_id):
+        frames.append({
+            "frame_id": frame_id, "size_bytes": t.size_bytes[f], "generated_at_ns": t.generated_at_ns[f],
+            "camera_timestamp_ns": t.camera_timestamp_ns[f], "timestamp_clamped": t.timestamp_clamped[f],
+            "disposition": t.disposition[f], "drop_stage": t.drop_stage[f], "drop_reason": t.drop_reason[f],
+            "drop_time_ns": t.drop_time_ns[f],
+            "stage_times": [[t.ingress_ns[i][f], t.egress_ns[i][f]] for i in stages],
+            "buffer_bytes": {str(i): t.buffer_bytes[i][f] for i in stages if t.buffer_bytes[i][f] is not None},
+        })
+        if t.disposition[f] == "delivered":
+            latency = t.egress_ns[-1][f] - t.egress_ns[0][f]
+            misses += [{"kind": kind, "frame_id": frame_id, "measured_ns": latency, "budget_ns": budget}
+                       for kind, budget in (("safety", d.safety_ns), ("control", d.control_ns)) if latency > budget]
+    if a.timestamp_rms_ns > d.timestamp_rms_ns:
+        misses.append({"kind": "timestamp", "frame_id": None, "measured_ns": a.timestamp_rms_ns,
+                       "budget_ns": d.timestamp_rms_ns})
+    aggregates = {k: v for k, v in dataclasses.asdict(a).items() if not k.endswith("_violations")}
+    aggregates.update(high_water_bytes={str(i): b for i, b in a.high_water_bytes.items()}, violations=misses)
+    return {
+        "schema_version": report.schema_version, "scenario": report.scenario, "digest": report.digest,
+        "topology": to_dict(report.topology), "config": to_dict(report.config), "elapsed_ns": report.elapsed_ns,
+        "frames": frames, "occupancy": {str(i): [list(p) for p in trace] for i, trace in report.occupancy.items()},
+        "link_busy_ns": {str(i): ns for i, ns in report.link_busy_ns.items()}, "aggregates": aggregates,
+    }
+
+
+class TestStructuredExportReference:
+    """export_structured writes exactly json.dumps of the v1 document with sorted keys."""
+
+    @staticmethod
+    def assert_reference(report) -> None:
+        text = export_structured(report)
+        reference = json.dumps(v1_document(report), sort_keys=True, separators=(",", ":")) + "\n"
+        if text != reference:  # name the first difference; a diff of megabyte lines would take minutes
+            at = next((i for i, (x, y) in enumerate(zip(text, reference)) if x != y), min(len(text), len(reference)))
+            pytest.fail(f"export differs at {at}: {text[at - 60:at + 60]!r} != {reference[at - 60:at + 60]!r}")
+
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    @pytest.mark.parametrize("name", ["classic-congested", "overload-oldest"])
+    def test_benchmark_shaped_runs_past_a_chunk(self, name):
+        scenario = parse_scenario(WORKLOADS[name](17, 2_600))
+        report = run(scenario.pipelines[0], scenario.configs()[0])
+        a = report.aggregates
+        assert a.generated >= 2_500 and a.dropped
+        if name == "classic-congested":
+            assert a.safety_violations and "buffer_overflow" in report.frames.drop_reason
+        else:
+            assert a.in_flight and "backpressure" in report.frames.drop_reason  # evictions under drop_oldest
+        self.assert_reference(report)
+
+    def test_long_chain(self):
+        # Stage indices 10 to 12 sort between "1" and "2" as JSON keys.
+        hops = [stage for _ in range(4) for stage in (LinkStage(PCIeLink(3, 4)), FrameGrabber(64 * MIB))]
+        stages = (Sensor(), BufferStage(64 * MIB), *hops, LinkStage(PCIeLink(3, 4)), HostMemory(), Processor())
+        report = run(Topology("long", stages, CAM), SimConfig(seed=3, n_frames=2_100))
+        assert len(report.topology.stages) == 13
+        assert any(report.frames.buffer_bytes[11]) and any(report.frames.buffer_bytes[3])
+        self.assert_reference(report)
+
+    def test_zero_frames(self):
+        self.assert_reference(direct_report(n_frames=0))
+
+    def test_timestamp_miss(self):
+        topo = build_direct(CAM, PCIeLink(3, 1), deadlines=RELAXED)
+        report = run(topo, SimConfig(seed=4, n_frames=40, clock=ClockModel(jitter_sigma_ns=400.0)))
+        assert report.aggregates.timestamp_violations == 1
+        assert type(json.loads(export_structured(report))["aggregates"]["violations"][-1]["measured_ns"]) is float
+        self.assert_reference(report)
 
 
 class TestTabularExport:

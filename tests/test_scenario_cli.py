@@ -722,10 +722,10 @@ class TestParallelRead:
     @pytest.mark.parametrize(
         "a, b, message",
         [
-            ("syntax", "direct-1mpx", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-            ("direct-1mpx", "v2", "unsupported schema_version 2 (expected 1)"),
-            ("syntax", "v2", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-            ("v2", "syntax", "unsupported schema_version 2 (expected 1)"),
+            ("syntax", "direct-1mpx", "{syntax}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("direct-1mpx", "v2", "{v2}: unsupported schema_version 2 (expected 1)"),
+            ("syntax", "v2", "{syntax}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("v2", "syntax", "{v2}: unsupported schema_version 2 (expected 1)"),
             ("classic-1mpx", "missing", "[Errno 2] No such file or directory: '{missing}'"),
             ("missing", "v2", "[Errno 2] No such file or directory: '{missing}'"),
         ],
@@ -734,7 +734,7 @@ class TestParallelRead:
     def test_error_precedence(self, reports, capsys, tmp_path, monkeypatch, fork, a, b, message):
         if not fork:
             monkeypatch.delattr(os, "fork")
-        expected = f"error: cannot load reports: {message.format(missing=reports['missing'])}\n"
+        expected = f"error: cannot load reports: {message.format(**reports)}\n"
         assert self.compare_output(capsys, tmp_path, reports[a], reports[b]) == (1, "", expected, None)
 
     def test_output_identical_without_fork(self, reports, capsys, tmp_path, monkeypatch):
@@ -1019,20 +1019,21 @@ ERROR_LINES = {
     "compare-tiny-buffer": (
         ["compare", "{tmp}/r-direct.json", "{tmp}/r-tiny.json"],
         1,
-        "cannot load reports: topology is not runnable: buffer holds a whole frame (stage 1)",
+        "cannot load reports: {tmp}/r-tiny.json: topology is not runnable: buffer holds a whole frame (stage 1)",
     ),
     **{
         f"compare-deep-{side}": (
             ["compare", *pair],
             1,
-            "cannot load reports: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+            "cannot load reports: {tmp}/deep.json: "
+            "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
         )
         for side, pair in (("a", ("{tmp}/deep.json", "{tmp}/r-direct.json")), ("b", ("{tmp}/r-direct.json", "{tmp}/deep.json")))
     },
     "compare-not-utf8": (
         ["compare", "{tmp}/r-direct.json", "{tmp}/latin1.json"],
         1,
-        "cannot load reports: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        "cannot load reports: {tmp}/latin1.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
     ),
     "compare-delta-table-unwritable": (
         ["compare", "{tmp}/r-direct.json", "{tmp}/r-direct.json", "-o", "{tmp}/folder"],
