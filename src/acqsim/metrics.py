@@ -16,7 +16,7 @@ import io
 import json
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -27,7 +27,6 @@ from .simcore import (
     DISPOSITION_DROPPED,
     DISPOSITION_IN_FLIGHT,
     FrameTable,
-    RunResult,
     SimConfig,
 )
 from .timing import DeadlineViolation, check_deadlines, timestamp_rms
@@ -145,32 +144,27 @@ class SimReport:
     schema_version: int
 
 
-def build_report(topology: Topology, config: SimConfig, result: RunResult) -> SimReport:
-    aggregates = summarize(
-        result.frames,
-        topology,
-        elapsed_ns=result.elapsed_ns,
-        occupancy=result.occupancy,
-    )
+def build_report(topology: Topology, config: SimConfig, frames: FrameTable, elapsed_ns: int, occupancy: dict,
+                 link_busy_ns: dict) -> SimReport:
+    """The report of a run, around the engine's own frame table.  occupancy maps stage index to
+    [(t, bytes_after)] (holding stages), link_busy_ns to total serialization ns (link stages)."""
+    aggregates = summarize(frames, topology, elapsed_ns=elapsed_ns, occupancy=occupancy)
     return SimReport(
         scenario=topology.name,
         topology=topology,
         digest=topology_digest(topology),
         config=config,
-        elapsed_ns=result.elapsed_ns,
-        frames=result.frames,
-        occupancy=result.occupancy,
-        link_busy_ns=result.link_busy_ns,
+        elapsed_ns=elapsed_ns,
+        frames=frames,
+        occupancy=occupancy,
+        link_busy_ns=link_busy_ns,
         aggregates=aggregates,
         schema_version=SCHEMA_VERSION,
     )
 
 
-# The scalar aggregates, in the order the tabular export writes them and
-# compare reports them.
-_SCALAR_METRICS = ("generated", "delivered", "dropped", "in_flight", "throughput_gbps", "latency_min_ns",
-                   "latency_mean_ns", "latency_p50_ns", "latency_p99_ns", "latency_max_ns", "copy_count",
-                   "timestamp_rms_ns", "safety_violations", "control_violations", "timestamp_violations")
+# The int and float aggregates in field order, the order the tabular export writes them and compare reports them.
+_SCALAR_METRICS = tuple(f.name for f in fields(Aggregates) if f.type in ("int", "float"))
 
 
 # --- Structured (JSON) export ----------------------------------------------
@@ -183,7 +177,7 @@ _FRAME_SCALARS = ("frame_id", "size_bytes", "generated_at_ns", "camera_timestamp
 _FRAME_KEYS = frozenset((*_FRAME_SCALARS, "stage_times", "buffer_bytes"))
 _BAD_FRAME = f"a frame must be a JSON object with exactly the keys {sorted(_FRAME_KEYS)}"
 _BAD_WIDTH = "a frame's stage_times must hold one [ingress, egress] pair per topology stage"
-_ARRAYS = {list, tuple}  # to_dict leaves occupancy pairs and stage_times as tuples, which json writes as arrays
+_ARRAYS = {list}  # json.loads gives every JSON array as a list
 
 
 def _all_pairs(items) -> bool:
@@ -278,7 +272,6 @@ JSON_FORMS[SimReport] = {
     "schema_version": (int, _supported_version),
     "topology": one(Topology),
     "config": one(SimConfig),
-    "frames": (lambda t: list(_frame_docs(t)), lambda docs: docs),  # decoded by _import, which knows the stage count
     # Checked here, built only by import_structured.
     "occupancy": (INT_KEYED[0], lambda occ: decode_int_keyed(occ, _check_trace)),
     "link_busy_ns": INT_KEYED,

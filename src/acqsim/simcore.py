@@ -119,16 +119,6 @@ def serialization_time_ns(size_bytes: int, link: Link) -> int:
     return math.ceil(Fraction(size_bytes * 8) / rate)
 
 
-@dataclass
-class RunResult:
-    """Raw engine output, consumed by metrics.build_report."""
-
-    frames: FrameTable
-    elapsed_ns: int
-    occupancy: dict            # stage index -> [(t, bytes_after)]
-    link_busy_ns: dict         # stage index -> total serialization ns
-
-
 # --- Engine ----------------------------------------------------------------
 
 
@@ -167,7 +157,7 @@ _END = (math.inf, None, None, None)  # closes a pass's arrivals
 
 
 class _Passes:
-    """One run: per-frame columns that the stage passes fill in chain order.
+    """One run: the run's FrameTable, whose columns the stage passes fill in chain order.
 
     An event's key is (time, key of the event that queued it, rank); the
     first generation's parent is ().  A pass takes its arrivals as (time,
@@ -201,7 +191,8 @@ class _Passes:
         self.last = 0  # time of the latest event that ran
         self.proc_rng = Random(f"{cfg.seed}:processing")
 
-    def run(self) -> RunResult:
+    def run(self) -> tuple:
+        """The frame table, elapsed ns, occupancy traces and link busy ns, in build_report's order."""
         stages = self.stages
         arrivals = self._generate()
         idx = 0 if isinstance(stages[1], LinkStage) else 1
@@ -212,16 +203,11 @@ class _Passes:
             else:
                 arrivals = self._hold(idx, arrivals)
                 idx += 1
-        n = len(self.times)
-        frames = FrameTable(
-            list(range(n)), [self.size] * n, self.times, self.stamps, self.clamped, self.ing, self.eg,
-            self.held, self.disposition, self.drop_stage, self.drop_reason, self.drop_time,
-        )
         elapsed = self.last if self.cfg.duration_ns is None else self.cfg.duration_ns
-        return RunResult(frames, elapsed, self.traces, self.busy)
+        return self.frames, elapsed, self.traces, self.busy
 
     def _generate(self) -> list:
-        """Draw the camera stamps in frame order and size the columns; returns
+        """Draw the camera stamps in frame order and build the frame table; returns
         the arrivals at the sensor's holder (a link follows it) or at stage 1."""
         cfg, period, stages = self.cfg, self.period_ns, self.stages
         if period is None:
@@ -230,20 +216,18 @@ class _Passes:
             n = 0
         else:
             n = cfg.n_frames if cfg.n_frames is not None else cfg.duration_ns // period + 1
-        self.times = times = list(range(0, n * period, period)) if n else []
+        times = list(range(0, n * period, period)) if n else []
         sample, clock, rng = sample_timestamp_detailed, cfg.clock, Random(f"{cfg.seed}:clock")
         stamps = [sample(clock, t, rng) for t in times]
-        self.stamps = [s for s, _ in stamps]
-        self.clamped = [c for _, c in stamps]
-        self.ing = [[None] * n for _ in stages]
-        self.eg = [[None] * n for _ in stages]
-        self.held = [[None] * n for _ in stages]
-        self.disposition = [DISPOSITION_IN_FLIGHT] * n
-        self.drop_stage, self.drop_reason, self.drop_time = [None] * n, [None] * n, [None] * n
+        self.frames = frames = FrameTable(
+            list(range(n)), [self.size] * n, times, [s for s, _ in stamps], [c for _, c in stamps],
+            [[None] * n for _ in stages], [[None] * n for _ in stages], [[None] * n for _ in stages],
+            [DISPOSITION_IN_FLIGHT] * n, [None] * n, [None] * n, [None] * n,
+        )
         self.last = times[-1] if n else 0
         fixed = stages[0].fixed_latency_ns
-        self.ing[0] = times[:]
-        self.eg[0] = [t + fixed for t in times]
+        frames.ingress_ns[0] = times[:]
+        frames.egress_ns[0] = [t + fixed for t in times]
         # A generation queues the next one first (rank -1), then moves its
         # frame on: at once into the sensor's readout register when a link
         # follows, else to stage 1 at readout completion.
@@ -256,10 +240,11 @@ class _Passes:
         return arrivals
 
     def _drop(self, f: int, idx: int, reason: str, t: int) -> None:
-        self.disposition[f] = DISPOSITION_DROPPED
-        self.drop_stage[f] = idx
-        self.drop_reason[f] = reason
-        self.drop_time[f] = t
+        frames = self.frames
+        frames.disposition[f] = DISPOSITION_DROPPED
+        frames.drop_stage[f] = idx
+        frames.drop_reason[f] = reason
+        frames.drop_time_ns[f] = t
 
     def _emit(self, idx: int, arrivals: list) -> list:
         """Holder idx and the link after it; returns the arrivals past the link.
@@ -272,14 +257,15 @@ class _Passes:
         zero-propagation link is fused in, bytes held) and retries at the
         head's ready time (frame None).
         """
-        holder, size, limit, held, memo = self.stages[idx], self.size, self.limit, self.held[idx], self.memo
+        holder, size, limit, memo, frames = self.stages[idx], self.size, self.limit, self.memo, self.frames
         ser, prop, rate = self.links[idx + 1]
         sensor = idx == 0
         fixed = 0 if sensor else holder.fixed_latency_ns
         capacity = math.inf if sensor else holder.capacity_bytes
         ct = isinstance(holder, BufferStage) and holder.forwarding == CUT_THROUGH
         oldest = self.cfg.drop_policy == DROP_OLDEST
-        ing, eg, link_ing, link_eg = self.ing[idx], self.eg[idx], self.ing[idx + 1], self.eg[idx + 1]
+        ing, eg, held = frames.ingress_ns, frames.egress_ns, frames.buffer_bytes[idx]
+        ing, eg, link_ing, link_eg = ing[idx], eg[idx], ing[idx + 1], eg[idx + 1]
         trace = self.traces[idx].append
         fifo: deque = deque()  # (frame, full arrival, first byte, bytes held)
         pending: list = []
@@ -373,15 +359,16 @@ class _Passes:
         its own pass right after a link.  Pending events are hand-ons
         (frame) and releases (None).
         """
-        stages, size, limit, held, memo = self.stages, self.size, self.limit, self.held[idx], self.memo
+        stages, size, limit, memo, frames = self.stages, self.size, self.limit, self.memo, self.frames
         holder, proc = stages[idx], stages[-1]
         fixed = holder.fixed_latency_ns
         capacity = getattr(holder, "capacity_bytes", math.inf)  # host memory is unbounded
         is_proc = holder is proc  # right after a link
         to_proc = idx + 1 == len(stages) - 1
-        ing, eg, proc_ing, proc_eg = self.ing[idx], self.eg[idx], self.ing[-1], self.eg[-1]
+        ing, eg, held, delivered = frames.ingress_ns, frames.egress_ns, frames.buffer_bytes[idx], frames.disposition
+        ing, eg, proc_ing, proc_eg = ing[idx], eg[idx], ing[-1], eg[-1]
         trace = None if is_proc else self.traces[idx].append
-        delivered, rng, draw, proc_fixed = self.disposition, self.proc_rng, proc.processing.draw, proc.fixed_latency_ns
+        rng, draw, proc_fixed = self.proc_rng, proc.processing.draw, proc.fixed_latency_ns
         pending: list = []
         out: list = []
         occupancy = now = o = proc_free_at = 0
@@ -440,15 +427,14 @@ class _Passes:
 
 
 def run(topo: Topology, cfg: SimConfig):
-    """Simulate a topology and return a complete SimReport.
+    """Simulate a topology and return its SimReport, which keeps the passes' FrameTable.
 
     Rejects invalid topologies before any frame is generated.  Two calls
     with equal (topology, config) produce byte-identical canonical
     reports.
     """
     check_runnable(topo)
-    result = _Passes(topo, cfg).run()
     from .metrics import build_report  # local import: metrics depends on this module
 
-    return build_report(topo, cfg, result)
+    return build_report(topo, cfg, *_Passes(topo, cfg).run())
 

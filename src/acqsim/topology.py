@@ -190,7 +190,6 @@ class Topology:
 class Violation:
     stage_index: Optional[int]
     rule: str
-    detail: str = ""
 
 
 class InvalidTopologyError(InvalidSpecError):
@@ -205,9 +204,9 @@ def validate(t: Topology) -> list[Violation]:
         return [Violation(None, "chain is non-empty")]
     frame = t.camera.frame_size_bytes
     if not isinstance(stages[0], Sensor):
-        v.append(Violation(0, "first stage is Sensor", f"found {stages[0].kind}"))
+        v.append(Violation(0, "first stage is Sensor"))
     if not isinstance(stages[-1], Processor):
-        v.append(Violation(len(stages) - 1, "last stage is Processor", f"found {stages[-1].kind}"))
+        v.append(Violation(len(stages) - 1, "last stage is Processor"))
     if not any(isinstance(s, LinkStage) for s in stages):
         v.append(Violation(None, "at least one LinkStage present"))
     for i, s in enumerate(stages):
@@ -216,17 +215,14 @@ def validate(t: Topology) -> list[Violation]:
         if isinstance(s, Processor) and i != len(stages) - 1:
             v.append(Violation(i, "Processor only at the tail"))
         if isinstance(s, LinkStage) and (i == 0 or not isinstance(stages[i - 1], EMITTER_KINDS)):
-            prev = stages[i - 1].kind if i > 0 else "nothing"
-            v.append(
-                Violation(i, "LinkStage preceded by an emitting stage", f"preceded by {prev}")
-            )
+            v.append(Violation(i, "LinkStage preceded by an emitting stage"))
         if isinstance(s, LinkStage) and not isinstance(s.link, _LINK_CLASSES):
-            v.append(Violation(i, "LinkStage carries a link of a known kind", f"found {type(s.link).__name__}"))
+            v.append(Violation(i, "LinkStage carries a link of a known kind"))
         # A buffer holds a whole frame, except a cut-through one fed by a link, which holds only the residue.
         if isinstance(s, (BufferStage, FrameGrabber)) and s.capacity_bytes < frame:
             residue = getattr(s, "forwarding", None) == CUT_THROUGH and i > 0 and isinstance(stages[i - 1], LinkStage)
             if not residue:
-                v.append(Violation(i, "buffer holds a whole frame", f"{s.capacity_bytes} < {frame} bytes"))
+                v.append(Violation(i, "buffer holds a whole frame"))
     return v
 
 

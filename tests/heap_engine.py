@@ -27,7 +27,6 @@ from acqsim.simcore import (
     REASON_BACKPRESSURE,
     REASON_OVERFLOW,
     FrameTable,
-    RunResult,
     SimConfig,
     serialization_time_ns,
 )
@@ -46,7 +45,7 @@ from acqsim.topology import (
 
 def run_reference(topo: Topology, cfg: SimConfig):
     """The report of one run of the heap engine (the topology must be valid)."""
-    return build_report(topo, cfg, _Engine(topo, cfg).run())
+    return build_report(topo, cfg, *_Engine(topo, cfg).run())
 
 
 @dataclass
@@ -166,7 +165,8 @@ class _Engine:
         self.seq += 1
         heappush(self.heap, (t, self.seq, handler, args))
 
-    def run(self) -> RunResult:
+    def run(self) -> tuple:
+        """The frame table, elapsed ns, occupancy traces and link busy ns, in build_report's order."""
         cfg = self.cfg
         if cfg.n_frames is not None and cfg.n_frames > 0 and self.period_ns is None:
             raise InvalidSpecError("cannot generate frames from a zero frame-rate camera")
@@ -183,11 +183,11 @@ class _Engine:
         # Events left past a duration cutoff hold bound methods of the
         # engine; dropping them keeps the run free of reference cycles.
         heap.clear()
-        return RunResult(
-            frames=frame_table(self.records, len(self.stages)),
-            elapsed_ns=duration if duration is not None else self.now,
-            occupancy={i: h.trace for i, h in enumerate(self.holders) if h is not None},
-            link_busy_ns={i: l.busy_ns for i, l in enumerate(self.links) if l is not None},
+        return (
+            frame_table(self.records, len(self.stages)),
+            duration if duration is not None else self.now,
+            {i: h.trace for i, h in enumerate(self.holders) if h is not None},
+            {i: l.busy_ns for i, l in enumerate(self.links) if l is not None},
         )
 
     # -- stage behavior --

@@ -1,5 +1,6 @@
 """Invariant checks over randomized inputs (hypothesis + seeded loops)."""
 
+import dataclasses
 import warnings
 from random import Random
 
@@ -13,6 +14,7 @@ from acqsim import (
     EnvelopeWarning,
     OverheadModel,
     PCIeLink,
+    ProcessingModel,
     SimConfig,
     build_classic,
     build_direct,
@@ -21,6 +23,7 @@ from acqsim import (
     copy_count,
     effective_link_rate,
     export_structured,
+    export_tabular,
     feasible,
     min_lanes,
     run,
@@ -193,6 +196,22 @@ class TestEngineProperties:
             for latency_ct, latency_sf in zip(ct.frames.latency_ns(), sf.frames.latency_ns()):
                 if latency_ct is not None and latency_sf is not None:
                     assert latency_ct <= latency_sf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_seed_invariance_without_draws(self, rng):
+        # Metamorphic relation: the seed only feeds the clock jitter and the
+        # processing draws, so with zero jitter and fixed processing two seeds
+        # give one run.  The chain and the config are otherwise generated.
+        topo = make_topology(rng)
+        proc = dataclasses.replace(topo.stages[-1], processing=ProcessingModel.fixed(rng.randint(0, 50_000)))
+        topo = dataclasses.replace(topo, stages=(*topo.stages[:-1], proc))
+        cfg = make_config(rng)
+        cfg = dataclasses.replace(cfg, clock=dataclasses.replace(cfg.clock, jitter_sigma_ns=0.0))
+        a, b = run(topo, cfg), run(topo, dataclasses.replace(cfg, seed=cfg.seed + 1))
+        for part in ("frames", "occupancy", "link_busy_ns", "aggregates"):
+            assert getattr(a, part) == getattr(b, part), part
+        assert export_tabular(a) == export_tabular(b)
 
     def test_compare_self_is_zero(self):
         rng = Random(14)

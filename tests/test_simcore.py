@@ -361,6 +361,12 @@ class TestRecordsAndTraces:
         times = report.frames.generated_at_ns
         assert times == [0, 333_333, 666_666]
 
+    def test_sub_ns_period_floors_at_one_ns(self):
+        camera = quiet_cam(10_000, 8, 4e9)  # period 0.25 ns rounds to 0, and the clock ticks in whole ns
+        topo = build_direct(camera, G3X1, deadlines=RELAXED)
+        report = run(topo, SimConfig(seed=1, n_frames=3))
+        assert report.frames.generated_at_ns == [0, 1, 2]
+
     def test_equal_time_ties_follow_push_order(self):
         # The camera-interface transmission lasts exactly one frame period,
         # so frame 0 leaves the camera buffer at the instant frame 1 arrives.
