@@ -36,7 +36,7 @@ from acqsim.simcore import (
     DROP_NEWEST,
     DROP_OLDEST,
 )
-from conftest import benchmark_workloads, insert_stage, insertable_buffer, make_topology
+from conftest import benchmark_workloads, insert_stage, insertable_buffer, make_config, make_topology
 
 pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 
@@ -299,6 +299,18 @@ def test_drop_policy_only_decides_drops(name):
         assert oldest == newest
 
 
+def test_drop_policy_only_decides_drops_on_generated_chains():
+    rng = Random(2468)
+    undropped = 0
+    for _ in range(300):
+        topo, cfg = make_topology(rng), make_config(rng)
+        newest = run(topo, dataclasses.replace(cfg, drop_policy=DROP_NEWEST)).frames
+        if DISPOSITION_DROPPED not in newest.disposition:
+            undropped += 1
+            assert run(topo, dataclasses.replace(cfg, drop_policy=DROP_OLDEST)).frames == newest
+    assert undropped >= 100
+
+
 def _cut(frames, limit: int) -> dict:
     """The frames generated within limit, each time past limit erased and
     each disposition following from the times that are left."""
@@ -348,6 +360,20 @@ def test_duration_prefix(name):
         short = run(topo, dataclasses.replace(cfg, n_frames=None, duration_ns=limit)).frames
         assert _cut(short, limit) == _cut(long, limit)
     assert limit in short.egress_ns[-1]  # a delivery at the cut itself is kept
+
+
+def test_duration_prefix_on_generated_chains():
+    rng = Random(1357)
+    for _ in range(300):
+        topo = make_topology(rng)
+        cfg = dataclasses.replace(make_config(rng), n_frames=None, duration_ns=rng.randint(0, 200_000))
+        long = run(topo, cfg).frames
+        times = [t for columns in (long.ingress_ns, long.egress_ns) for column in columns for t in column
+                 if t is not None and t <= cfg.duration_ns]
+        # A cut anywhere in the run, and one at the time of an event of the long run.
+        for limit in (rng.randint(0, cfg.duration_ns), rng.choice(times)):
+            short = run(topo, dataclasses.replace(cfg, duration_ns=limit)).frames
+            assert _cut(short, limit) == _cut(long, limit)
 
 
 class TestCriterion7PropertySuites:

@@ -5,8 +5,10 @@ pins the bytes themselves across changes to the engine and the
 exporters, and checks that importing each structured export writes it
 back unchanged.  Each entry is (scenario stem, pipeline index) ->
 (sha256 of export_structured, sha256 of export_tabular), run at the
-scenario file's own seed.  A change to exported bytes needs a schema
-doc edit and a schema_version bump, and then new digests here.
+scenario file's own seed; the benchmark workloads are pinned the same
+way, by name, at seed 1 and 2,000 frames.  A change to exported bytes
+needs a schema doc edit and a schema_version bump, and then new digests
+here.
 """
 
 import functools
@@ -15,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from acqsim import export_structured, export_tabular, import_structured, load_scenario, run
-from conftest import assert_tabular_matches_structured
+from acqsim import export_structured, export_tabular, import_structured, load_scenario, parse_scenario, run
+from conftest import assert_tabular_matches_structured, benchmark_workloads
 
 pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 
@@ -53,6 +55,21 @@ GOLDEN = {
     ),
 }
 
+WORKLOAD_GOLDEN = {
+    "classic-congested": (
+        "cb18d7cfac902eca1b8ed13e16b42f7c26a963e11d9ec770b3ed4049a40adde3",
+        "c582864920fc2398774e9c7a9cec00d5e810e2bc0ca3c9c470d4f8e08e6c7935",
+    ),
+    "direct-steady": (
+        "84d18daa85e96c7adf02e90205db60889040bf64113bc0578a33b7e86d67cac8",
+        "94b748a05c06e67a69b4accfb6e314849a5c67cf5a4d5aa0363f8082dfc2d643",
+    ),
+    "overload-oldest": (
+        "fca462a5bc4111bd7af3e6a4e4d993d246fce04e90276ff12bbacc7991f48f97",
+        "c588d495279d31854f9cab7381690e0658d558cce91dba401144e72c051971d7",
+    ),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -85,3 +102,12 @@ def test_export_digests(key):
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}")
 def test_tabular_frames_match_structured(key):
     assert_tabular_matches_structured(*_exports(key))
+
+
+@pytest.mark.parametrize("name", sorted(benchmark_workloads()))
+def test_workload_digests(name):
+    # overload-oldest meets 969 equal-time ties that decide an admission in
+    # each run; its digests are what pins which way they go.
+    scenario = parse_scenario(benchmark_workloads()[name](1, 2_000))
+    report = run(scenario.pipelines[0], scenario.configs()[0])
+    assert (_sha256(export_structured(report)), _sha256(export_tabular(report))) == WORKLOAD_GOLDEN[name]
