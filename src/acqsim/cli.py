@@ -324,12 +324,9 @@ def _cmd_compare(args) -> int:
         if args.output is not None and _same_file(args.output, path):
             raise _Failure(EXIT_CONFIG, f"output {args.output} would overwrite the report {path}")
     try:
-        # simulate already warned about any camera outside the envelope.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EnvelopeWarning)
-            report_a, report_b = _parallel(
-                lambda: _read_summary(args.report_a), lambda: _read_summary(args.report_b)
-            )
+        report_a, report_b = _parallel(
+            lambda: _read_summary(args.report_a), lambda: _read_summary(args.report_b)
+        )
     except _LOAD_ERRORS as exc:
         raise _Failure(EXIT_CONFIG, f"cannot load reports: {exc}")
     try:

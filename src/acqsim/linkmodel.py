@@ -85,7 +85,7 @@ _USB3_GBPS = Fraction(5)
 # Camera Link HS per-lane payload rate (X-protocol lane).
 _CLHS_LANE_GBPS = Fraction(103, 10)
 
-# Camera operating envelope; outside it we warn but do not reject.
+# Camera operating envelope; a scenario's camera outside it warns but is not rejected.
 ENVELOPE_RESOLUTION_PX = (1_000_000, 8_000_000)
 ENVELOPE_FRAME_RATE_FPS = (50.0, 50_000.0)
 
@@ -108,27 +108,21 @@ class CameraSpec:
             raise InvalidSpecError(f"bit_depth must be in [1, 64], got {self.bit_depth}")
         if not 0 <= self.frame_rate < math.inf:
             raise InvalidSpecError(f"frame_rate must be finite and >= 0, got {self.frame_rate}")
-        lo, hi = ENVELOPE_RESOLUTION_PX
-        if not lo <= self.resolution_pixels <= hi:
-            warnings.warn(
-                f"resolution {self.resolution_pixels} px is outside the "
-                f"[{lo}, {hi}] px envelope",
-                EnvelopeWarning,
-                stacklevel=3,  # the caller of the generated __init__
-            )
-        flo, fhi = ENVELOPE_FRAME_RATE_FPS
-        if not flo <= self.frame_rate <= fhi:
-            warnings.warn(
-                f"frame rate {self.frame_rate} fps is outside the "
-                f"[{flo}, {fhi}] fps envelope",
-                EnvelopeWarning,
-                stacklevel=3,  # the caller of the generated __init__
-            )
 
     @property
     def frame_size_bytes(self) -> int:
         """Bytes needed to hold one frame (bit count rounded up to bytes)."""
         return -(-self.resolution_pixels * self.bit_depth // 8)
+
+
+def warn_outside_envelope(cam: CameraSpec) -> None:
+    """Issue an EnvelopeWarning for each parameter of cam outside the operating envelope."""
+    for what, value, unit, (lo, hi) in (
+        ("resolution", cam.resolution_pixels, "px", ENVELOPE_RESOLUTION_PX),
+        ("frame rate", cam.frame_rate, "fps", ENVELOPE_FRAME_RATE_FPS),
+    ):
+        if not lo <= value <= hi:
+            warnings.warn(f"{what} {value} {unit} is outside the [{lo}, {hi}] {unit} envelope", EnvelopeWarning)
 
 
 @dataclass(frozen=True)
@@ -168,14 +162,22 @@ class Link:
     """A point-to-point link: the cable and protocol efficiency every kind shares.
 
     Each kind names its exact raw rate in Gb/s, before protocol efficiency,
-    with raw_gbps().
+    with raw_gbps(), and checks its own fields with its rules: field ->
+    (name in messages, allowed values in words, allowed values).
     """
 
     _: KW_ONLY
     cable_length_m: float = 0.0
     protocol_efficiency: float = 1.0
 
+    rules = {}
+
     def __post_init__(self):
+        for field, (name, words, allowed) in self.rules.items():
+            value = getattr(self, field)
+            if value not in allowed:
+                shown = repr(value) if isinstance(allowed[0], str) else value  # text values are quoted
+                raise InvalidSpecError(f"{name} must be {words}, got {shown}")
         if not 0 <= self.cable_length_m * PROPAGATION_NS_PER_M < math.inf:
             raise InvalidSpecError(f"cable_length_m must be >= 0 with a finite delay, got {self.cable_length_m}")
         if not 0.0 < self.protocol_efficiency <= 1.0:
@@ -192,18 +194,13 @@ class PCIeLink(Link):
     lanes: int
 
     kind = "pcie"
-
-    def __post_init__(self):
-        if self.generation not in _PCIE_RAW_GT:
-            raise InvalidSpecError(f"PCIe generation must be 1..5, got {self.generation}")
-        if self.lanes not in PCIE_ALLOWED_LANES:
-            raise InvalidSpecError(
-                f"PCIe lanes must be one of {PCIE_ALLOWED_LANES}, got {self.lanes}"
-            )
-        super().__post_init__()
+    rules = {
+        "generation": ("PCIe generation", "1..5", PCIE_GENERATIONS),
+        "lanes": ("PCIe lanes", f"one of {PCIE_ALLOWED_LANES}", PCIE_ALLOWED_LANES),
+    }
 
     def raw_gbps(self) -> Fraction:
-        return self.lanes * _pcie_lane_gbps(self.generation)
+        return self.lanes * _PCIE_RAW_GT[self.generation] * _ENCODING[self.generation]
 
 
 @dataclass(frozen=True)
@@ -213,11 +210,7 @@ class CameraLinkIf(Link):
     config: str = "full"
 
     kind = "camera_link"
-
-    def __post_init__(self):
-        if self.config not in _CAMERALINK_BITS:
-            raise InvalidSpecError(f"Camera Link config must be base/medium/full, got {self.config!r}")
-        super().__post_init__()
+    rules = {"config": ("Camera Link config", "base/medium/full", tuple(_CAMERALINK_BITS))}
 
     def raw_gbps(self) -> Fraction:
         return Fraction(_CAMERALINK_BITS[self.config] * _CAMERALINK_CLOCK_HZ, 1_000_000_000)
@@ -231,15 +224,10 @@ class CoaXPressIf(Link):
     links: int = 1
 
     kind = "coaxpress"
-
-    def __post_init__(self):
-        if self.speed_grade not in _CXP_GBPS:
-            raise InvalidSpecError(
-                f"CoaXPress speed grade must be one of {sorted(_CXP_GBPS)}, got {self.speed_grade!r}"
-            )
-        if not 1 <= self.links <= 4:
-            raise InvalidSpecError(f"CoaXPress links must be 1..4, got {self.links}")
-        super().__post_init__()
+    rules = {
+        "speed_grade": ("CoaXPress speed grade", f"one of {sorted(_CXP_GBPS)}", tuple(_CXP_GBPS)),
+        "links": ("CoaXPress links", "1..4", range(1, 5)),
+    }
 
     def raw_gbps(self) -> Fraction:
         return self.links * _CXP_GBPS[self.speed_grade]
@@ -252,11 +240,7 @@ class GigEVisionIf(Link):
     rate_preset: str = "1g"
 
     kind = "gige_vision"
-
-    def __post_init__(self):
-        if self.rate_preset not in _GIGE_GBPS:
-            raise InvalidSpecError(f"GigE Vision preset must be 1g or 10g, got {self.rate_preset!r}")
-        super().__post_init__()
+    rules = {"rate_preset": ("GigE Vision preset", "1g or 10g", tuple(_GIGE_GBPS))}
 
     def raw_gbps(self) -> Fraction:
         return _GIGE_GBPS[self.rate_preset]
@@ -269,11 +253,7 @@ class CLHSIf(Link):
     lanes: int = 1
 
     kind = "clhs"
-
-    def __post_init__(self):
-        if not 1 <= self.lanes <= 8:
-            raise InvalidSpecError(f"CLHS lanes must be 1..8, got {self.lanes}")
-        super().__post_init__()
+    rules = {"lanes": ("CLHS lanes", "1..8", range(1, 9))}
 
     def raw_gbps(self) -> Fraction:
         return self.lanes * _CLHS_LANE_GBPS
@@ -296,10 +276,6 @@ LINK_KINDS = {
 
 
 # --- Rate arithmetic ------------------------------------------------------
-
-
-def _pcie_lane_gbps(generation: int) -> Fraction:
-    return _PCIE_RAW_GT[generation] * _ENCODING[generation]
 
 
 def effective_rate_fraction(link: Link) -> Fraction:
@@ -353,13 +329,11 @@ def min_lanes(cam: CameraSpec, generation: int, overhead: OverheadModel) -> int:
     """Smallest allowed PCIe lane count that carries the camera stream.
 
     The overhead model's derived efficiency is applied as the link's
-    protocol efficiency.  Raises NoFeasibleWidthError when even x16 falls
-    short.
+    protocol efficiency.  A generation PCIeLink refuses raises its
+    InvalidSpecError; NoFeasibleWidthError when even x16 falls short.
     """
-    if generation not in _PCIE_RAW_GT:
-        raise InvalidSpecError(f"PCIe generation must be 1..5, got {generation}")
+    lane_rate = PCIeLink(generation, 1).raw_gbps() * overhead._efficiency_fraction()
     demand = Fraction(cam.resolution_pixels * cam.bit_depth) * Fraction(cam.frame_rate) / Fraction(10**9)
-    lane_rate = _pcie_lane_gbps(generation) * overhead._efficiency_fraction()
     for lanes in PCIE_ALLOWED_LANES:
         if lanes * lane_rate >= demand:
             return lanes

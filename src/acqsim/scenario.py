@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, OverheadModel
+from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, OverheadModel, warn_outside_envelope
 from .simcore import SimConfig
 from .timing import DeadlineSpec
 from .topology import (
@@ -118,7 +118,9 @@ def _parse_processing(value) -> ProcessingModel:
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    """Decode a scenario document; every malformed part raises ScenarioError."""
+    """Decode a scenario document; every malformed part raises ScenarioError.
+
+    Each camera outside the operating envelope issues an EnvelopeWarning."""
     try:
         return _parse(doc)
     except InvalidSpecError as exc:
@@ -145,6 +147,8 @@ def _parse(doc: dict) -> Scenario:
     if not isinstance(camera_docs, list) or not camera_docs:
         raise ScenarioError("'cameras' must be a non-empty array of cameras")
     cameras = [from_dict(CameraSpec, c) for c in camera_docs]
+    for cam in cameras:
+        warn_outside_envelope(cam)
 
     overhead = from_dict(OverheadModel, doc["overhead"]) if "overhead" in doc else None
     deadlines = from_dict(DeadlineSpec, doc.get("deadlines", {}))

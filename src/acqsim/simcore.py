@@ -136,9 +136,6 @@ def _before(a: tuple, b: tuple, memo: dict) -> bool:
         if pa is pb:
             first = a[2] < b[2]
             break
-        if not pa or not pb:  # the first generation runs first
-            first = not pa
-            break
         if pa[0] != pb[0]:
             first = pa[0] < pb[0]
             break

@@ -3,7 +3,6 @@
 import csv
 import importlib.util
 import json
-import warnings
 from pathlib import Path
 from random import Random
 
@@ -15,7 +14,6 @@ from acqsim import (
     ClockModel,
     CoaXPressIf,
     DeadlineSpec,
-    EnvelopeWarning,
     FrameTable,
     GigEVisionIf,
     PCIeLink,
@@ -34,15 +32,27 @@ from acqsim.topology import (
 )
 
 
+def base_doc(**overrides):
+    """A valid one-camera direct-chain scenario document, with overrides."""
+    doc = {
+        "schema_version": 1,
+        "name": "unit",
+        "camera": {"resolution_pixels": 1_000_000, "bit_depth": 8, "frame_rate": 1000},
+        "architecture": "direct",
+        "pcie": {"kind": "pcie", "generation": 3, "lanes": 1},
+        "sim": {"seed": 5, "n_frames": 1},
+    }
+    doc.update(overrides)
+    return doc
+
+
 def make_camera(rng: Random) -> CameraSpec:
-    """Small, fast-to-simulate cameras; envelope warnings suppressed."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EnvelopeWarning)
-        return CameraSpec(
-            resolution_pixels=rng.randint(1_000, 50_000),
-            bit_depth=rng.choice([8, 10, 12, 16]),
-            frame_rate=rng.choice([1e5, 2e5, 5e5, 1e6]),
-        )
+    """Small, fast-to-simulate cameras."""
+    return CameraSpec(
+        resolution_pixels=rng.randint(1_000, 50_000),
+        bit_depth=rng.choice([8, 10, 12, 16]),
+        frame_rate=rng.choice([1e5, 2e5, 5e5, 1e6]),
+    )
 
 
 def make_link(rng: Random):

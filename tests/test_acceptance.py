@@ -38,8 +38,6 @@ from acqsim.simcore import (
 )
 from conftest import benchmark_workloads, insert_stage, insertable_buffer, make_config, make_topology
 
-pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
-
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CASES = 1000
 
@@ -250,6 +248,7 @@ def test_first_drop_store_and_forward(congested_frames):
 
 
 @pytest.mark.parametrize("name", sorted(benchmark_workloads()))
+@pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 def test_cable_shift_on_last_pcie_link(name):
     # Metamorphic relation: more cable on the last link (PCIe in every
     # workload) delays each frame's arrival at host memory, and so every
@@ -276,6 +275,7 @@ SHIPPED = sorted(path.stem for path in SCENARIOS.glob("*.json"))
 
 
 @pytest.mark.parametrize("name", ["direct-steady", "classic-congested", *SHIPPED])
+@pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 def test_drop_policy_only_decides_drops(name):
     # Metamorphic relation: the drop policy only picks which frames a full
     # buffer sheds, so on a run that sheds none, drop_oldest and drop_newest
@@ -343,6 +343,7 @@ def _cut(frames, limit: int) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(benchmark_workloads()))
+@pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 def test_duration_prefix(name):
     # Metamorphic relation: an event runs if and only if its time is within
     # duration_ns, so a run cut at D is the longer run with every time past

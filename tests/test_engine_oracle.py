@@ -8,7 +8,6 @@ latencies and cable delays on one grid, tight buffers under both drop
 policies, and cutoffs on an event time.
 """
 
-import warnings
 from collections import Counter
 from pathlib import Path
 from random import Random
@@ -21,7 +20,6 @@ from acqsim import (
     BufferStage,
     CameraSpec,
     ClockModel,
-    EnvelopeWarning,
     FrameGrabber,
     HostMemory,
     LinkStage,
@@ -40,8 +38,6 @@ from acqsim.timing import DeadlineSpec
 from acqsim.topology import CUT_THROUGH, STORE_AND_FORWARD
 from conftest import benchmark_workloads, insert_stage, insertable_buffer, make_config, make_topology
 from tandem_oracle import predict
-
-pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 
 ROOT = Path(__file__).resolve().parent.parent
 RELAXED = DeadlineSpec(safety_ns=10**9, control_ns=10**10, timestamp_rms_ns=50.0)
@@ -69,6 +65,7 @@ def assert_matches(topo, cfg, report=None):
     return report, model
 
 
+@pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 def test_shipped_scenarios():
     ties = {}
     for path in sorted((ROOT / "scenarios").glob("*.json")):
@@ -85,6 +82,7 @@ def test_run_pool(run_pool):
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
 def test_benchmark_workloads(name):
     for seed in (1, 2, 3):
         scenario = parse_scenario(WORKLOADS[name](seed, 2_000))
@@ -152,9 +150,7 @@ def tie_cases(draw):
     )
     stages.append(Processor(processing, fixed_latency_ns=fixed()))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EnvelopeWarning)
-        camera = CameraSpec(size, 8, 1e9 / period)
+    camera = CameraSpec(size, 8, 1e9 / period)
     topo = Topology("ties", tuple(stages), camera, RELAXED)
 
     policy = draw(st.sampled_from([DROP_NEWEST, DROP_OLDEST]))

@@ -1,7 +1,7 @@
 """Rate arithmetic: ladders, encodings, presets, feasibility, lane sizing."""
 
 import math
-import warnings
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,21 +17,30 @@ from acqsim import (
     NoFeasibleWidthError,
     OverheadModel,
     PCIeLink,
+    SimConfig,
     USB3If,
     aggregate_rate,
+    build_direct,
     camera_stream_rate,
     effective_link_rate,
+    export_structured,
     feasible,
+    import_structured,
     min_lanes,
+    parse_scenario,
+    run,
 )
 from acqsim.linkmodel import LINK_KINDS, effective_rate_fraction
+from acqsim.metrics import import_summary
 from acqsim.topology import from_dict, to_dict
+from conftest import base_doc
 
 
-def cam(px, depth, fps):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EnvelopeWarning)
-        return CameraSpec(px, depth, fps)
+def scenario_doc(*cameras):
+    """base_doc with one camera per (pixels, depth, fps)."""
+    doc = base_doc(cameras=[to_dict(CameraSpec(*c)) for c in cameras])
+    del doc["camera"]
+    return doc
 
 
 class TestLadder:
@@ -106,7 +115,7 @@ class TestCameraRates:
         assert camera_stream_rate(CameraSpec(1_000_000, 8, 1000)) == 8.0
 
     def test_zero_frame_rate(self):
-        assert camera_stream_rate(cam(1_000_000, 8, 0)) == 0.0
+        assert camera_stream_rate(CameraSpec(1_000_000, 8, 0)) == 0.0
 
     def test_eight_megapixel(self):
         assert camera_stream_rate(CameraSpec(8_000_000, 8, 1000)) == 64.0
@@ -124,62 +133,67 @@ class TestCameraRates:
 
     def test_frame_size_bytes(self):
         assert CameraSpec(1_000_000, 8, 1000).frame_size_bytes == 1_000_000
-        assert cam(1001, 12, 100).frame_size_bytes == 1502  # ceil(12012 / 8)
+        assert CameraSpec(1001, 12, 100).frame_size_bytes == 1502  # ceil(12012 / 8)
 
 
 class TestCameraValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(InvalidSpecError):
-            cam(0, 8, 1000)
+            CameraSpec(0, 8, 1000)
         with pytest.raises(InvalidSpecError):
-            cam(1_000_000, 0, 1000)
+            CameraSpec(1_000_000, 0, 1000)
         with pytest.raises(InvalidSpecError):
-            cam(1_000_000, 65, 1000)
+            CameraSpec(1_000_000, 65, 1000)
         with pytest.raises(InvalidSpecError):
-            cam(1_000_000, 8, -1)
+            CameraSpec(1_000_000, 8, -1)
 
     def test_envelope_warnings(self):
-        with pytest.warns(EnvelopeWarning):
-            CameraSpec(500_000, 8, 1000)
-        with pytest.warns(EnvelopeWarning):
-            CameraSpec(1_000_000, 8, 60_000)
-
-    def test_envelope_warning_names_the_caller(self):
+        # Reading a scenario judges each camera: one warning per parameter outside the envelope.
+        doc = scenario_doc((500_000, 8, 60_000), (1_000_000, 8, 1000), (1_000_000, 8, 20.5))
         with pytest.warns(EnvelopeWarning) as record:
-            CameraSpec(32_768, 8, 30517.578125)
-        assert {w.filename for w in record} == {__file__}
+            parse_scenario(doc)
+        assert [str(w.message) for w in record] == [
+            "resolution 500000 px is outside the [1000000, 8000000] px envelope",
+            "frame rate 60000 fps is outside the [50.0, 50000.0] fps envelope",
+            "frame rate 20.5 fps is outside the [50.0, 50000.0] fps envelope",
+        ]
 
+    @pytest.mark.filterwarnings("error")
     def test_no_warning_inside_envelope(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            CameraSpec(1_000_000, 8, 1000)
-            CameraSpec(8_000_000, 16, 50)
+        parse_scenario(scenario_doc((1_000_000, 8, 1000), (8_000_000, 16, 50)))
+        # Building a camera, or reading one back from a report, judges none.
+        camera = CameraSpec(32_768, 8, 30517.578125)
+        text = export_structured(run(build_direct(camera, PCIeLink(3, 4)), SimConfig(seed=1, n_frames=2)))
+        assert import_structured(text).topology.camera == import_summary(text).topology.camera == camera
 
 
 class TestLinkValidation:
     def test_pcie_bad_fields(self):
-        with pytest.raises(InvalidSpecError):
-            PCIeLink(6, 1)
-        with pytest.raises(InvalidSpecError):
-            PCIeLink(3, 3)
-        with pytest.raises(InvalidSpecError):
-            PCIeLink(3, 1, cable_length_m=-1)
-        with pytest.raises(InvalidSpecError):
-            PCIeLink(3, 1, protocol_efficiency=0.0)
-        with pytest.raises(InvalidSpecError):
-            PCIeLink(3, 1, protocol_efficiency=1.5)
+        for make, message in (
+            (lambda: PCIeLink(6, 1), "PCIe generation must be 1..5, got 6"),
+            (lambda: PCIeLink("3", 1), "PCIe generation must be 1..5, got 3"),
+            (lambda: PCIeLink(3, 3), "PCIe lanes must be one of (1, 2, 4, 8, 16), got 3"),
+            (lambda: PCIeLink(6, 3, cable_length_m=-1), "PCIe generation must be 1..5, got 6"),  # own fields first
+            (lambda: PCIeLink(3, 1, cable_length_m=-1), "cable_length_m must be >= 0 with a finite delay, got -1"),
+            (lambda: PCIeLink(3, 1, protocol_efficiency=0.0), "protocol_efficiency must be in (0, 1], got 0.0"),
+            (lambda: PCIeLink(3, 1, protocol_efficiency=1.5), "protocol_efficiency must be in (0, 1], got 1.5"),
+        ):
+            with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+                make()
 
     def test_preset_bad_fields(self):
-        with pytest.raises(InvalidSpecError):
-            CameraLinkIf(config="dual")
-        with pytest.raises(InvalidSpecError):
-            CoaXPressIf(speed_grade="cxp4")
-        with pytest.raises(InvalidSpecError):
-            CoaXPressIf(links=5)
-        with pytest.raises(InvalidSpecError):
-            GigEVisionIf(rate_preset="40g")
-        with pytest.raises(InvalidSpecError):
-            CLHSIf(lanes=9)
+        cxp_grades = "['cxp1', 'cxp10', 'cxp12', 'cxp2', 'cxp3', 'cxp5', 'cxp6']"
+        for make, message in (
+            (lambda: CameraLinkIf(config="dual"), "Camera Link config must be base/medium/full, got 'dual'"),
+            (lambda: CoaXPressIf(speed_grade="cxp4"), f"CoaXPress speed grade must be one of {cxp_grades}, got 'cxp4'"),
+            (lambda: CoaXPressIf(links=5), "CoaXPress links must be 1..4, got 5"),
+            (lambda: CoaXPressIf(links=2.5), "CoaXPress links must be 1..4, got 2.5"),
+            (lambda: GigEVisionIf(rate_preset="40g"), "GigE Vision preset must be 1g or 10g, got '40g'"),
+            (lambda: CLHSIf(lanes=9), "CLHS lanes must be 1..8, got 9"),
+            (lambda: CLHSIf(lanes=2.5), "CLHS lanes must be 1..8, got 2.5"),
+        ):
+            with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+                make()
 
     @pytest.mark.parametrize("kind", LINK_KINDS)
     def test_shared_fields_checked(self, kind):
@@ -243,7 +257,7 @@ class TestFeasibility:
 
     def test_zero_rate_camera(self):
         link = PCIeLink(2, 4)
-        verdict = feasible(cam(1_000_000, 8, 0), link)
+        verdict = feasible(CameraSpec(1_000_000, 8, 0), link)
         assert verdict.feasible
         assert verdict.margin_gbps == effective_link_rate(link)
 
@@ -259,11 +273,15 @@ class TestMinLanes:
         assert min_lanes(CameraSpec(1_000_000, 8, 1000), 4, self.IDENTITY) == 1
 
     def test_zero_rate_camera(self):
-        assert min_lanes(cam(1_000_000, 8, 0), 1, self.IDENTITY) == 1
+        assert min_lanes(CameraSpec(1_000_000, 8, 0), 1, self.IDENTITY) == 1
 
     def test_no_feasible_width(self):
         with pytest.raises(NoFeasibleWidthError):
-            min_lanes(cam(8_000_000, 16, 10_000), 1, self.IDENTITY)
+            min_lanes(CameraSpec(8_000_000, 16, 10_000), 1, self.IDENTITY)
+
+    def test_out_of_range_generation(self):
+        with pytest.raises(InvalidSpecError, match=r"^PCIe generation must be 1\.\.5, got 9$"):
+            min_lanes(CameraSpec(1_000_000, 8, 1000), 9, self.IDENTITY)
 
     def test_brute_force_agreement(self):
         # Enumerate the allowed widths with independent arithmetic.
@@ -274,7 +292,7 @@ class TestMinLanes:
             (8_000_000, 8, 1000, 4),
             (4_000_000, 16, 500, 5),
         ]:
-            camera = cam(px, depth, fps)
+            camera = CameraSpec(px, depth, fps)
             demand = Fraction(px * depth) * Fraction(fps) / 10**9
             gt = {1: Fraction(5, 2), 2: Fraction(5), 3: Fraction(8), 4: Fraction(16), 5: Fraction(32)}[gen]
             enc = Fraction(8, 10) if gen <= 2 else Fraction(128, 130)

@@ -433,11 +433,7 @@ class TestTabularExport:
         assert_tabular_matches_structured(export_structured(report), export_tabular(report))
 
     def test_dropped_frames_round_trip(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            camera = CameraSpec(32_768, 8, 1e9 / 32_768)
+        camera = CameraSpec(32_768, 8, 1e9 / 32_768)
         topo = build_classic(camera, PCIeLink(1, 4), PCIeLink(1, 2), MIB, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=7, n_frames=70))
         assert set(report.frames.disposition) == {"delivered", "dropped"}

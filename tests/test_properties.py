@@ -1,7 +1,6 @@
 """Invariant checks over randomized inputs (hypothesis + seeded loops)."""
 
 import dataclasses
-import warnings
 from random import Random
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from acqsim import (
     CameraSpec,
     ClockModel,
-    EnvelopeWarning,
     OverheadModel,
     PCIeLink,
     ProcessingModel,
@@ -35,17 +33,9 @@ from acqsim.timing import sample_timestamp_detailed
 from acqsim.topology import BufferStage, FrameGrabber, Topology, from_dict, to_dict
 from conftest import frame_table, make_camera, make_config, make_link, make_topology
 
-pytestmark = pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
-
 generations = st.integers(min_value=1, max_value=5)
 lane_widths = st.sampled_from([1, 2, 4, 8, 16])
 efficiencies = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
-
-
-def quiet_camera(px, depth, fps):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EnvelopeWarning)
-        return CameraSpec(px, depth, fps)
 
 
 class TestLinkModelProperties:
@@ -72,13 +62,11 @@ class TestLinkModelProperties:
         st.integers(min_value=2, max_value=4),
     )
     def test_stream_rate_linear_in_each_factor(self, px, depth, fps, k):
-        base = camera_stream_rate(quiet_camera(px, depth, fps))
-        assert camera_stream_rate(quiet_camera(px * k, depth, fps)) == pytest.approx(k * base, rel=1e-12)
+        base = camera_stream_rate(CameraSpec(px, depth, fps))
+        assert camera_stream_rate(CameraSpec(px * k, depth, fps)) == pytest.approx(k * base, rel=1e-12)
         if depth * k <= 64:
-            assert camera_stream_rate(quiet_camera(px, depth * k, fps)) == pytest.approx(
-                k * base, rel=1e-12
-            )
-        assert camera_stream_rate(quiet_camera(px, depth, fps * k)) == pytest.approx(k * base, rel=1e-12)
+            assert camera_stream_rate(CameraSpec(px, depth * k, fps)) == pytest.approx(k * base, rel=1e-12)
+        assert camera_stream_rate(CameraSpec(px, depth, fps * k)) == pytest.approx(k * base, rel=1e-12)
 
     @given(
         st.integers(min_value=1_000, max_value=8_000_000),
@@ -87,7 +75,7 @@ class TestLinkModelProperties:
         lane_widths,
     )
     def test_feasible_agrees_with_rate_sign(self, px, fps, gen, lanes):
-        camera = quiet_camera(px, 8, fps)
+        camera = CameraSpec(px, 8, fps)
         link = PCIeLink(gen, lanes)
         verdict = feasible(camera, link)
         diff = effective_link_rate(link) - camera_stream_rate(camera)
@@ -99,7 +87,7 @@ class TestLinkModelProperties:
         st.floats(min_value=1.0, max_value=20_000.0, allow_nan=False),
     )
     def test_min_lanes_non_increasing_in_generation(self, px, fps):
-        camera = quiet_camera(px, 8, fps)
+        camera = CameraSpec(px, 8, fps)
         overhead = OverheadModel()
         widths = []
         for gen in (1, 2, 3, 4, 5):
@@ -224,7 +212,7 @@ class TestEngineProperties:
     def test_tie_breaking_is_fifo_stable(self):
         # Same-instant events (duplicate timestamps at period 1 ns) must
         # resolve identically across runs.
-        camera = quiet_camera(1_000, 8, 2e9)  # sub-ns period clamps to 1 ns
+        camera = CameraSpec(1_000, 8, 2e9)  # sub-ns period clamps to 1 ns
         topo = build_direct(camera, PCIeLink(5, 16))
         cfg = SimConfig(seed=3, n_frames=50)
         assert export_structured(run(topo, cfg)) == export_structured(run(topo, cfg))

@@ -2,7 +2,6 @@
 
 import gc
 import math
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from acqsim import (
     CameraSpec,
     CameraLinkIf,
     DeadlineSpec,
-    EnvelopeWarning,
+    FrameGrabber,
     HostMemory,
     InvalidSpecError,
     InvalidTopologyError,
@@ -31,7 +30,7 @@ from acqsim import (
     run,
 )
 from acqsim.linkmodel import propagation_delay_ns
-from acqsim.simcore import DROP_OLDEST, REASON_BACKPRESSURE, REASON_OVERFLOW, serialization_time_ns
+from acqsim.simcore import DROP_NEWEST, DROP_OLDEST, REASON_BACKPRESSURE, REASON_OVERFLOW, serialization_time_ns
 from acqsim.topology import CUT_THROUGH, STORE_AND_FORWARD
 
 CAM_1MPX = CameraSpec(1_000_000, 8, 1000)
@@ -41,19 +40,13 @@ RELAXED = DeadlineSpec(safety_ns=10**9, control_ns=10**10, timestamp_rms_ns=50.0
 MIB = 1024 * 1024
 
 
-def quiet_cam(px, depth, fps):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EnvelopeWarning)
-        return CameraSpec(px, depth, fps)
-
-
 def overflow_topology(drop_newest=True):
     """8 Gb/s producer into a 1 MiB store-and-forward buffer drained at 4 Gb/s.
 
     32768 B frames at exactly one frame per 32768 ns saturate the
     gen1 x4 feed (8.0 Gb/s); the grabber drains over gen1 x2 (4.0 Gb/s).
     """
-    camera = quiet_cam(32_768, 8, 1e9 / 32_768)
+    camera = CameraSpec(32_768, 8, 1e9 / 32_768)
     return build_classic(
         camera,
         PCIeLink(1, 4),
@@ -238,9 +231,21 @@ class TestOverflow:
         a = report.aggregates
         assert a.delivered + a.dropped + a.in_flight == a.generated
 
+    @pytest.mark.parametrize("policy", [DROP_NEWEST, DROP_OLDEST])
+    def test_holder_before_a_memory_drops_the_arrival(self, policy):
+        # Only a holder before a link queues frames to evict: a full grabber
+        # that feeds host memory drops the arriving frame under either policy.
+        grabber = FrameGrabber(65_536, fixed_latency_ns=400_000)
+        stages = (Sensor(), LinkStage(PCIeLink(1, 1)), grabber, HostMemory(), Processor())
+        topo = Topology("grabber-to-memory", stages, CameraSpec(32_768, 8, 30517.578125), RELAXED)
+        frames = run(topo, SimConfig(seed=1, n_frames=12, drop_policy=policy)).frames
+        dropped = [f for f, d in enumerate(frames.disposition) if d == "dropped"]
+        assert dropped == [2, 3, 6, 7, 10, 11]
+        assert {(frames.drop_stage[f], frames.drop_reason[f]) for f in dropped} == {(2, REASON_OVERFLOW)}
+
     def test_buffer_smaller_than_frame_rejected(self):
         # A grabber that cannot hold one frame would drop every frame; the run is refused instead.
-        camera = quiet_cam(32_768, 8, 1e9 / 32_768)
+        camera = CameraSpec(32_768, 8, 1e9 / 32_768)
         topo = build_classic(
             camera, PCIeLink(1, 4), PCIeLink(1, 2), 1_000, deadlines=RELAXED
         )
@@ -258,12 +263,12 @@ class TestStopConditions:
         assert a.delivered + a.dropped + a.in_flight == a.generated
 
     def test_zero_fps_with_frame_count_rejected(self):
-        topo = build_direct(quiet_cam(1_000_000, 8, 0), G3X1, deadlines=RELAXED)
+        topo = build_direct(CameraSpec(1_000_000, 8, 0), G3X1, deadlines=RELAXED)
         with pytest.raises(InvalidSpecError):
             run(topo, SimConfig(seed=1, n_frames=1))
 
     def test_zero_fps_duration_is_empty(self):
-        topo = build_direct(quiet_cam(1_000_000, 8, 0), G3X1, deadlines=RELAXED)
+        topo = build_direct(CameraSpec(1_000_000, 8, 0), G3X1, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, duration_ns=1000))
         assert report.aggregates.generated == 0
 
@@ -355,14 +360,14 @@ class TestRecordsAndTraces:
         assert report.frames.egress_ns[0][0] == 0
 
     def test_sensor_period_rounding(self):
-        camera = quiet_cam(10_000, 8, 3000.0)  # period 333333.33 -> 333333
+        camera = CameraSpec(10_000, 8, 3000.0)  # period 333333.33 -> 333333
         topo = build_direct(camera, G3X1, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=3))
         times = report.frames.generated_at_ns
         assert times == [0, 333_333, 666_666]
 
     def test_sub_ns_period_floors_at_one_ns(self):
-        camera = quiet_cam(10_000, 8, 4e9)  # period 0.25 ns rounds to 0, and the clock ticks in whole ns
+        camera = CameraSpec(10_000, 8, 4e9)  # period 0.25 ns rounds to 0, and the clock ticks in whole ns
         topo = build_direct(camera, G3X1, deadlines=RELAXED)
         report = run(topo, SimConfig(seed=1, n_frames=3))
         assert report.frames.generated_at_ns == [0, 1, 2]
@@ -415,11 +420,10 @@ class TestReferenceCycles:
         topo = build_classic(CAM_1MPX, CL_FULL, PCIeLink(3, 4), 64 * MIB, deadlines=RELAXED)
         self.assert_acyclic(topo, SimConfig(seed=1, n_frames=200))
 
-    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
     def test_duration_cutoff_with_frames_in_flight(self):
         # The overload-oldest benchmark shape: 32 KiB frames into a
         # half-rate link, cut off by duration with events still queued.
-        camera = quiet_cam(32_768, 8, 30517.578125)
+        camera = CameraSpec(32_768, 8, 30517.578125)
         topo = build_classic(
             camera,
             PCIeLink(1, 4),

@@ -92,11 +92,7 @@ class TestBuilders:
         rng = Random(7)
         for _ in range(50):
             px = rng.randint(1, 10_000_000)
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                camera = CameraSpec(px, rng.randint(1, 64), rng.uniform(0, 60_000))
+            camera = CameraSpec(px, rng.randint(1, 64), rng.uniform(0, 60_000))
             cap = rng.randint(1, 2**30)
             classic = build_classic(camera, CL, G3X4, cap)
             direct = build_direct(camera, G3X4)
