@@ -38,7 +38,6 @@ from .simcore import (
     DROP_NEWEST,
     DROP_OLDEST,
     FrameTable,
-    InvalidTopologyError,
     SimConfig,
     run,
 )
@@ -55,17 +54,16 @@ from .topology import (
     BufferStage,
     FrameGrabber,
     HostMemory,
+    InvalidTopologyError,
     LinkStage,
     ProcessingModel,
     Processor,
     Sensor,
     Topology,
-    Violation,
     build_classic,
     build_direct,
     copy_count,
     topology_digest,
-    validate,
 )
 
 __version__ = "0.1.0"

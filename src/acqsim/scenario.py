@@ -184,14 +184,15 @@ def _parse(doc: dict) -> Scenario:
             kwargs["processing"] = _parse_processing(kwargs.pop("processing_time_ns"))
         links = [from_dict(LINK_KINDS, _with_overhead(doc[key], overhead)) for key in required]
         topo = builder(cameras[0], *links, name=name, deadlines=deadlines, **kwargs)
-    check_runnable(topo)
 
-    # The stages do not depend on the camera: each camera gets its own
-    # pipeline by swapping the camera and the name.
+    # The stages do not depend on the camera: each camera gets its own pipeline by
+    # swapping the camera and the name.  Whether a buffer holds its frame does, so each is checked.
     if len(cameras) == 1:
         pipelines = [topo]
     else:
         pipelines = [replace(topo, name=f"{name}-cam{i}", camera=cam) for i, cam in enumerate(cameras)]
+    for pipeline in pipelines:
+        check_runnable(pipeline)
     return Scenario(name=name, cameras=cameras, pipelines=pipelines, base_config=base_config)
 
 

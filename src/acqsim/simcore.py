@@ -43,8 +43,8 @@ from typing import Optional
 
 from .linkmodel import InvalidSpecError, Link, effective_rate_fraction, propagation_delay_ns
 from .timing import ClockModel, sample_timestamp_detailed
-from .topology import CUT_THROUGH, JSON_FORMS, BufferStage, LinkStage, Processor, Topology, check_runnable, one
-from .topology import InvalidTopologyError  # noqa: F401  (exported here, where run raises it)
+from .topology import CUT_THROUGH, JSON_FORMS, BufferStage, LinkStage, Processor, Topology, check_runnable
+from .topology import from_dict, one, to_dict
 
 DROP_NEWEST = "drop_newest"
 DROP_OLDEST = "drop_oldest"
@@ -183,7 +183,6 @@ class _Passes:
             if isinstance(s, LinkStage)
         }
         self.traces = {i: [] for i, s in enumerate(stages) if not isinstance(s, (LinkStage, Processor))}
-        self.busy = {}
         self.memo = {}
         self.last = 0  # time of the latest event that ran
         self.proc_rng = Random(f"{cfg.seed}:processing")
@@ -201,7 +200,10 @@ class _Passes:
                 arrivals = self._hold(idx, arrivals)
                 idx += 1
         elapsed = self.last if self.cfg.duration_ns is None else self.cfg.duration_ns
-        return self.frames, elapsed, self.traces, self.busy
+        # A link is busy one serialization time per completed transmission; each sets its frame's link ingress.
+        ingress = self.frames.ingress_ns
+        busy = {i: ser * (len(ingress[i]) - ingress[i].count(None)) for i, (ser, _, _) in self.links.items()}
+        return self.frames, elapsed, self.traces, busy
 
     def _generate(self) -> list:
         """Draw the camera stamps in frame order and build the frame table; returns
@@ -267,7 +269,7 @@ class _Passes:
         fifo: deque = deque()  # (frame, full arrival, first byte, bytes held)
         pending: list = []
         out: list = []
-        occupancy = busy = free_at = now = o = 0
+        occupancy = free_at = now = o = 0
         sending = False
         arrivals.append(_END)
         arrivals = iter(arrivals)
@@ -286,8 +288,6 @@ class _Passes:
                     occupancy -= amount
                     trace((now, occupancy))
                     sending = False
-                    # Busy time counts completed transmissions only.
-                    busy += ser
                     if first_byte is not None:
                         out.append((now, key, f, first_byte))
             elif at > limit or af is None:
@@ -343,7 +343,6 @@ class _Passes:
                 out.append((free_at + prop, (free_at + prop, key, idx + 1), f, start + prop))
             else:
                 heappush(pending, (free_at, o, (free_at, key, idx), f, start, amount))
-        self.busy[idx + 1] = busy
         self.last = max(self.last, now)
         return out
 
@@ -426,11 +425,14 @@ class _Passes:
 def run(topo: Topology, cfg: SimConfig):
     """Simulate a topology and return its SimReport, which keeps the passes' FrameTable.
 
-    Rejects invalid topologies before any frame is generated.  Two calls
-    with equal (topology, config) produce byte-identical canonical
-    reports.
+    Rejects invalid topologies, and records whose report could not be read
+    back, before any frame is generated.  Two calls with equal (topology,
+    config) produce byte-identical canonical reports.
     """
     check_runnable(topo)
+    # A field the report reader would reject (a float or a bool for an integer) fails here, with its message.
+    from_dict(Topology, to_dict(topo))
+    from_dict(SimConfig, to_dict(cfg))
     from .metrics import build_report  # local import: metrics depends on this module
 
     return build_report(topo, cfg, *_Passes(topo, cfg).run())

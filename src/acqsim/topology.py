@@ -186,53 +186,41 @@ class Topology:
     deadlines: DeadlineSpec = field(default_factory=DeadlineSpec)
 
 
-@dataclass(frozen=True)
-class Violation:
-    stage_index: Optional[int]
-    rule: str
-
-
 class InvalidTopologyError(InvalidSpecError):
-    """The topology breaks a rule of validate and cannot be simulated."""
+    """The topology breaks a rule of check_runnable and cannot be simulated."""
 
 
-def validate(t: Topology) -> list[Violation]:
-    """Structural rule check; an empty list means the topology is runnable."""
-    v: list[Violation] = []
+def check_runnable(t: Topology) -> None:
+    """Structural rule check: raise InvalidTopologyError naming each rule
+    that t breaks, as `<rule>` or `<rule> (stage i)`; return None if t is runnable."""
     stages = t.stages
+    broken = []
     if not stages:
-        return [Violation(None, "chain is non-empty")]
-    frame = t.camera.frame_size_bytes
-    if not isinstance(stages[0], Sensor):
-        v.append(Violation(0, "first stage is Sensor"))
-    if not isinstance(stages[-1], Processor):
-        v.append(Violation(len(stages) - 1, "last stage is Processor"))
-    if not any(isinstance(s, LinkStage) for s in stages):
-        v.append(Violation(None, "at least one LinkStage present"))
+        broken.append("chain is non-empty")
+    else:
+        frame = t.camera.frame_size_bytes
+        if not isinstance(stages[0], Sensor):
+            broken.append("first stage is Sensor (stage 0)")
+        if not isinstance(stages[-1], Processor):
+            broken.append(f"last stage is Processor (stage {len(stages) - 1})")
+        if not any(isinstance(s, LinkStage) for s in stages):
+            broken.append("at least one LinkStage present")
     for i, s in enumerate(stages):
         if isinstance(s, Sensor) and i != 0:
-            v.append(Violation(i, "Sensor only at the head"))
+            broken.append(f"Sensor only at the head (stage {i})")
         if isinstance(s, Processor) and i != len(stages) - 1:
-            v.append(Violation(i, "Processor only at the tail"))
+            broken.append(f"Processor only at the tail (stage {i})")
         if isinstance(s, LinkStage) and (i == 0 or not isinstance(stages[i - 1], EMITTER_KINDS)):
-            v.append(Violation(i, "LinkStage preceded by an emitting stage"))
+            broken.append(f"LinkStage preceded by an emitting stage (stage {i})")
         if isinstance(s, LinkStage) and not isinstance(s.link, _LINK_CLASSES):
-            v.append(Violation(i, "LinkStage carries a link of a known kind"))
+            broken.append(f"LinkStage carries a link of a known kind (stage {i})")
         # A buffer holds a whole frame, except a cut-through one fed by a link, which holds only the residue.
         if isinstance(s, (BufferStage, FrameGrabber)) and s.capacity_bytes < frame:
             residue = getattr(s, "forwarding", None) == CUT_THROUGH and i > 0 and isinstance(stages[i - 1], LinkStage)
             if not residue:
-                v.append(Violation(i, "buffer holds a whole frame"))
-    return v
-
-
-def check_runnable(t: Topology) -> None:
-    """Raise InvalidTopologyError naming each rule of validate that t
-    breaks, with its stage where the rule has one."""
-    problems = validate(t)
-    if problems:
-        rules = "; ".join(v.rule if v.stage_index is None else f"{v.rule} (stage {v.stage_index})" for v in problems)
-        raise InvalidTopologyError(f"topology is not runnable: {rules}")
+                broken.append(f"buffer holds a whole frame (stage {i})")
+    if broken:
+        raise InvalidTopologyError(f"topology is not runnable: {'; '.join(broken)}")
 
 
 def copy_count(t: Topology) -> int:

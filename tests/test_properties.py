@@ -26,11 +26,10 @@ from acqsim import (
     min_lanes,
     run,
     timestamp_rms,
-    validate,
 )
 from acqsim.linkmodel import NoFeasibleWidthError
 from acqsim.timing import sample_timestamp_detailed
-from acqsim.topology import BufferStage, FrameGrabber, Topology, from_dict, to_dict
+from acqsim.topology import BufferStage, FrameGrabber, Topology, check_runnable, from_dict, to_dict
 from conftest import frame_table, make_camera, make_config, make_link, make_topology
 
 generations = st.integers(min_value=1, max_value=5)
@@ -115,7 +114,7 @@ class TestTopologyProperties:
     @settings(max_examples=100)
     @given(st.randoms(use_true_random=False))
     def test_builders_always_validate(self, rng):
-        assert validate(make_topology(rng)) == []
+        assert check_runnable(make_topology(rng)) is None
 
     @settings(max_examples=100)
     @given(st.randoms(use_true_random=False))

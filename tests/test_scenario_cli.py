@@ -153,6 +153,20 @@ def two_camera_scenario(tmp_path) -> str:
     return str(path)
 
 
+def second_camera_overflows() -> dict:
+    """A two-camera direct scenario whose camera buffer holds the first camera's frame, not the second's."""
+    camera = {"resolution_pixels": 1_000_000, "bit_depth": 8, "frame_rate": 100}
+    doc = base_doc(
+        cameras=[camera, dict(camera, resolution_pixels=2_000_000)],
+        pcie={"kind": "pcie", "generation": 3, "lanes": 4},
+        camera_buffer_capacity_bytes=1_000_000,
+        camera_buffer_forwarding="store_and_forward",
+        sim={"seed": 5, "n_frames": 3},
+    )
+    del doc["camera"]
+    return doc
+
+
 def assert_clean_config_error(*argv):
     """`python -m acqsim *argv` exits 1 with an `error: ` line and no traceback."""
     proc = run_cli(*argv)
@@ -222,6 +236,10 @@ class TestScenarioParsing:
         assert sc.pipelines[0].name == "unit-cam0"
         seeds = [c.seed for c in sc.configs()]
         assert seeds == [5, 6]
+
+    def test_every_camera_pipeline_checked(self):
+        with pytest.raises(ScenarioError, match=r"^topology is not runnable: buffer holds a whole frame \(stage 1\)$"):
+            parse_scenario(second_camera_overflows())
 
     def test_processing_shorthand(self):
         sc = parse_scenario(base_doc(processing_time_ns=150_000))
@@ -522,6 +540,16 @@ class TestSimulateCommand:
             "error: cannot generate frames from a zero frame-rate camera",
         ]
         assert sorted(p.name for p in tmp_path.glob("m-*")) == ["m-cam0.csv", "m-cam0.json"]
+
+    def test_pipeline_the_gate_rejects_writes_nothing(self, tmp_path, capsys):
+        # The first camera's pipeline would run; the scenario is refused before it does.
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(second_camera_overflows()), encoding="utf-8")
+        assert main(["simulate", str(path), "-o", str(tmp_path / "m")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: topology is not runnable: buffer holds a whole frame (stage 1)\n"
+        assert list(tmp_path.glob("m*")) == []
 
     def test_envelope_warning_is_one_clean_line(self, tmp_path):
         # Two cameras outside the envelope in the same way: one warning line

@@ -10,6 +10,8 @@ from acqsim import (
     BufferStage,
     CameraSpec,
     CameraLinkIf,
+    CLHSIf,
+    CoaXPressIf,
     DeadlineSpec,
     FrameGrabber,
     HostMemory,
@@ -284,6 +286,39 @@ class TestStopConditions:
         bad = Topology("bad", (Sensor(), BufferStage(1024), LinkStage(G3X1), HostMemory()), CAM_1MPX)
         with pytest.raises(InvalidTopologyError):
             run(bad, SimConfig(seed=1, n_frames=1))
+
+    @pytest.mark.parametrize(
+        "topo, cfg, message",
+        [
+            (build_direct(CAM_1MPX, PCIeLink(3.0, 1)), None, "PCIeLink 'generation' must be an integer, got 3.0"),
+            (build_direct(CAM_1MPX, PCIeLink(True, 4)), None, "PCIeLink 'generation' must be an integer, got True"),
+            (build_classic(CAM_1MPX, CLHSIf(lanes=2.0), G3X1), None, "CLHSIf 'lanes' must be an integer, got 2.0"),
+            (build_classic(CAM_1MPX, CoaXPressIf(links=2.0), G3X1), None, "CoaXPressIf 'links' must be an integer, got 2.0"),
+            (
+                build_direct(CAM_1MPX, G3X1, camera_buffer_capacity_bytes=2e6),
+                None,
+                "BufferStage 'capacity_bytes' must be an integer, got 2000000.0",
+            ),
+            (
+                build_direct(CameraSpec(1e6, 8, 1000), G3X1),
+                None,
+                "CameraSpec 'resolution_pixels' must be an integer, got 1000000.0",
+            ),
+            (
+                build_direct(CAM_1MPX, G3X1, processing=ProcessingModel.fixed(5.0)),
+                None,
+                "ProcessingModel 'fixed_ns' must be an integer, got 5.0",
+            ),
+            (build_direct(CAM_1MPX, G3X1), SimConfig(seed=1.5, n_frames=2), "SimConfig 'seed' must be an integer, got 1.5"),
+        ],
+        ids=["float-generation", "bool-generation", "float-clhs-lanes", "float-cxp-links", "float-capacity",
+             "float-pixels", "float-processing", "float-seed"],
+    )
+    def test_field_the_report_reader_rejects(self, topo, cfg, message):
+        # Built in the library, so no scenario decoder checked the types; the report would not read back.
+        with pytest.raises(InvalidSpecError) as exc:
+            run(topo, cfg or SimConfig(seed=1, n_frames=2))
+        assert str(exc.value) == message
 
 
 class TestFixedLatencies:

@@ -38,7 +38,6 @@ from acqsim import (
     import_structured,
     run,
     topology_digest,
-    validate,
 )
 from acqsim.linkmodel import LINK_KINDS, Link
 from acqsim.simcore import DISPOSITION_DELIVERED, serialization_time_ns
@@ -47,6 +46,7 @@ from acqsim.topology import (
     JSON_FORMS,
     STAGE_KINDS,
     STORE_AND_FORWARD,
+    check_runnable,
     from_dict,
     to_dict,
 )
@@ -61,7 +61,7 @@ class TestBuilders:
         t = build_classic(CAM, CL, G3X4, 64 * 1024 * 1024)
         kinds = [s.kind for s in t.stages]
         assert kinds == ["sensor", "buffer", "link", "frame_grabber", "link", "host_memory", "processor"]
-        assert validate(t) == []
+        assert check_runnable(t) is None
         assert copy_count(t) == 3
         assert t.stages[2].link == CL
         assert t.stages[4].link == G3X4
@@ -70,7 +70,7 @@ class TestBuilders:
         t = build_direct(CAM, G3X4)
         kinds = [s.kind for s in t.stages]
         assert kinds == ["sensor", "buffer", "link", "host_memory", "processor"]
-        assert validate(t) == []
+        assert check_runnable(t) is None
         assert copy_count(t) == 2
         assert not any(isinstance(s, FrameGrabber) for s in t.stages)
 
@@ -99,10 +99,17 @@ class TestBuilders:
             assert copy_count(classic) == copy_count(direct) + 1
 
 
+def assert_not_runnable(t, *rules):
+    """check_runnable rejects t naming exactly these rules, in order."""
+    with pytest.raises(InvalidTopologyError) as exc:
+        check_runnable(t)
+    assert str(exc.value) == "topology is not runnable: " + "; ".join(rules)
+
+
 class TestValidate:
     def test_constructed_chains_pass(self):
-        assert validate(build_classic(CAM, CL, G3X4, CAM.frame_size_bytes)) == []
-        assert validate(build_direct(CAM, G3X4)) == []
+        assert check_runnable(build_classic(CAM, CL, G3X4, CAM.frame_size_bytes)) is None
+        assert check_runnable(build_direct(CAM, G3X4)) is None
 
     @pytest.mark.parametrize(
         "stages, index",
@@ -118,20 +125,17 @@ class TestValidate:
     )
     def test_buffer_smaller_than_frame(self, stages, index):
         t = Topology("small", (Sensor(), *stages, HostMemory(), Processor()), CAM)
-        assert [(v.stage_index, v.rule) for v in validate(t)] == [(index, "buffer holds a whole frame")]
+        assert_not_runnable(t, f"buffer holds a whole frame (stage {index})")
         with pytest.raises(InvalidTopologyError, match=rf"^topology is not runnable: buffer holds a whole frame \(stage {index}\)$"):
             run(t, SimConfig(seed=1, n_frames=1))
 
     def test_cut_through_buffer_past_link_holds_a_residue(self):
         stages = (BufferStage(10**6), LinkStage(CL), BufferStage(1024, forwarding="cut_through"), LinkStage(G3X4))
-        assert validate(Topology("residue", (Sensor(), *stages, HostMemory(), Processor()), CAM)) == []
+        assert check_runnable(Topology("residue", (Sensor(), *stages, HostMemory(), Processor()), CAM)) is None
 
     def test_missing_sensor_head(self):
         t = Topology("bad", (BufferStage(1024), LinkStage(G3X4), Processor()), CAM)
-        rules = [v.rule for v in validate(t)]
-        assert "first stage is Sensor" in rules
-        first = [v for v in validate(t) if v.rule == "first stage is Sensor"][0]
-        assert first.stage_index == 0
+        assert_not_runnable(t, "first stage is Sensor (stage 0)", "buffer holds a whole frame (stage 0)")
 
     def test_two_processors(self):
         t = Topology(
@@ -139,12 +143,11 @@ class TestValidate:
             (Sensor(), BufferStage(1024), LinkStage(G3X4), Processor(), Processor()),
             CAM,
         )
-        violations = validate(t)
-        assert any(v.rule == "Processor only at the tail" and v.stage_index == 3 for v in violations)
+        assert_not_runnable(t, "buffer holds a whole frame (stage 1)", "Processor only at the tail (stage 3)")
 
     def test_missing_link(self):
         t = Topology("bad", (Sensor(), BufferStage(1024), HostMemory(), Processor()), CAM)
-        assert any(v.rule == "at least one LinkStage present" for v in validate(t))
+        assert_not_runnable(t, "at least one LinkStage present", "buffer holds a whole frame (stage 1)")
 
     def test_link_needs_emitter(self):
         t = Topology(
@@ -152,8 +155,7 @@ class TestValidate:
             (Sensor(), BufferStage(1024), LinkStage(G3X4), HostMemory(), LinkStage(G3X4), Processor()),
             CAM,
         )
-        bad = [v for v in validate(t) if v.rule == "LinkStage preceded by an emitting stage"]
-        assert len(bad) == 1 and bad[0].stage_index == 4
+        assert_not_runnable(t, "buffer holds a whole frame (stage 1)", "LinkStage preceded by an emitting stage (stage 4)")
 
     def test_sensor_mid_chain(self):
         t = Topology(
@@ -161,22 +163,21 @@ class TestValidate:
             (Sensor(), BufferStage(1024), LinkStage(G3X4), Sensor(), Processor()),
             CAM,
         )
-        assert any(v.rule == "Sensor only at the head" and v.stage_index == 3 for v in validate(t))
+        assert_not_runnable(t, "buffer holds a whole frame (stage 1)", "Sensor only at the head (stage 3)")
 
     @pytest.mark.parametrize("link", [Link(), "pcie"], ids=["bare-link", "string"])
     def test_link_of_no_known_kind(self, link):
         t = build_direct(CAM, link)
-        bad = [v for v in validate(t) if v.rule == "LinkStage carries a link of a known kind"]
-        assert len(bad) == 1 and bad[0].stage_index == 2
+        assert_not_runnable(t, "LinkStage carries a link of a known kind (stage 2)")
         with pytest.raises(InvalidTopologyError, match="LinkStage carries a link of a known kind"):
             run(t, SimConfig(seed=1, n_frames=1))
 
     def test_missing_tail_processor(self):
         t = Topology("bad", (Sensor(), BufferStage(1024), LinkStage(G3X4), HostMemory()), CAM)
-        assert any(v.rule == "last stage is Processor" for v in validate(t))
+        assert_not_runnable(t, "last stage is Processor (stage 3)", "buffer holds a whole frame (stage 1)")
 
     def test_empty_chain(self):
-        assert validate(Topology("bad", (), CAM))[0].rule == "chain is non-empty"
+        assert_not_runnable(Topology("bad", (), CAM), "chain is non-empty")
 
 
 class TestStageSpecs:
