@@ -18,7 +18,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain, islice
-from operator import itemgetter
 from typing import NamedTuple
 
 from .linkmodel import InvalidSpecError
@@ -26,6 +25,7 @@ from .simcore import (
     DISPOSITION_DELIVERED,
     DISPOSITION_DROPPED,
     DISPOSITION_IN_FLIGHT,
+    FRAME_VALUES,
     FrameTable,
     SimConfig,
 )
@@ -34,13 +34,13 @@ from .topology import (
     INT_KEYED,
     JSON_FORMS,
     Topology,
+    check_columns,
     check_int_keyed,
     check_runnable,
     copy_count,
     decode_int_keyed,
     from_dict,
     one,
-    record_columns,
     to_dict,
     topology_digest,
 )
@@ -170,40 +170,32 @@ _SCALAR_METRICS = tuple(f.name for f in fields(Aggregates) if f.type in ("int", 
 # --- Structured (JSON) export ----------------------------------------------
 
 
-# A frame's scalar keys, each both a JSON key and a FrameTable column, in
-# the order of the tabular export.
-_FRAME_SCALARS = ("frame_id", "size_bytes", "generated_at_ns", "camera_timestamp_ns", "timestamp_clamped",
-                  "disposition", "drop_stage", "drop_reason", "drop_time_ns")
-_FRAME_KEYS = frozenset((*_FRAME_SCALARS, "stage_times", "buffer_bytes"))
-_BAD_FRAME = f"a frame must be a JSON object with exactly the keys {sorted(_FRAME_KEYS)}"
-_BAD_WIDTH = "a frame's stage_times must hold one [ingress, egress] pair per topology stage"
-_ARRAYS = {list}  # json.loads gives every JSON array as a list
+# FrameTable's fields define the frame record.  Its list[<scalar>] fields are the frame's scalar keys, each with
+# its JSON type, in field order, the order of the tabular export.  Its stage-major fields follow, in the JSON
+# frame as the [ingress, egress] pairs of stage_times and the buffer_bytes map, and in the CSV three per stage.
+_FRAME_SCALARS = {f.name: f.type.removeprefix("list[")[:-1] for f in fields(FrameTable) if "list[list[" not in f.type}
+_STAGE_COLUMNS = tuple(f.name for f in fields(FrameTable) if "list[list[" in f.type)
+_FRAME_KEYS = {**_FRAME_SCALARS, "stage_times": None, "buffer_bytes": None}
 
 
-def _all_pairs(items) -> bool:
-    """Whether each of items is a two-element array."""
-    return set(map(type, items)) <= _ARRAYS and set(map(len, items)) <= {2}
+def _pairs(items, types: set) -> bool:
+    """Whether each of items is a two-element array of values of types (json.loads gives every array as a list)."""
+    return (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}
+            and set(map(type, chain.from_iterable(items))) <= types)
 
 
-def check_frames(docs, n_stages: int) -> tuple:
-    """The stage_times and the buffer_bytes of each frame of docs, once docs
-    is checked to be a JSON array of frames of the exported shape: exactly
-    the frame keys, stage_times an array of n_stages [ingress, egress] pairs
-    of integers or nulls and buffer_bytes an object from stage index to an
-    integer.  Each check runs a key column at a time over every frame."""
-    if not isinstance(docs, list):
-        raise InvalidSpecError(f"frames must be a JSON array, got {type(docs).__name__}")
-    if (not set(map(type, docs)) <= {dict} or set(map(len, docs)) - {len(_FRAME_KEYS)}
-            or not all(map(_FRAME_KEYS.issuperset, docs))):
-        raise InvalidSpecError(_BAD_FRAME)
-    spans = list(map(itemgetter("stage_times"), docs))
-    if not set(map(type, spans)) <= _ARRAYS or not _all_pairs(pairs := list(chain.from_iterable(spans))):
-        raise InvalidSpecError("a frame's stage_times must be a JSON array of [ingress, egress] pairs")
+def check_frames(docs, n_stages: int) -> dict:
+    """Key -> column of docs, once checked to be a JSON array of frames of the exported shape: the
+    frame keys and scalars as check_columns checks them, stage_times n_stages [ingress, egress] pairs
+    of integers or nulls and buffer_bytes an object from stage index to an integer, a column at a time."""
+    columns = check_columns("frame", _FRAME_KEYS, FRAME_VALUES, docs)
+    spans = columns["stage_times"]
+    if not set(map(type, spans)) <= {list} or not _pairs(list(chain.from_iterable(spans)), {int, type(None)}):
+        raise InvalidSpecError("a frame's stage_times must be a JSON array of [ingress, egress] pairs, "
+                               "each an integer or null")
     if set(map(len, spans)) - {n_stages}:
-        raise InvalidSpecError(_BAD_WIDTH)
-    if not set(map(type, chain.from_iterable(pairs))) <= {int, type(None)}:
-        raise InvalidSpecError("a frame's stage_times must hold an integer or null for each ingress and egress")
-    held = list(map(itemgetter("buffer_bytes"), docs))
+        raise InvalidSpecError("a frame's stage_times must hold one [ingress, egress] pair per topology stage")
+    held = columns["buffer_bytes"]
     if not set(map(type, held)) <= {dict}:
         check_int_keyed(next(m for m in held if type(m) is not dict))  # raises, naming the first non-object
     keys = dict.fromkeys(chain.from_iterable(held))  # every frame's keys at once
@@ -214,7 +206,7 @@ def check_frames(docs, n_stages: int) -> tuple:
         raise InvalidSpecError(f"a frame's buffer_bytes names stage {past} of a {n_stages}-stage topology")
     if not set(map(type, chain.from_iterable(map(dict.values, held)))) <= {int}:
         raise InvalidSpecError("a frame's buffer_bytes must map each stage index to an integer")
-    return spans, held
+    return columns
 
 
 def _frame_docs(t: FrameTable):
@@ -235,19 +227,21 @@ def _frame_docs(t: FrameTable):
 
 
 def _check_trace(v) -> list:
-    if type(v) not in _ARRAYS or not _all_pairs(v):
-        raise InvalidSpecError("an occupancy trace must be a JSON array of [time_ns, bytes] pairs")
+    if type(v) is not list or not _pairs(v, {int}):
+        raise InvalidSpecError("an occupancy trace must be a JSON array of [time_ns, bytes] pairs of integers")
     return v
 
 
 # Schema v1 holds a record per deadline miss where Aggregates holds the counts by kind.
 _VIOLATION_COUNTS = {"safety": "safety_violations", "control": "control_violations",
                      "timestamp": "timestamp_violations"}
+_VIOLATION_KEYS = {f.name: f.type for f in fields(DeadlineViolation)}
 
 
 def _aggregates_from_v1(d) -> Aggregates:
     """Aggregates from their v1 JSON object: every violation record is checked
-    as from_dict checks a DeadlineViolation, but only the counts by kind are kept."""
+    as from_dict checks a DeadlineViolation, and its kind against the known
+    kinds, but only the counts by kind are kept."""
     if not isinstance(d, dict):
         return from_dict(Aggregates, d)  # raises, naming the fault
     if "violations" not in d:
@@ -255,7 +249,8 @@ def _aggregates_from_v1(d) -> Aggregates:
     if counted := d.keys() & _VIOLATION_COUNTS.values():
         raise InvalidSpecError(f"Aggregates: unknown keys {sorted(counted)}")
     d = dict(d)
-    kinds = Counter(record_columns(DeadlineViolation, d.pop("violations"))["kind"])
+    kinds = Counter(check_columns("violation", _VIOLATION_KEYS, {"kind": tuple(_VIOLATION_COUNTS)},
+                                  d.pop("violations"))["kind"])
     d.update({key: kinds[kind] for kind, key in _VIOLATION_COUNTS.items()})
     return from_dict(Aggregates, d)
 
@@ -319,7 +314,7 @@ def export_structured(report: SimReport) -> str:
 def _import(text: str) -> tuple:
     """A structured report of this schema version that carries the digest and
     name of its runnable topology and whose frames are still their checked
-    JSON objects, and those frames' stage_times and buffer_bytes (check_frames)."""
+    JSON objects, and those frames' columns (check_frames)."""
     try:
         doc = json.loads(text)
     except RecursionError as exc:  # nested past the decoder's limit
@@ -333,14 +328,13 @@ def _import(text: str) -> tuple:
 
 
 def import_structured(text: str) -> SimReport:
-    report, (spans, held) = _import(text)
-    docs, stages = report.frames, range(len(report.topology.stages))
-    report.frames = FrameTable(
-        **{key: list(map(itemgetter(key), docs)) for key in _FRAME_SCALARS},
-        ingress_ns=[[s[i][0] for s in spans] for i in stages],
-        egress_ns=[[s[i][1] for s in spans] for i in stages],
-        buffer_bytes=[[b.get(str(i)) for b in held] for i in stages],
-    )
+    report, columns = _import(text)
+    spans, held, stages = columns["stage_times"], columns["buffer_bytes"], range(len(report.topology.stages))
+    # The stage-major columns, in field order: ingress and egress from the stage_times pairs, then buffer_bytes.
+    stage_columns = (*([[s[i][k] for s in spans] for i in stages] for k in (0, 1)),
+                     [[b.get(str(i)) for b in held] for i in stages])
+    report.frames = FrameTable(**{key: columns[key] for key in _FRAME_SCALARS},
+                               **dict(zip(_STAGE_COLUMNS, stage_columns)))
     report.occupancy = {i: list(map(tuple, trace)) for i, trace in report.occupancy.items()}
     return report
 
@@ -367,20 +361,17 @@ def import_summary(text: str) -> ReportSummary:
 
 # --- Tabular (CSV) export ---------------------------------------------------
 
-_FRAME_COLUMNS = (*_FRAME_SCALARS, "latency_ns")
-
-
 def export_tabular(report: SimReport) -> str:
     """Flat per-frame table, a blank line, then a metric/value block."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     t = report.frames
-    header = list(_FRAME_COLUMNS)
-    columns = [t.frame_id, t.size_bytes, t.generated_at_ns, t.camera_timestamp_ns, map(int, t.timestamp_clamped),
-               t.disposition, t.drop_stage, t.drop_reason, t.drop_time_ns, t.latency_ns()]
-    for i, stage_columns in enumerate(zip(t.ingress_ns, t.egress_ns, t.buffer_bytes)):  # three columns per stage
-        header += [f"stage{i}_ingress_ns", f"stage{i}_egress_ns", f"stage{i}_buffer_bytes"]
-        columns += stage_columns
+    header = [*_FRAME_SCALARS, "latency_ns"]
+    columns = [*(map(int, getattr(t, key)) if a == "bool" else getattr(t, key) for key, a in _FRAME_SCALARS.items()),
+               t.latency_ns()]  # a bool column is written as 0/1
+    for i in range(len(report.topology.stages)):
+        header += (f"stage{i}_{name}" for name in _STAGE_COLUMNS)
+        columns += (getattr(t, name)[i] for name in _STAGE_COLUMNS)
     w.writerow(header)
     w.writerows(zip(*columns))
     w.writerow([])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, OverheadModel, warn_outside_envelope
-from .simcore import SimConfig
+from .simcore import SimConfig, check_generable
 from .timing import DeadlineSpec
 from .topology import (
     STAGE_KINDS,
@@ -185,14 +185,15 @@ def _parse(doc: dict) -> Scenario:
         links = [from_dict(LINK_KINDS, _with_overhead(doc[key], overhead)) for key in required]
         topo = builder(cameras[0], *links, name=name, deadlines=deadlines, **kwargs)
 
-    # The stages do not depend on the camera: each camera gets its own pipeline by
-    # swapping the camera and the name.  Whether a buffer holds its frame does, so each is checked.
+    # The stages do not depend on the camera: each camera gets its own pipeline by swapping the camera and the
+    # name.  Whether a buffer holds its frame and the camera can generate its frames does, so each is checked.
     if len(cameras) == 1:
         pipelines = [topo]
     else:
         pipelines = [replace(topo, name=f"{name}-cam{i}", camera=cam) for i, cam in enumerate(cameras)]
     for pipeline in pipelines:
         check_runnable(pipeline)
+        check_generable(pipeline, base_config)  # the pipelines' configs differ only in their seeds
     return Scenario(name=name, cameras=cameras, pipelines=pipelines, base_config=base_config)
 
 

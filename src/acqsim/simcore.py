@@ -55,29 +55,33 @@ DISPOSITION_IN_FLIGHT = "in_flight"
 
 REASON_OVERFLOW = "buffer_overflow"
 REASON_BACKPRESSURE = "backpressure"
+# The values a FrameTable's string columns hold, null included where the annotation allows one.
+FRAME_VALUES = {"disposition": (DISPOSITION_DELIVERED, DISPOSITION_DROPPED, DISPOSITION_IN_FLIGHT),
+                "drop_reason": (REASON_OVERFLOW, REASON_BACKPRESSURE, None)}
 
 
 @dataclass
 class FrameTable:
     """A run's frames as columns: entry f of each list belongs to frame f.
 
-    ingress_ns, egress_ns and buffer_bytes (the bytes the frame held
-    resident at a stage) are stage-major, [stage][frame]: None where the
-    frame never reached the stage, or held nothing there.
+    The fields define the report's frame record: each list[<scalar>] is a
+    frame key of that JSON type.  ingress_ns, egress_ns and buffer_bytes (the
+    bytes the frame held resident at a stage) are stage-major, [stage][frame]:
+    None where the frame never reached the stage, or held nothing there.
     """
 
-    frame_id: list
-    size_bytes: list
-    generated_at_ns: list
-    camera_timestamp_ns: list
-    timestamp_clamped: list
-    ingress_ns: list
-    egress_ns: list
-    buffer_bytes: list
-    disposition: list
-    drop_stage: list
-    drop_reason: list
-    drop_time_ns: list
+    frame_id: list[int]
+    size_bytes: list[int]
+    generated_at_ns: list[int]
+    camera_timestamp_ns: list[int]
+    timestamp_clamped: list[bool]
+    ingress_ns: list[list[Optional[int]]]
+    egress_ns: list[list[Optional[int]]]
+    buffer_bytes: list[list[Optional[int]]]
+    disposition: list[str]
+    drop_stage: list[Optional[int]]
+    drop_reason: list[Optional[str]]
+    drop_time_ns: list[Optional[int]]
 
     def latency_ns(self) -> list:
         """Per frame, sensor egress to processor egress; None unless delivered."""
@@ -170,11 +174,8 @@ class _Passes:
         self.cfg = cfg
         self.size = size = topo.camera.frame_size_bytes
         fps = topo.camera.frame_rate
-        period = 1e9 / fps if fps > 0 else None
-        if period == math.inf:
-            raise InvalidSpecError(f"frame_rate {fps} gives a frame period too long to count in ns")
-        # Sub-ns frame periods clamp to the 1 ns clock tick.
-        self.period_ns = None if period is None else max(1, round(period))
+        # Sub-ns frame periods clamp to the 1 ns clock tick; a zero-rate camera has no period.
+        self.period_ns = max(1, round(1e9 / fps)) if fps > 0 else None
         self.limit = math.inf if cfg.duration_ns is None else cfg.duration_ns
         # Every frame has the camera's size, so link constants are fixed for the run.
         self.links = {
@@ -209,12 +210,8 @@ class _Passes:
         """Draw the camera stamps in frame order and build the frame table; returns
         the arrivals at the sensor's holder (a link follows it) or at stage 1."""
         cfg, period, stages = self.cfg, self.period_ns, self.stages
-        if period is None:
-            if cfg.n_frames:
-                raise InvalidSpecError("cannot generate frames from a zero frame-rate camera")
-            n = 0
-        else:
-            n = cfg.n_frames if cfg.n_frames is not None else cfg.duration_ns // period + 1
+        # check_generable lets a camera without a period through only for a run of no frames.
+        n = 0 if period is None else cfg.n_frames if cfg.n_frames is not None else cfg.duration_ns // period + 1
         times = list(range(0, n * period, period)) if n else []
         sample, clock, rng = sample_timestamp_detailed, cfg.clock, Random(f"{cfg.seed}:clock")
         stamps = [sample(clock, t, rng) for t in times]
@@ -422,14 +419,24 @@ class _Passes:
         return None if is_proc or to_proc else out
 
 
+def check_generable(topo: Topology, cfg: SimConfig) -> None:
+    """Raise InvalidSpecError unless topo's camera can generate the frames cfg asks for."""
+    fps = topo.camera.frame_rate
+    if fps > 0 and 1e9 / fps == math.inf:
+        raise InvalidSpecError(f"frame_rate {fps} gives a frame period too long to count in ns")
+    if fps == 0 and cfg.n_frames:
+        raise InvalidSpecError("cannot generate frames from a zero frame-rate camera")
+
+
 def run(topo: Topology, cfg: SimConfig):
     """Simulate a topology and return its SimReport, which keeps the passes' FrameTable.
 
-    Rejects invalid topologies, and records whose report could not be read
-    back, before any frame is generated.  Two calls with equal (topology,
-    config) produce byte-identical canonical reports.
+    Rejects invalid topologies, cameras that cannot generate their frames, and records whose
+    report could not be read back, before any frame is generated.  Two calls with equal
+    (topology, config) produce byte-identical canonical reports.
     """
     check_runnable(topo)
+    check_generable(topo, cfg)
     # A field the report reader would reject (a float or a bool for an integer) fails here, with its message.
     from_dict(Topology, to_dict(topo))
     from_dict(SimConfig, to_dict(cfg))

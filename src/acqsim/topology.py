@@ -398,33 +398,32 @@ def many(cls_or_kinds) -> tuple:
     return lambda records: [to_dict(r) for r in records], decode
 
 
-def record_columns(cls, docs) -> dict:
-    """Field name -> column of the values that docs, a JSON array of records
-    of cls, holds, once every record is checked as from_dict checks it.
-
-    The checks run a field column at a time and build no record: each object
-    must hold exactly the fields of cls, each scalar of its JSON type.  Only
-    where that fails (or cls has a field with a JSON form) are the records
-    decoded one by one, which names the fault."""
-    _check_array(docs)
-    names = [f.name for f in dataclasses.fields(cls)]
-    if cls not in JSON_FORMS and set(map(type, docs)) <= {dict} and not set(map(len, docs)) - {len(names)}:
-        try:
-            columns = {key: list(map(itemgetter(key), docs)) for key in names}
-        except KeyError:  # an object holds a key of another name
-            pass
-        else:
-            if all(_column_ok(columns[key], types) for key, types, _ in _field_checks(cls)):
-                return columns
-    records = [from_dict(cls, doc) for doc in docs]
-    return {key: [getattr(r, key) for r in records] for key in names}
-
-
-def _column_ok(column: list, types: tuple) -> bool:
-    """Whether each value of column has one of the JSON types, a float also being finite."""
-    kinds = set(map(type, column))
-    floats = [v for v in column if type(v) is float] if float in kinds else ()  # an int is always finite
-    return kinds.issubset(types) and all(map(math.isfinite, floats))
+def check_columns(owner: str, keys: dict, values: dict, docs) -> dict:
+    """Key -> column of docs, a JSON array of owner objects, once checked a column at a time, building
+    no record: each object holds exactly the keys of keys (a key -> annotation map), each scalar of its
+    annotation's JSON type and each key of values (a key -> allowed values map) one of its values.
+    A wrong type raises check_json_types' InvalidSpecError for the first bad object."""
+    if not isinstance(docs, list):
+        raise InvalidSpecError(f"{owner}s must be a JSON array, got {type(docs).__name__}")
+    bad_keys = f"{owner} must be a JSON object with exactly the keys {sorted(keys)}"
+    if not set(map(type, docs)) <= {dict} or set(map(len, docs)) - {len(keys)}:
+        raise InvalidSpecError(bad_keys)
+    try:
+        columns = {key: list(map(itemgetter(key), docs)) for key in keys}
+    except KeyError:  # an object of the right size holds a key of another name
+        raise InvalidSpecError(bad_keys) from None
+    checks = scalar_checks(keys)
+    for key, types, _ in checks:
+        kinds = set(map(type, columns[key]))
+        if not kinds <= set(types) or float in kinds and not all(
+                math.isfinite(v) for v in columns[key] if type(v) is float):  # an int is always finite
+            for doc in docs:
+                check_json_types(owner, checks, doc)  # raises at the first bad object
+    for key, allowed in values.items():
+        if not set(columns[key]) <= set(allowed):
+            bad = next(v for v in columns[key] if v not in allowed)
+            raise InvalidSpecError(f"{owner} {key!r} must be one of {', '.join(map(json.dumps, allowed))}, got {bad!r}")
+    return columns
 
 
 def check_int_keyed(m) -> dict:

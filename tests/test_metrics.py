@@ -42,7 +42,7 @@ from acqsim import (
 from acqsim import metrics
 from acqsim.metrics import import_summary, nearest_rank
 from acqsim.timing import DeadlineViolation
-from acqsim.topology import Topology, from_dict, record_columns, to_dict, topology_digest
+from acqsim.topology import Topology, check_columns, from_dict, to_dict, topology_digest
 from conftest import (
     assert_tabular_matches_structured,
     benchmark_workloads,
@@ -514,6 +514,22 @@ class TestReportReaders:
             with pytest.raises(InvalidSpecError, match="missing key 'violations'"):
                 reader(json.dumps(bare))
 
+    @pytest.mark.parametrize("path, value", [(("occupancy", "1", 0), ["a", None]),
+                                             (("frames", 0, "camera_timestamp_ns"), None)],
+                             ids=["occupancy-point", "camera-timestamp"])
+    def test_values_summarize_cannot_compute_with_rejected(self, path, value):
+        # Each was once accepted, and summarize of the imported report raised TypeError.
+        doc = replace_node(json.loads(export_structured(direct_report(n_frames=3))), path, value)
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match="must be an integer|pairs of integers"):
+                reader(json.dumps(doc))
+
+    def test_frame_objects_hold_the_frame_table_keys(self):
+        # _frame_docs spells the frame record out for speed; it must be the record FrameTable's fields define.
+        report = classic_report(n_frames=2)
+        docs = list(metrics._frame_docs(report.frames))
+        assert [list(d) for d in docs] == [sorted(metrics._FRAME_KEYS)] * 2
+
     def test_summary_matches_full_import(self):
         text = json.dumps(FUZZ_REPORT)
         report, summary = import_structured(text), import_summary(text)
@@ -537,6 +553,20 @@ def _last_violation(doc) -> dict:
     return doc["aggregates"]["violations"][-1]
 
 
+# A wrongly typed value for each scalar of a frame.
+WRONG_SCALARS = {
+    "frame_id": True,
+    "size_bytes": 1.0,
+    "generated_at_ns": "0",
+    "camera_timestamp_ns": None,
+    "timestamp_clamped": 1,
+    "disposition": None,
+    "drop_stage": True,
+    "drop_reason": 5,
+    "drop_time_ns": 2.5,
+}
+
+
 # Each fault sits only in the last record, where a check of the first
 # element, or of one element per kind, would not look.
 DEEP_FAULTS = {
@@ -549,9 +579,20 @@ DEEP_FAULTS = {
         f"stage-times-{token}": lambda doc, value=value: doc["frames"][-1]["stage_times"][-1].__setitem__(1, value)
         for token, value in (("string", "late"), ("float", 2.5), ("bool", True))
     },
+    **{
+        f"frame-{key}-{type(value).__name__}": lambda doc, key=key, value=value: doc["frames"][-1].update({key: value})
+        for key, value in WRONG_SCALARS.items()
+    },
+    "frame-disposition-lost": lambda doc: doc["frames"][-1].update(disposition="lost"),
+    "frame-drop-reason-x": lambda doc: doc["frames"][-1].update(drop_reason="x"),
+    **{
+        f"occupancy-point-{token}": lambda doc, point=point: doc["occupancy"]["1"].__setitem__(-1, point)
+        for token, point in (("string-null", ["a", None]), ("float", [1.5, 0]), ("bool", [0, True]))
+    },
+    "violation-bogus-kind": lambda doc: _last_violation(doc).update(kind="bogus"),
     "violation-missing-key": lambda doc: _last_violation(doc).pop("budget_ns"),
     "violation-extra-key": lambda doc: _last_violation(doc).update(note="x"),
-    # The right number of keys, one of them renamed: the column decode gives way to the record decode.
+    # The right number of keys, one of them renamed.
     "violation-renamed-key": lambda doc: (v := _last_violation(doc)).update(budget=v.pop("budget_ns")),
     **{
         f"{key}-{token}": lambda doc, key=key, value=value: _last_violation(doc).update({key: value})
@@ -588,7 +629,7 @@ class TestDeepFaults:
     )
     def test_columns_decode_as_records_do(self, path, value):
         # The column check must accept exactly what from_dict accepts record by record, pull the same values, and
-        # let both readers keep the counts of the records' kinds.
+        # let both readers keep the counts of the records' kinds, which must also be known kinds.
         doc = json.loads(json.dumps(FUZZ_REPORT))
         docs = replace_node(doc["aggregates"]["violations"], path, value)
 
@@ -598,16 +639,17 @@ class TestDeepFaults:
             except InvalidSpecError:
                 return "rejected"
 
+        fields = {f.name: f.type for f in dataclasses.fields(DeadlineViolation)}
         by_records = outcome(lambda: [from_dict(DeadlineViolation, d) for d in docs])
-        by_columns = outcome(record_columns, DeadlineViolation, docs)
+        by_columns = outcome(check_columns, "violation", fields, {}, docs)
         text = json.dumps(doc)
         if by_records == "rejected":
             assert by_columns == "rejected"
             expected = "rejected"
         else:
-            fields = [f.name for f in dataclasses.fields(DeadlineViolation)]
             assert by_columns == {name: [getattr(r, name) for r in by_records] for name in fields}
-            expected = record_counts(r.kind for r in by_records)
+            known = {r.kind for r in by_records} <= {"safety", "control", "timestamp"}
+            expected = record_counts(r.kind for r in by_records) if known else "rejected"
         for reader in (import_structured, import_summary):
             assert outcome(lambda: counts(reader(text).aggregates)) == expected
 

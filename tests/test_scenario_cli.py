@@ -241,6 +241,21 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=r"^topology is not runnable: buffer holds a whole frame \(stage 1\)$"):
             parse_scenario(second_camera_overflows())
 
+    @pytest.mark.parametrize("fps, sim, message", [
+        (0, {"seed": 5, "n_frames": 3}, "^cannot generate frames from a zero frame-rate camera$"),
+        (1e-320, {"seed": 5, "n_frames": 3}, "^frame_rate 1e-320 gives a frame period too long to count in ns$"),
+        (1e-320, {"seed": 5, "duration_ns": 1000}, "^frame_rate 1e-320 gives a frame period too long to count in ns$"),
+    ], ids=["zero-rate", "period-overflow", "period-overflow-duration"])
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    def test_every_camera_generates_its_frames(self, fps, sim, message):
+        camera = {"resolution_pixels": 1_000_000, "bit_depth": 8, "frame_rate": 1000}
+        doc = base_doc(cameras=[camera, dict(camera, frame_rate=fps)], sim=sim)
+        del doc["camera"]
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(doc)
+        # A zero-rate camera stopped by duration generates no frames, which is no fault.
+        assert parse_scenario(dict(doc, cameras=[camera, dict(camera, frame_rate=0)], sim={"seed": 5, "duration_ns": 1000}))
+
     def test_processing_shorthand(self):
         sc = parse_scenario(base_doc(processing_time_ns=150_000))
         proc = sc.pipelines[0].stages[-1]
@@ -517,29 +532,46 @@ class TestSimulateCommand:
         assert (tmp_path / "m-cam0.json").exists()
         assert (tmp_path / "m-cam1.json").exists()
 
-    def test_failed_pipeline_keeps_earlier_output(self, tmp_path, capsys):
-        # The second camera's run fails after the first pipeline wrote its files and summary.
+    @staticmethod
+    def two_camera_scenario(tmp_path, second_rate, **overrides) -> str:
         camera = {"resolution_pixels": 1_000_000, "bit_depth": 8, "frame_rate": 1000}
-        doc = base_doc(cameras=[camera, dict(camera, frame_rate=0)], pcie={"kind": "pcie", "generation": 5, "lanes": 16},
-                       sim={"seed": 3, "n_frames": 3})
+        doc = base_doc(cameras=[camera, dict(camera, frame_rate=second_rate)],
+                       pcie={"kind": "pcie", "generation": 5, "lanes": 16}, sim={"seed": 3, "n_frames": 3}, **overrides)
         del doc["camera"]
-        path = tmp_path / "zero-rate.json"
+        path = tmp_path / "two.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["simulate", str(path), "-o", str(tmp_path / "m")]) == 1
+        return str(path)
+
+    def test_failed_pipeline_keeps_earlier_output(self, tmp_path, capsys):
+        # Only the second camera's run can find its fault: at its longer frame period the drifted stamps'
+        # squares overflow. It fails after the first pipeline wrote its files and summary.
+        path = self.two_camera_scenario(tmp_path, 100, clock={"drift_ppm": 4e153})
+        assert main(["simulate", path, "-o", str(tmp_path / "m")]) == 1
         captured = capsys.readouterr()
-        assert captured.out.splitlines() == [
-            "aggregate camera demand: 8.000 Gb/s over 2 pipelines",
+        out = captured.out.splitlines()
+        assert out[:5] == [
+            "aggregate camera demand: 8.800 Gb/s over 2 pipelines",
             f"wrote {tmp_path / 'm-cam0.json'}",
             f"wrote {tmp_path / 'm-cam0.csv'}",
             "unit-cam0: generated=3 delivered=3 dropped=0 in_flight=0",
             "unit-cam0: latency ns min=15870 p50=15870 p99=15870 max=15870 throughput=11.905530 Gb/s",
-            "unit-cam0: timestamp rms=0.000 ns, violations: safety=0 control=0 timestamp=0",
         ]
-        assert captured.err.splitlines() == [
-            "warning: frame rate 0 fps is outside the [50.0, 50000.0] fps envelope",
-            "error: cannot generate frames from a zero frame-rate camera",
-        ]
+        assert len(out) == 6 and out[5].endswith(" ns, violations: safety=0 control=0 timestamp=1")
+        assert captured.err == "error: timestamp errors too large for a finite RMS\n"
         assert sorted(p.name for p in tmp_path.glob("m-*")) == ["m-cam0.csv", "m-cam0.json"]
+
+    @pytest.mark.parametrize("rate, message", [
+        (0, "cannot generate frames from a zero frame-rate camera"),
+        (1e-320, "frame_rate 1e-320 gives a frame period too long to count in ns"),
+    ], ids=["zero-rate", "period-overflow"])
+    def test_camera_that_cannot_generate_writes_nothing(self, tmp_path, capsys, rate, message):
+        # The first camera's pipeline would run; reading the scenario refuses the second camera before it does.
+        path = self.two_camera_scenario(tmp_path, rate)
+        assert main(["simulate", path, "-o", str(tmp_path / "m")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(tmp_path.glob("m*")) == []
 
     def test_pipeline_the_gate_rejects_writes_nothing(self, tmp_path, capsys):
         # The first camera's pipeline would run; the scenario is refused before it does.
@@ -710,6 +742,34 @@ class TestCompareCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert_clean_config_error("compare", str(good), str(bad))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("frames", 0, "camera_timestamp_ns"), None, "frame 'camera_timestamp_ns' must be an integer, got None"),
+            (("frames", 0, "frame_id"), True, "frame 'frame_id' must be an integer, got True"),
+            (("frames", 0, "timestamp_clamped"), 0, "frame 'timestamp_clamped' must be a boolean, got 0"),
+            (("frames", 0, "disposition"), "lost",
+             "frame 'disposition' must be one of \"delivered\", \"dropped\", \"in_flight\", got 'lost'"),
+            (("frames", 0, "drop_reason"), "x",
+             "frame 'drop_reason' must be one of \"buffer_overflow\", \"backpressure\", null, got 'x'"),
+            (("occupancy", "1", 0), ["a", None],
+             "an occupancy trace must be a JSON array of [time_ns, bytes] pairs of integers"),
+            (("aggregates", "violations"), [{"kind": "bogus", "frame_id": 0, "measured_ns": 2, "budget_ns": 1}],
+             "violation 'kind' must be one of \"safety\", \"control\", \"timestamp\", got 'bogus'"),
+        ],
+        ids=["camera-timestamp-null", "frame-id-bool", "clamped-int", "disposition-lost", "drop-reason-x",
+             "occupancy-point-string", "violation-bogus-kind"],
+    )
+    def test_value_of_wrong_type_or_set_one_error_line(self, tmp_path, capsys, path, value, message):
+        good = tmp_path / "good.json"
+        assert main(["simulate", str(SCENARIOS / "direct-1mpx.json"), "-o", str(tmp_path / "good")]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(replace_node(json.loads(good.read_text(encoding="utf-8")), path, value)),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compare", str(good), str(bad)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot load reports: {bad}: {message}\n")
 
 
 class TestParallelRead:
@@ -1253,27 +1313,35 @@ class TestHugeNumbers:
                 assert not cells & {"inf", "-inf", "nan"}, path
 
     @pytest.mark.parametrize(
-        "edits",
+        "edits, refused_on_read",
         [
-            {("camera", "frame_rate"): 1e-308},
-            {("camera", "frame_rate"): 1e-299, ("sim", "n_frames"): 3},
-            {("camera_interface", "cable_length_m"): 3e307, ("pcie", "cable_length_m"): 3e307},
-            {
-                ("processing_time_ns",): {"distribution": "normal", "mean_ns": 1e308, "sigma_ns": 0},
-                ("sim", "n_frames"): 3,
-            },
+            ({("camera", "frame_rate"): 1e-308}, True),
+            ({("camera", "frame_rate"): 1e-299, ("sim", "n_frames"): 3}, False),
+            ({("camera_interface", "cable_length_m"): 3e307, ("pcie", "cable_length_m"): 3e307}, False),
+            (
+                {
+                    ("processing_time_ns",): {"distribution": "normal", "mean_ns": 1e308, "sigma_ns": 0},
+                    ("sim", "n_frames"): 3,
+                },
+                False,
+            ),
         ],
         ids=["frame-period", "generation-time", "cable-delay-latency-mean", "processing-latency-mean"],
     )
     @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
-    def test_values_past_float_range_exit_1(self, edits, tmp_path, capsys):
-        """Finite inputs whose period, generation times or mean latency leave the float range."""
+    def test_values_past_float_range_exit_1(self, edits, refused_on_read, tmp_path, capsys):
+        """Finite inputs whose period, generation times or mean latency leave the float range.
+        A period that overflows is refused when the scenario is read; the others only a run can find."""
         doc = copy.deepcopy(FUZZ_SCENARIOS["classic-1mpx"])
         for path, value in edits.items():
             replace_node(doc, path, value)
-        parsed = parse_scenario(doc)
-        with pytest.raises(InvalidSpecError):
-            run(parsed.pipelines[0], parsed.configs()[0])
+        if refused_on_read:
+            with pytest.raises(ScenarioError, match="^frame_rate 1e-308 gives a frame period too long to count in ns$"):
+                parse_scenario(doc)
+        else:
+            parsed = parse_scenario(doc)
+            with pytest.raises(InvalidSpecError):
+                run(parsed.pipelines[0], parsed.configs()[0])
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["simulate", str(scenario), "-o", str(tmp_path / "out")]) == 1

@@ -266,8 +266,13 @@ class TestStopConditions:
 
     def test_zero_fps_with_frame_count_rejected(self):
         topo = build_direct(CameraSpec(1_000_000, 8, 0), G3X1, deadlines=RELAXED)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match="^cannot generate frames from a zero frame-rate camera$"):
             run(topo, SimConfig(seed=1, n_frames=1))
+
+    def test_period_overflow_rejected(self):
+        topo = build_direct(CameraSpec(1_000_000, 8, 1e-320), G3X1, deadlines=RELAXED)
+        with pytest.raises(InvalidSpecError, match="^frame_rate 1e-320 gives a frame period too long to count in ns$"):
+            run(topo, SimConfig(seed=1, duration_ns=1000))
 
     def test_zero_fps_duration_is_empty(self):
         topo = build_direct(CameraSpec(1_000_000, 8, 0), G3X1, deadlines=RELAXED)
