@@ -17,7 +17,8 @@ import json
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import chain, islice
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 from .linkmodel import InvalidSpecError
@@ -187,7 +188,8 @@ def _pairs(items, types: set) -> bool:
 def check_frames(docs, n_stages: int) -> dict:
     """Key -> column of docs, once checked to be a JSON array of frames of the exported shape: the
     frame keys and scalars as check_columns checks them, stage_times n_stages [ingress, egress] pairs
-    of integers or nulls and buffer_bytes an object from stage index to an integer, a column at a time."""
+    of integers or nulls, with both latency ends set in a delivered frame, and buffer_bytes an object
+    from stage index to an integer, a column at a time."""
     columns = check_columns("frame", _FRAME_KEYS, FRAME_VALUES, docs)
     spans = columns["stage_times"]
     if not set(map(type, spans)) <= {list} or not _pairs(list(chain.from_iterable(spans)), {int, type(None)}):
@@ -195,6 +197,10 @@ def check_frames(docs, n_stages: int) -> dict:
                                "each an integer or null")
     if set(map(len, spans)) - {n_stages}:
         raise InvalidSpecError("a frame's stage_times must hold one [ingress, egress] pair per topology stage")
+    # A delivered frame's latency runs from the sensor's egress to the processor's (FrameTable.latency_ns).
+    if any(s[0][1] is None or s[-1][1] is None
+           for d, s in zip(columns["disposition"], spans) if d == DISPOSITION_DELIVERED):
+        raise InvalidSpecError("a delivered frame must have an egress time at its first and last stage")
     held = columns["buffer_bytes"]
     if not set(map(type, held)) <= {dict}:
         check_int_keyed(next(m for m in held if type(m) is not dict))  # raises, naming the first non-object
@@ -207,23 +213,6 @@ def check_frames(docs, n_stages: int) -> dict:
     if not set(map(type, chain.from_iterable(map(dict.values, held)))) <= {int}:
         raise InvalidSpecError("a frame's buffer_bytes must map each stage index to an integer")
     return columns
-
-
-def _frame_docs(t: FrameTable):
-    """One JSON object per frame, straight from the table's columns, with its
-    keys and its buffer_bytes keys in canonical order ("10" before "2")."""
-    keys = sorted(map(str, range(len(t.buffer_bytes))))  # a runnable topology has stages
-    rows = zip(*(t.buffer_bytes[int(k)] for k in keys))  # per frame, the bytes it held at each stage, in key order
-    held = ({k: b for k, b in zip(keys, row) if b is not None} for row in rows)
-    spans = zip(*map(zip, t.ingress_ns, t.egress_ns))  # per frame, its (ingress, egress) per stage
-    return (
-        {"buffer_bytes": held, "camera_timestamp_ns": stamp, "disposition": d, "drop_reason": reason,
-         "drop_stage": stage, "drop_time_ns": dropped_at, "frame_id": f, "generated_at_ns": generated,
-         "size_bytes": size, "stage_times": times, "timestamp_clamped": clamped}
-        for held, stamp, d, reason, stage, dropped_at, f, generated, size, times, clamped in zip(
-            held, t.camera_timestamp_ns, t.disposition, t.drop_reason, t.drop_stage, t.drop_time_ns, t.frame_id,
-            t.generated_at_ns, t.size_bytes, spans, t.timestamp_clamped)
-    )
 
 
 def _check_trace(v) -> list:
@@ -276,34 +265,109 @@ JSON_FORMS[SimReport] = {
 
 # export_structured builds every value it encodes, without cycles, so nothing needs checking for one.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
-_IN_ORDER = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode  # for dicts in canonical key order
+_IN_ORDER = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode  # for a column's values
 
 
-def _array(records) -> list:
-    """Text pieces of the JSON array of records, an iterator of dicts in
-    canonical key order, encoded 1,000 records at a time."""
-    pieces, comma = ["["], ""
-    while chunk := list(islice(records, 1000)):
-        pieces += (comma, _IN_ORDER(chunk)[1:-1])
-        comma = ","
+_CHUNK = 1000  # records encoded at a time
+
+
+def _weaver(layout: list):
+    """A function of (lo, hi) to the text of records lo to hi, at most _CHUNK of them, of layout,
+    one record's text in order: a str is written as it is, and a slot, a function of (lo, hi) to a
+    token per record, is called once and its tokens woven in by slice assignment.  One list holds
+    the records' pieces from call to call, so its text is laid in once and no chunk allocates it."""
+    stride = len(layout)
+    pieces = [part if type(part) is str else None for part in layout] * _CHUNK
+    slots = [(i, slot) for i, slot in enumerate(layout) if type(slot) is not str]
+
+    def weave(lo: int, hi: int) -> str:
+        records = pieces if hi - lo == _CHUNK else pieces[:stride * (hi - lo)]
+        for i, slot in slots:
+            tokens = slot(lo, hi)
+            if len(tokens) != hi - lo:  # a comma inside a token split it
+                raise InvalidSpecError("cannot encode a report value whose JSON text holds a comma")
+            records[i::stride] = tokens
+        return "".join(records)
+
+    return weave
+
+
+def _column(values):
+    """A slot of the values' JSON tokens: the C encoder's text of a slice, split at its commas."""
+    return lambda lo, hi: _IN_ORDER(values[lo:hi])[1:-1].split(",")
+
+
+def _entries(key: str, values):
+    """A slot of the values' ',"key":<token>' object entries, "" for a None value.  The encoder
+    escapes every control character, so "\\0" and "\\1" can mark the null tokens and the entries' ends."""
+    head = f'\1,"{key}":'
+    return lambda lo, hi: (("," + _IN_ORDER(values[lo:hi])[1:-1]).replace(",null", "\0").replace(",", head)
+                           .replace("\0", "\1").split("\1")[1:])
+
+
+def _object(slots):
+    """A slot of JSON objects, each of its record's entries from slots (_entries), in order."""
+    weave = _weaver(["{", *slots, "}\1"])
+    # No token holds a comma (_weaver), so "{," only starts an object whose first entries were left out.
+    return lambda lo, hi: weave(lo, hi).replace("{,", "{").split("\1")[:-1]
+
+
+def _array(layout: list, n: int) -> list:
+    """Text pieces of the JSON array of n records laid out by layout (_record), _CHUNK records at a time."""
+    weave = _weaver(layout)
+    pieces = ["[", *(weave(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))]
+    if n:
+        pieces[-1] = pieces[-1][:-1]  # the comma after the last record
     return pieces + ["]"]
 
 
-def export_structured(report: SimReport) -> str:
-    """Canonical JSON: sorted keys, compact, shortest-round-trip floats; each top-level
-    value encoded once, the frames and the deadline misses 1,000 records at a time."""
-    forms, pieces = JSON_FORMS[SimReport], ["{"]
+def _record(fields: dict) -> list:
+    """The layout (_weaver) of a JSON object followed by a comma: fields maps each key to the
+    layout of its value, and the keys are written in canonical order, adjacent text joined."""
+    layout = ["{"]
+    for part in chain.from_iterable((f'"{key}":', *fields[key], ",") for key in sorted(fields)):
+        if type(part) is str and type(layout[-1]) is str:
+            layout[-1] += part
+        else:
+            layout.append(part)
+    layout[-1] = layout[-1][:-1] + "},"
+    return layout
+
+
+def _frame_record(t: FrameTable) -> list:
+    """The frame record's layout, its keys _FRAME_KEYS: the stage_times pairs and the
+    buffer_bytes entries ("10" before "2") from the stage-major columns, the rest a column each."""
+    spans = [part for ingress, egress in zip(t.ingress_ns, t.egress_ns)
+             for part in (",[", _column(ingress), ",", _column(egress), "]")]
+    spans[0] = "[["  # a runnable topology has stages
+    held = sorted(map(str, range(len(t.buffer_bytes))))
+    staged = {"stage_times": [*spans, "]"],
+              "buffer_bytes": [_object([_entries(k, t.buffer_bytes[int(k)]) for k in held])]}
+    return _record({key: staged[key] if key in staged else [_column(getattr(t, key))] for key in _FRAME_KEYS})
+
+
+def _v1_aggregates(report: SimReport) -> list:
+    """Text pieces of the v1 aggregates object, which holds the deadline misses themselves, as
+    records that follow from the frames, where Aggregates holds their counts."""
     misses = check_deadlines(report.frames, report.topology.deadlines, report.aggregates.timestamp_rms_ns)
+    value = {k: v for k, v in to_dict(report.aggregates).items() if k not in _VIOLATION_COUNTS.values()}
+    records = _record({key: [_column(list(map(attrgetter(key), misses)))] for key in _VIOLATION_KEYS})
+    # "violations" sorts after every other aggregate key.
+    return [_CANONICAL(value)[:-1], ',"violations":', *_array(records, len(misses)), "}"]
+
+
+def export_structured(report: SimReport) -> str:
+    """Canonical JSON: sorted keys, compact, shortest-round-trip floats.  Each top-level value is
+    encoded once, but the frames and the deadline misses are written from columns, 1,000 records
+    at a time, with no dict per record: the C encoder writes each column's slice once, and its
+    tokens are woven with the key text into the records (_weaver)."""
+    forms, pieces = JSON_FORMS[SimReport], ["{"]
     for name, value in sorted(vars(report).items()):
         pieces.append(f'"{name}":')
         if name == "frames":
-            pieces += _array(_frame_docs(value))
-        elif name == "aggregates":  # v1 holds the deadline misses themselves, which follow from the frames
-            value = {k: v for k, v in to_dict(value).items() if k not in _VIOLATION_COUNTS.values()}
-            records = ({"budget_ns": v.budget_ns, "frame_id": v.frame_id, "kind": v.kind, "measured_ns": v.measured_ns}
-                       for v in misses)
-            # "violations" sorts after every other aggregate key.
-            pieces += (_CANONICAL(value)[:-1], ',"violations":', *_array(records), "}")
+            pieces += _array(_frame_record(value), len(value.frame_id))
+        elif name == "aggregates":
+            pieces += _v1_aggregates(report)
         else:
             pieces.append(_CANONICAL(forms[name][0](value) if name in forms else value))
         pieces.append(",")

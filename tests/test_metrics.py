@@ -413,6 +413,35 @@ class TestStructuredExportReference:
     def test_zero_frames(self):
         self.assert_reference(direct_report(n_frames=0))
 
+    @pytest.mark.parametrize("column, f, value", [
+        ("disposition", 1, "lost"), ("disposition", 1, "a,b"), ("drop_reason", 2, 'say "x"'),
+        ("drop_reason", 0, "{,"), ("drop_reason", 0, ",null"), ("drop_reason", 2, "\x00\x01\u00e9"),
+        ("frame_id", 1, True), ("drop_stage", 0, [1]), ("drop_stage", 0, [1, 2]),
+    ], ids=["outside-set", "comma", "quote", "brace-comma", "comma-null", "control-chars", "bool-for-int",
+            "array", "array-with-comma"])
+    def test_hand_built_value_is_referenced_or_refused(self, column, f, value):
+        # A report built by hand may hold any value: the export writes the reference's bytes, or refuses a
+        # value whose JSON text holds a comma, but it never writes other bytes.
+        report = classic_report(n_frames=3)
+        getattr(report.frames, column)[f] = value
+        if "," in json.dumps(value):
+            with pytest.raises(InvalidSpecError, match="holds a comma"):
+                export_structured(report)
+        else:
+            self.assert_reference(report)
+
+    @pytest.mark.parametrize("value", ["x", "x,null", None], ids=["string", "comma-null", "null"])
+    def test_hand_built_buffer_value_is_referenced_or_refused(self, value):
+        # The first stage that held bytes is the one written without a leading comma, whichever it is.
+        report = classic_report(n_frames=3)
+        report.frames.buffer_bytes[1][0] = value
+        report.frames.buffer_bytes[0][1] = 7
+        if "," in json.dumps(value):
+            with pytest.raises(InvalidSpecError, match="holds a comma"):
+                export_structured(report)
+        else:
+            self.assert_reference(report)
+
     def test_timestamp_miss(self):
         topo = build_direct(CAM, PCIeLink(3, 1), deadlines=RELAXED)
         report = run(topo, SimConfig(seed=4, n_frames=40, clock=ClockModel(jitter_sigma_ns=400.0)))
@@ -525,10 +554,22 @@ class TestReportReaders:
                 reader(json.dumps(doc))
 
     def test_frame_objects_hold_the_frame_table_keys(self):
-        # _frame_docs spells the frame record out for speed; it must be the record FrameTable's fields define.
-        report = classic_report(n_frames=2)
-        docs = list(metrics._frame_docs(report.frames))
-        assert [list(d) for d in docs] == [sorted(metrics._FRAME_KEYS)] * 2
+        # The encoder lays the frame record out from _FRAME_KEYS, which FrameTable's fields define.
+        frames = json.loads(export_structured(classic_report(n_frames=2)))["frames"]
+        assert [list(frame) for frame in frames] == [sorted(metrics._FRAME_KEYS)] * 2
+        assert metrics._FRAME_KEYS.keys() == {*metrics._FRAME_SCALARS, "stage_times", "buffer_bytes"}
+
+    @pytest.mark.parametrize("stage", [0, -1], ids=["sensor", "processor"])
+    def test_delivered_frame_without_a_latency_end_rejected(self, stage):
+        # Once accepted, and summarize and both exports of the import raised TypeError.
+        doc = json.loads(export_structured(direct_report(n_frames=3)))
+        assert doc["frames"][-1]["disposition"] == "delivered"
+        doc["frames"][-1]["stage_times"][stage][1] = None
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match="a delivered frame must have an egress time at its first"):
+                reader(json.dumps(doc))
+        doc["frames"][-1]["disposition"] = "in_flight"  # the same egress is no latency end of a frame in flight
+        assert import_structured(json.dumps(doc)).frames.disposition[-1] == "in_flight"
 
     def test_summary_matches_full_import(self):
         text = json.dumps(FUZZ_REPORT)

@@ -757,9 +757,11 @@ class TestCompareCommand:
              "an occupancy trace must be a JSON array of [time_ns, bytes] pairs of integers"),
             (("aggregates", "violations"), [{"kind": "bogus", "frame_id": 0, "measured_ns": 2, "budget_ns": 1}],
              "violation 'kind' must be one of \"safety\", \"control\", \"timestamp\", got 'bogus'"),
+            (("frames", 0, "stage_times", -1, 1), None,
+             "a delivered frame must have an egress time at its first and last stage"),
         ],
         ids=["camera-timestamp-null", "frame-id-bool", "clamped-int", "disposition-lost", "drop-reason-x",
-             "occupancy-point-string", "violation-bogus-kind"],
+             "occupancy-point-string", "violation-bogus-kind", "delivered-without-processor-egress"],
     )
     def test_value_of_wrong_type_or_set_one_error_line(self, tmp_path, capsys, path, value, message):
         good = tmp_path / "good.json"
