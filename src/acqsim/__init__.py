@@ -43,8 +43,8 @@ from .simcore import (
 )
 from .timing import (
     ClockModel,
+    DeadlineMisses,
     DeadlineSpec,
-    DeadlineViolation,
     check_deadlines,
     timestamp_rms,
 )

@@ -14,37 +14,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple
 
 from .linkmodel import InvalidSpecError
-from .simcore import (
-    DISPOSITION_DELIVERED,
-    DISPOSITION_DROPPED,
-    DISPOSITION_IN_FLIGHT,
-    FRAME_VALUES,
-    FrameTable,
-    SimConfig,
-)
-from .timing import DeadlineViolation, check_deadlines, timestamp_rms
-from .topology import (
-    INT_KEYED,
-    JSON_FORMS,
-    Topology,
-    check_columns,
-    check_int_keyed,
-    check_runnable,
-    copy_count,
-    decode_int_keyed,
-    from_dict,
-    one,
-    to_dict,
-    topology_digest,
-)
+from .simcore import DISPOSITION_DELIVERED, DISPOSITION_DROPPED, DISPOSITION_IN_FLIGHT, FRAME_VALUES, FrameTable
+from .simcore import SimConfig
+from .timing import DeadlineMisses, check_deadlines, timestamp_rms
+from .topology import CANONICAL, INT_KEYED, JSON_FORMS, Topology, check_columns, check_int_keyed, check_runnable
+from .topology import copy_count, decode_int_keyed, from_dict, one, to_dict, topology_digest
 
 SCHEMA_VERSION = 1
 
@@ -86,6 +65,15 @@ class Aggregates:
     timestamp_violations: int
 
 
+# Each kind of deadline miss -> the Aggregates field <kind>_violations that counts it.
+_VIOLATION_COUNTS = {f.name.removesuffix("_violations"): f.name for f in fields(Aggregates) if "_violations" in f.name}
+
+
+def _miss_counts(kinds: list) -> dict:
+    """The Aggregates miss counts of a DeadlineMisses kind column."""
+    return {key: kinds.count(kind) for kind, key in _VIOLATION_COUNTS.items()}
+
+
 def summarize(frames: FrameTable, topology: Topology, elapsed_ns: int, occupancy: dict) -> Aggregates:
     """Aggregate a run's frame table into run metrics.
 
@@ -106,8 +94,6 @@ def summarize(frames: FrameTable, topology: Topology, elapsed_ns: int, occupancy
         raise InvalidSpecError("latencies too large for a finite mean") from None
 
     rms = timestamp_rms(frames) if disposition else 0.0
-    deadlines = topology.deadlines
-
     return Aggregates(
         empty=not disposition,
         generated=len(disposition),
@@ -123,9 +109,7 @@ def summarize(frames: FrameTable, topology: Topology, elapsed_ns: int, occupancy
         copy_count=copy_count(topology),
         high_water_bytes=high_water,
         timestamp_rms_ns=rms,
-        safety_violations=len(latencies) - bisect_right(latencies, deadlines.safety_ns),
-        control_violations=len(latencies) - bisect_right(latencies, deadlines.control_ns),
-        timestamp_violations=int(rms > deadlines.timestamp_rms_ns),
+        **_miss_counts(check_deadlines(frames, topology.deadlines, rms).kind),
     )
 
 
@@ -171,10 +155,15 @@ _SCALAR_METRICS = tuple(f.name for f in fields(Aggregates) if f.type in ("int", 
 # --- Structured (JSON) export ----------------------------------------------
 
 
-# FrameTable's fields define the frame record.  Its list[<scalar>] fields are the frame's scalar keys, each with
-# its JSON type, in field order, the order of the tabular export.  Its stage-major fields follow, in the JSON
-# frame as the [ingress, egress] pairs of stage_times and the buffer_bytes map, and in the CSV three per stage.
-_FRAME_SCALARS = {f.name: f.type.removeprefix("list[")[:-1] for f in fields(FrameTable) if "list[list[" not in f.type}
+def _record_keys(table) -> dict:
+    """A column table class's record keys, each with its JSON type: its list[<scalar>] fields, in field order."""
+    return {f.name: f.type.removeprefix("list[")[:-1] for f in fields(table) if "list[list[" not in f.type}
+
+
+# FrameTable's fields define the frame record.  Its list[<scalar>] fields are the frame's scalar keys, in field
+# order, the order of the tabular export.  Its stage-major fields follow, in the JSON frame as the
+# [ingress, egress] pairs of stage_times and the buffer_bytes map, and in the CSV three per stage.
+_FRAME_SCALARS = _record_keys(FrameTable)
 _STAGE_COLUMNS = tuple(f.name for f in fields(FrameTable) if "list[list[" in f.type)
 _FRAME_KEYS = {**_FRAME_SCALARS, "stage_times": None, "buffer_bytes": None}
 
@@ -221,16 +210,13 @@ def _check_trace(v) -> list:
     return v
 
 
-# Schema v1 holds a record per deadline miss where Aggregates holds the counts by kind.
-_VIOLATION_COUNTS = {"safety": "safety_violations", "control": "control_violations",
-                     "timestamp": "timestamp_violations"}
-_VIOLATION_KEYS = {f.name: f.type for f in fields(DeadlineViolation)}
+# Schema v1 holds a record per deadline miss, which DeadlineMisses' fields define, where Aggregates holds counts.
+_VIOLATION_KEYS = _record_keys(DeadlineMisses)
 
 
-def _aggregates_from_v1(d) -> Aggregates:
-    """Aggregates from their v1 JSON object: every violation record is checked
-    as from_dict checks a DeadlineViolation, and its kind against the known
-    kinds, but only the counts by kind are kept."""
+def _aggregates_from_v1(d) -> tuple:
+    """(Aggregates, which counts the violation records by kind, and the records' columns, which _import
+    checks against the report's frames) from the v1 aggregates object."""
     if not isinstance(d, dict):
         return from_dict(Aggregates, d)  # raises, naming the fault
     if "violations" not in d:
@@ -238,10 +224,8 @@ def _aggregates_from_v1(d) -> Aggregates:
     if counted := d.keys() & _VIOLATION_COUNTS.values():
         raise InvalidSpecError(f"Aggregates: unknown keys {sorted(counted)}")
     d = dict(d)
-    kinds = Counter(check_columns("violation", _VIOLATION_KEYS, {"kind": tuple(_VIOLATION_COUNTS)},
-                                  d.pop("violations"))["kind"])
-    d.update({key: kinds[kind] for kind, key in _VIOLATION_COUNTS.items()})
-    return from_dict(Aggregates, d)
+    records = check_columns("violation", _VIOLATION_KEYS, {"kind": tuple(_VIOLATION_COUNTS)}, d.pop("violations"))
+    return from_dict(Aggregates, {**d, **_miss_counts(records["kind"])}), records
 
 
 def _supported_version(version: int) -> int:
@@ -263,8 +247,6 @@ JSON_FORMS[SimReport] = {
 }
 
 
-# export_structured builds every value it encodes, without cycles, so nothing needs checking for one.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 _IN_ORDER = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode  # for a column's values
 
 
@@ -351,9 +333,9 @@ def _v1_aggregates(report: SimReport) -> list:
     records that follow from the frames, where Aggregates holds their counts."""
     misses = check_deadlines(report.frames, report.topology.deadlines, report.aggregates.timestamp_rms_ns)
     value = {k: v for k, v in to_dict(report.aggregates).items() if k not in _VIOLATION_COUNTS.values()}
-    records = _record({key: [_column(list(map(attrgetter(key), misses)))] for key in _VIOLATION_KEYS})
+    records = _record({key: [_column(getattr(misses, key))] for key in _VIOLATION_KEYS})
     # "violations" sorts after every other aggregate key.
-    return [_CANONICAL(value)[:-1], ',"violations":', *_array(records, len(misses)), "}"]
+    return [CANONICAL(value)[:-1], ',"violations":', *_array(records, len(misses.kind)), "}"]
 
 
 def export_structured(report: SimReport) -> str:
@@ -369,26 +351,44 @@ def export_structured(report: SimReport) -> str:
         elif name == "aggregates":
             pieces += _v1_aggregates(report)
         else:
-            pieces.append(_CANONICAL(forms[name][0](value) if name in forms else value))
+            pieces.append(CANONICAL(forms[name][0](value) if name in forms else value))
         pieces.append(",")
     pieces[-1] = "}\n"
     return "".join(pieces)
 
 
+# What check_deadlines reads of checked frame columns, without a FrameTable: ids, and what latency_ns reads.
+_Ends = NamedTuple("_Ends", [("frame_id", list), ("disposition", list), ("egress_ns", tuple)])
+_Ends.latency_ns = FrameTable.latency_ns
+
+
 def _import(text: str) -> tuple:
-    """A structured report of this schema version that carries the digest and
-    name of its runnable topology and whose frames are still their checked
-    JSON objects, and those frames' columns (check_frames)."""
+    """A structured report of this schema version, whose topology, config and deadline misses are as
+    the export writes them and whose digest and name are its topology's, with its frames still their
+    checked JSON objects, and those frames' columns (check_frames)."""
     try:
         doc = json.loads(text)
     except RecursionError as exc:  # nested past the decoder's limit
         raise InvalidSpecError(str(exc)) from exc
     report = from_dict(SimReport, doc)
+    report.aggregates, records = report.aggregates  # _aggregates_from_v1
     check_runnable(report.topology)
     for key, expected in (("digest", topology_digest(report.topology)), ("scenario", report.topology.name)):
         if getattr(report, key) != expected:
             raise InvalidSpecError(f"report {key} {getattr(report, key)!r} is not its topology's {expected!r}")
-    return report, check_frames(report.frames, len(report.topology.stages))
+    for key in ("topology", "config"):  # as the export writes them, so that no default is filled in
+        if to_dict(getattr(report, key)) != doc[key]:
+            raise InvalidSpecError(f"report {key} must hold each field of its records, and only those")
+    columns = check_frames(report.frames, len(report.topology.stages))
+    spans = columns["stage_times"]
+    ends = _Ends(columns["frame_id"], columns["disposition"], ([s[0][1] for s in spans], [s[-1][1] for s in spans]))
+    misses = check_deadlines(ends, report.topology.deadlines, report.aggregates.timestamp_rms_ns)
+    # The same values of the same JSON types: only a float column can hold equal values of two types (1 == 1.0).
+    if any(records[k] != getattr(misses, k)
+           or a == "float" and [*map(type, records[k])] != [*map(type, getattr(misses, k))]
+           for k, a in _VIOLATION_KEYS.items()):
+        raise InvalidSpecError("aggregates.violations are not the deadline misses of the report's frames")
+    return report, columns
 
 
 def import_structured(text: str) -> SimReport:
@@ -413,12 +413,8 @@ class ReportSummary(NamedTuple):
 
 
 def import_summary(text: str) -> ReportSummary:
-    """The parts of a structured report that compare reads.
-
-    The whole document is checked as import_structured checks it, and
-    every part but the frames, the occupancy traces and the violation
-    records is decoded: those are checked, not built.
-    """
+    """The parts of a structured report that compare reads, once the whole of it is checked as
+    import_structured checks it: the frames, occupancy traces and violation records are not built."""
     report, _ = _import(text)
     return ReportSummary(report.scenario, report.digest, report.topology, report.aggregates)
 

@@ -43,14 +43,14 @@ class DeadlineSpec:
             raise InvalidSpecError("deadline budgets must be strictly positive")
 
 
-@dataclass(frozen=True)
-class DeadlineViolation:
-    """One budget miss.  frame_id is None for run-level (timestamp) checks."""
+@dataclass
+class DeadlineMisses:
+    """A run's budget misses as columns, whose fields define the v1 violation record; frame_id is None at run level."""
 
-    kind: str  # "safety" | "control" | "timestamp"
-    frame_id: Optional[int]
-    measured_ns: float
-    budget_ns: float
+    kind: list[str]  # "safety" | "control" | "timestamp"
+    frame_id: list[Optional[int]]
+    measured_ns: list[float]
+    budget_ns: list[float]
 
 
 def sample_timestamp_detailed(clock: ClockModel, true_time_ns: int, rng: Random) -> tuple[int, bool]:
@@ -89,23 +89,25 @@ def timestamp_rms(frames) -> float:
     return rms
 
 
-def check_deadlines(frames, deadlines: DeadlineSpec, rms: float) -> list[DeadlineViolation]:
-    """All budget misses in a run of a FrameTable's frames.
+def check_deadlines(frames, deadlines: DeadlineSpec, rms: float) -> DeadlineMisses:
+    """All budget misses in a run of a FrameTable's frames, in frame order, safety before control.
 
     Latency checks apply to delivered frames only (dropped and in-flight
     frames have no end-to-end latency).  The timestamp check is run-level:
-    a single violation is reported when rms, the run's timestamp_rms over
-    all generated frames (0.0 without frames), exceeds the budget.
+    a single miss comes last when rms, the run's timestamp_rms over all
+    generated frames (0.0 without frames), exceeds the budget.
     """
-    violations: list[DeadlineViolation] = []
-    safety, control = deadlines.safety_ns, deadlines.control_ns
-    for frame_id, latency in zip(frames.frame_id, frames.latency_ns()):
-        if latency is None:
-            continue
-        if latency > safety:
-            violations.append(DeadlineViolation("safety", frame_id, latency, safety))
-        if latency > control:
-            violations.append(DeadlineViolation("control", frame_id, latency, control))
+    kind, frame_id, measured_ns, budget_ns = columns = ([], [], [], [])
+    budgets = (("safety", deadlines.safety_ns), ("control", deadlines.control_ns))
+    for f, latency in zip(frames.frame_id, frames.latency_ns()):
+        if latency is not None:
+            for k, budget in budgets:
+                if latency > budget:
+                    kind.append(k)
+                    frame_id.append(f)
+                    measured_ns.append(latency)
+                    budget_ns.append(budget)
     if rms > deadlines.timestamp_rms_ns:
-        violations.append(DeadlineViolation("timestamp", None, rms, deadlines.timestamp_rms_ns))
-    return violations
+        for column, value in zip(columns, ("timestamp", None, rms, deadlines.timestamp_rms_ns)):
+            column.append(value)
+    return DeadlineMisses(*columns)

@@ -451,6 +451,8 @@ def _check_int(v) -> int:
 
 # JSON form of a map keyed by stage index to integers: JSON object keys are strings.
 INT_KEYED = (lambda m: {str(k): v for k, v in m.items()}, functools.partial(decode_int_keyed, value=_check_int))
+# Canonical JSON text: sorted keys, compact separators.  Its callers encode values built without cycles.
+CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
 
 JSON_FORMS: dict = {
     Topology: {
@@ -465,5 +467,4 @@ JSON_FORMS: dict = {
 
 def topology_digest(t: Topology) -> str:
     """Stable content hash of the canonical topology serialization."""
-    blob = json.dumps(to_dict(t), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(CANONICAL(to_dict(t)).encode("utf-8")).hexdigest()[:16]

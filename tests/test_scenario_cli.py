@@ -759,9 +759,13 @@ class TestCompareCommand:
              "violation 'kind' must be one of \"safety\", \"control\", \"timestamp\", got 'bogus'"),
             (("frames", 0, "stage_times", -1, 1), None,
              "a delivered frame must have an egress time at its first and last stage"),
+            (("aggregates", "violations"), [{"kind": "safety", "frame_id": 0, "measured_ns": 2, "budget_ns": 1}],
+             "aggregates.violations are not the deadline misses of the report's frames"),
+            (("config", "clock"), {}, "report config must hold each field of its records, and only those"),
         ],
         ids=["camera-timestamp-null", "frame-id-bool", "clamped-int", "disposition-lost", "drop-reason-x",
-             "occupancy-point-string", "violation-bogus-kind", "delivered-without-processor-egress"],
+             "occupancy-point-string", "violation-bogus-kind", "delivered-without-processor-egress",
+             "violation-not-of-the-frames", "clock-defaulted"],
     )
     def test_value_of_wrong_type_or_set_one_error_line(self, tmp_path, capsys, path, value, message):
         good = tmp_path / "good.json"

@@ -8,6 +8,7 @@ import pytest
 
 from acqsim import (
     ClockModel,
+    DeadlineMisses,
     DeadlineSpec,
     InvalidSpecError,
     check_deadlines,
@@ -28,6 +29,9 @@ def fake_record(generated, measured, latency=None, frame_id=0):
         camera_timestamp_ns=measured,
         latency_ns=latency,
     )
+
+
+NONE = DeadlineMisses([], [], [], [])
 
 
 def missed(records, deadlines):
@@ -112,35 +116,30 @@ class TestTimestampRms:
 class TestCheckDeadlines:
     def test_safety_violation_flagged(self):
         records = [fake_record(0, 0, latency=150_000, frame_id=3)]
-        violations = missed(records, DeadlineSpec())
-        assert len(violations) == 1
-        v = violations[0]
-        assert v.kind == "safety" and v.frame_id == 3
-        assert v.measured_ns == 150_000 and v.budget_ns == 100_000
+        assert missed(records, DeadlineSpec()) == DeadlineMisses(["safety"], [3], [150_000], [100_000])
 
     def test_below_budget_passes(self):
         records = [fake_record(0, 0, latency=80_000)]
-        assert missed(records, DeadlineSpec()) == []
+        assert missed(records, DeadlineSpec()) == NONE
 
     def test_control_violation(self):
         records = [fake_record(0, 0, latency=25_000_000)]
-        kinds = {v.kind for v in missed(records, DeadlineSpec())}
-        assert kinds == {"safety", "control"}
+        misses = missed(records, DeadlineSpec())
+        assert misses.kind == ["safety", "control"]  # a frame's safety miss first
+        assert misses.budget_ns == [100_000, 20_000_000]
 
     def test_timestamp_violation_is_run_level(self):
         records = [fake_record(0, 80, latency=10), fake_record(0, -80, latency=10)]
-        violations = missed(records, DeadlineSpec())
-        assert len(violations) == 1
-        v = violations[0]
-        assert v.kind == "timestamp" and v.frame_id is None
-        assert v.measured_ns == pytest.approx(80.0)
+        misses = missed(records, DeadlineSpec())
+        assert (misses.kind, misses.frame_id, misses.budget_ns) == (["timestamp"], [None], [50.0])
+        assert misses.measured_ns == [pytest.approx(80.0)]
 
     def test_undelivered_frames_skip_latency_checks(self):
         records = [fake_record(0, 0, latency=None)]
-        assert missed(records, DeadlineSpec()) == []
+        assert missed(records, DeadlineSpec()) == NONE
 
     def test_empty_report(self):
-        assert missed([], DeadlineSpec()) == []
+        assert missed([], DeadlineSpec()) == NONE
 
     def test_spec_validation(self):
         with pytest.raises(InvalidSpecError):
@@ -155,14 +154,15 @@ class TestCheckDeadlines:
             fake_record(0, rng.randint(-60, 60), latency=rng.choice([None, rng.randint(0, 300_000)]), frame_id=i)
             for i in range(200)
         ]
-        violations = missed(records, deadlines)
+        misses = missed(records, deadlines)
         expected = []
         for r in records:
             if r.latency_ns is not None and r.latency_ns > 50_000:
-                expected.append(("safety", r.frame_id))
+                expected.append(("safety", r.frame_id, r.latency_ns, 50_000))
             if r.latency_ns is not None and r.latency_ns > 200_000:
-                expected.append(("control", r.frame_id))
+                expected.append(("control", r.frame_id, r.latency_ns, 200_000))
         rms = math.sqrt(sum((r.camera_timestamp_ns - r.generated_at_ns) ** 2 for r in records) / 200)
         if rms > 30.0:
-            expected.append(("timestamp", None))
-        assert [(v.kind, v.frame_id) for v in violations] == expected
+            expected.append(("timestamp", None, pytest.approx(rms), 30.0))
+        assert {"safety", "control", "timestamp"} <= {kind for kind, *_ in expected}
+        assert list(zip(misses.kind, misses.frame_id, misses.measured_ns, misses.budget_ns)) == expected
