@@ -15,6 +15,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -267,24 +268,49 @@ def _weaver(layout: list):
         for i, slot in slots:
             tokens = slot(lo, hi)
             if len(tokens) != hi - lo:  # a comma inside a token split it
-                raise InvalidSpecError("cannot encode a report value whose JSON text holds a comma")
+                raise InvalidSpecError("cannot write a report value whose text holds a comma")
             records[i::stride] = tokens
         return "".join(records)
 
     return weave
 
 
-def _column(values):
-    """A slot of the values' JSON tokens: the C encoder's text of a slice, split at its commas."""
-    return lambda lo, hi: _IN_ORDER(values[lo:hi])[1:-1].split(",")
+class _Column:
+    """A distinct column of one _Slots: its values, their types, and the C encoder's text of a chunk's
+    slice, brackets off, from which its forms (_Slots) are made: its JSON tokens and its CSV cells."""
+
+    def __init__(self, values):
+        self.values, self.text = values, lru_cache(1)(lambda lo, hi: _IN_ORDER(values[lo:hi])[1:-1])
+
+    types = cached_property(lambda self: set(map(type, self.values)))
+    tokens = lambda self, lo, hi: self.text(lo, hi).split(",")
+
+    def cells(self, lo: int, hi: int) -> list:
+        """Cells as csv.writer writes them.  Refused: other types, a string with a comma or a JSON escape."""
+        text = ("," + self.text(lo, hi)).replace(",null", ",").replace('"', "")
+        if not self.types <= {int, str, type(None)} or "\\" in text:
+            raise InvalidSpecError("a CSV cell must be an integer, null, or a string that JSON does not escape")
+        return text[1:].split(",")
 
 
-def _entries(key: str, values):
-    """A slot of the values' ',"key":<token>' object entries, "" for a None value.  The encoder
+class _Slots(dict):
+    """The column slots (_weaver) of one array of records, by (_Column, form).  Equal columns share a _Column
+    if they hold the same types, ints or bools beside strings and nulls: 0 == False, but not in JSON."""
+
+    def __call__(self, values, form=_Column.tokens):
+        """The slot of form(column, lo, hi), column the _Column of values, made once a chunk for every use."""
+        new = _Column(values)
+        column = next((c for c, _ in self if c.values == values and c.types == new.types
+                       and any(new.types <= {one, str, type(None)} for one in (int, bool))), new)
+        return self.setdefault((column, form), lru_cache(1)(partial(form, column)))
+
+
+def _entries(key: str):
+    """A form (_Slots) of the ',"key":<token>' object entries of records, "" for a None value.  The encoder
     escapes every control character, so "\\0" and "\\1" can mark the null tokens and the entries' ends."""
     head = f'\1,"{key}":'
-    return lambda lo, hi: (("," + _IN_ORDER(values[lo:hi])[1:-1]).replace(",null", "\0").replace(",", head)
-                           .replace("\0", "\1").split("\1")[1:])
+    return lambda column, lo, hi: (("," + column.text(lo, hi)).replace(",null", "\0").replace(",", head)
+                                   .replace("\0", "\1").split("\1")[1:])
 
 
 def _object(slots):
@@ -316,40 +342,40 @@ def _record(fields: dict) -> list:
     return layout
 
 
-def _frame_record(t: FrameTable) -> list:
-    """The frame record's layout, its keys _FRAME_KEYS: the stage_times pairs and the
-    buffer_bytes entries ("10" before "2") from the stage-major columns, the rest a column each."""
+def _frame_record(t: FrameTable, slot: _Slots) -> list:
+    """The frame record's layout, its keys _FRAME_KEYS, its slots from slot: the stage_times pairs and
+    the buffer_bytes entries ("10" before "2") from the stage-major columns, the rest a column each."""
     spans = [part for ingress, egress in zip(t.ingress_ns, t.egress_ns)
-             for part in (",[", _column(ingress), ",", _column(egress), "]")]
+             for part in (",[", slot(ingress), ",", slot(egress), "]")]
     spans[0] = "[["  # a runnable topology has stages
     held = sorted(map(str, range(len(t.buffer_bytes))))
     staged = {"stage_times": [*spans, "]"],
-              "buffer_bytes": [_object([_entries(k, t.buffer_bytes[int(k)]) for k in held])]}
-    return _record({key: staged[key] if key in staged else [_column(getattr(t, key))] for key in _FRAME_KEYS})
+              "buffer_bytes": [_object([slot(t.buffer_bytes[int(k)], _entries(k)) for k in held])]}
+    return _record({key: staged[key] if key in staged else [slot(getattr(t, key))] for key in _FRAME_KEYS})
 
 
-def _v1_aggregates(report: SimReport) -> list:
+def _v1_aggregates(report: SimReport, slot: _Slots) -> list:
     """Text pieces of the v1 aggregates object, which holds the deadline misses themselves, as
     records that follow from the frames, where Aggregates holds their counts."""
     misses = check_deadlines(report.frames, report.topology.deadlines, report.aggregates.timestamp_rms_ns)
     value = {k: v for k, v in to_dict(report.aggregates).items() if k not in _VIOLATION_COUNTS.values()}
-    records = _record({key: [_column(getattr(misses, key))] for key in _VIOLATION_KEYS})
+    records = _record({key: [slot(getattr(misses, key))] for key in _VIOLATION_KEYS})
     # "violations" sorts after every other aggregate key.
     return [CANONICAL(value)[:-1], ',"violations":', *_array(records, len(misses.kind)), "}"]
 
 
 def export_structured(report: SimReport) -> str:
-    """Canonical JSON: sorted keys, compact, shortest-round-trip floats.  Each top-level value is
-    encoded once, but the frames and the deadline misses are written from columns, 1,000 records
-    at a time, with no dict per record: the C encoder writes each column's slice once, and its
-    tokens are woven with the key text into the records (_weaver)."""
+    """Canonical JSON: sorted keys, compact, shortest-round-trip floats.  Each top-level value is encoded once,
+    but the frames and the deadline misses are written from columns, 1,000 records at a time, with no dict per
+    record: the C encoder writes a chunk's slice of each distinct column once, and its tokens are woven with the
+    key text into the records (_weaver).  Each array has its own _Slots, freed with its cached slices."""
     forms, pieces = JSON_FORMS[SimReport], ["{"]
     for name, value in sorted(vars(report).items()):
         pieces.append(f'"{name}":')
         if name == "frames":
-            pieces += _array(_frame_record(value), len(value.frame_id))
+            pieces += _array(_frame_record(value, _Slots()), len(value.frame_id))
         elif name == "aggregates":
-            pieces += _v1_aggregates(report)
+            pieces += _v1_aggregates(report, _Slots())
         else:
             pieces.append(CANONICAL(forms[name][0](value) if name in forms else value))
         pieces.append(",")
@@ -422,22 +448,21 @@ def import_summary(text: str) -> ReportSummary:
 # --- Tabular (CSV) export ---------------------------------------------------
 
 def export_tabular(report: SimReport) -> str:
-    """Flat per-frame table, a blank line, then a metric/value block."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    t = report.frames
+    """Flat per-frame table, a blank line, then a metric/value block.  The frame rows are woven from
+    CSV cells (_weaver), 1,000 rows at a time, each distinct column's slice encoded once (_Slots)."""
+    t, slot, n = report.frames, _Slots(), len(report.frames.frame_id)
     header = [*_FRAME_SCALARS, "latency_ns"]
-    columns = [*(map(int, getattr(t, key)) if a == "bool" else getattr(t, key) for key, a in _FRAME_SCALARS.items()),
-               t.latency_ns()]  # a bool column is written as 0/1
+    columns = [*(list(map(int, getattr(t, key))) if a == "bool" else getattr(t, key)
+                 for key, a in _FRAME_SCALARS.items()), t.latency_ns()]  # a bool column is written as 0/1
     for i in range(len(report.topology.stages)):
         header += (f"stage{i}_{name}" for name in _STAGE_COLUMNS)
         columns += (getattr(t, name)[i] for name in _STAGE_COLUMNS)
+    weave = _weaver([part for values in columns for part in (",", slot(values, _Column.cells))][1:] + ["\n"])
+    w = csv.writer(out := io.StringIO(), lineterminator="\n")
     w.writerow(header)
-    w.writerows(zip(*columns))
-    w.writerow([])
-    w.writerow(["metric", "value"])
+    out.writelines(weave(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
     a = report.aggregates
-    w.writerow(["empty", int(a.empty)])
+    w.writerows([[], ["metric", "value"], ["empty", int(a.empty)]])
     w.writerows([name, getattr(a, name)] for name in _SCALAR_METRICS)  # csv writes a float as its repr
     w.writerow(["elapsed_ns", report.elapsed_ns])
     w.writerows([f"high_water_stage{idx}_bytes", a.high_water_bytes[idx]] for idx in sorted(a.high_water_bytes))

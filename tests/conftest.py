@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import io
 import json
 from pathlib import Path
 from random import Random
@@ -248,6 +249,21 @@ def assert_tabular_matches_structured(structured: str, tabular: str) -> None:
     ]
     assert [dict(zip(header, row)) for row in rows] == [tabular_frame(f) for f in doc["frames"]]
     assert metrics == tabular_metrics(doc)
+
+
+def tabular_table(report) -> str:
+    """The frame table of a tabular export as csv.writer writes it, a row at a time from the
+    report's FrameTable, through the blank line that ends it: the reference of the woven rows."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    t, stages = report.frames, range(len(report.topology.stages))
+    w.writerow(FRAME_COLUMNS + [f"stage{i}_{c}" for i in stages for c in ("ingress_ns", "egress_ns", "buffer_bytes")])
+    for f, latency in enumerate(t.latency_ns()):
+        row = [int(t.timestamp_clamped[f]) if key == "timestamp_clamped" else getattr(t, key)[f]
+               for key in FRAME_COLUMNS[:-1]]  # a flag is written as 0/1
+        w.writerow(row + [latency] + [c[i][f] for i in stages for c in (t.ingress_ns, t.egress_ns, t.buffer_bytes)])
+    w.writerow([])
+    return out.getvalue()
 
 
 def json_nodes(node, path=()):

@@ -8,7 +8,7 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from acqsim import (
@@ -48,7 +48,10 @@ from conftest import (
     benchmark_workloads,
     frame_table,
     json_nodes,
+    make_config,
+    make_topology,
     replace_node,
+    tabular_table,
 )
 
 CAM = CameraSpec(1_000_000, 8, 1000)
@@ -453,6 +456,45 @@ class TestStructuredExportReference:
         assert type(json.loads(export_structured(report))["aggregates"]["violations"][-1]["measured_ns"]) is float
         self.assert_reference(report)
 
+    def test_one_frame_run_keeps_each_columns_type(self):
+        # A 1-frame run's frame_id [0] equals its timestamp_clamped [False], but the two share no text.
+        report = direct_report(n_frames=1)
+        assert report.frames.frame_id == [0] == report.frames.timestamp_clamped
+        frame = json.loads(export_structured(report))["frames"][0]
+        assert type(frame["frame_id"]) is int and frame["timestamp_clamped"] is False
+        self.assert_reference(report)
+
+    @pytest.mark.parametrize("frame_id, flags", [([1], [True]), ([True], [1]), ([0, False, 2], [False, 0, 2])],
+                             ids=["int-beside-bool", "bool-beside-int", "both-in-each"])
+    def test_equal_columns_of_other_types_keep_their_text(self, frame_id, flags):
+        # 1 == True and 0 == False: a column shares another's text only when both hold the same types,
+        # ints or bools but not both (the last case: equal values, equal type sets, other text).
+        report = classic_report(n_frames=len(frame_id))
+        report.frames.frame_id, report.frames.timestamp_clamped = frame_id, flags
+        assert report.frames.frame_id == report.frames.timestamp_clamped
+        self.assert_reference(report)
+
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_imported_columns_share_as_the_engines_do(self, name):
+        # The engine's equal columns hold the same int objects; an imported report's hold equal, distinct ones.
+        # Equal values share one _Column either way, so both export the same bytes.
+        scenario = parse_scenario(WORKLOADS[name](5, 1_200))
+        report = run(scenario.pipelines[0], scenario.configs()[0])
+        text = export_structured(report)
+        imported = import_structured(text)
+        late = next(f for f, n in enumerate(report.frames.generated_at_ns) if n > 256)  # past the cached ints
+        assert report.frames.ingress_ns[0][late] is report.frames.generated_at_ns[late]
+        assert imported.frames.ingress_ns[0][late] is not imported.frames.generated_at_ns[late]
+        assert export_structured(imported) == text and export_tabular(imported) == export_tabular(report)
+        distinct = []
+        for t in (report.frames, imported.frames):
+            slot = metrics._Slots()
+            metrics._frame_record(t, slot)
+            distinct.append(len({column for column, _ in slot}))
+        columns = len(metrics._FRAME_SCALARS) + 3 * len(report.topology.stages)
+        assert distinct[0] == distinct[1] < columns
+
 
 class TestTabularExport:
     def test_row_count(self):
@@ -471,6 +513,63 @@ class TestTabularExport:
         report = run(topo, SimConfig(seed=7, n_frames=70))
         assert set(report.frames.disposition) == {"delivered", "dropped"}
         assert_tabular_matches_structured(export_structured(report), export_tabular(report))
+
+    def test_woven_rows_over_the_run_pool(self, run_pool):
+        seen = Counter()
+        for _, _, report in run_pool:
+            assert_rows_woven(report)
+            seen.update(row_cases(report))
+        assert seen.keys() == {"dropped", "in_flight", "unreached_stage"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_woven_rows_of_generated_chains(self, rng):
+        report = run(make_topology(rng), make_config(rng))
+        for case in row_cases(report):
+            event(case)
+        assert_rows_woven(report)
+
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_woven_rows_past_a_chunk(self, name):
+        scenario = parse_scenario(WORKLOADS[name](17, 2_600))
+        assert_rows_woven(run(scenario.pipelines[0], scenario.configs()[0]))
+
+    @pytest.mark.parametrize("column, value, written", [
+        ("drop_reason", "a,b", False), ("drop_reason", 'say "x"', False), ("drop_reason", "a\rb", False),
+        ("drop_reason", "a\nb", False), ("disposition", "a\\b", False), ("drop_reason", "\x01\u00e9", False),
+        ("drop_time_ns", math.inf, False), ("drop_time_ns", math.nan, False), ("drop_time_ns", 2.5, False),
+        ("frame_id", True, False), ("drop_stage", [1], False),
+        ("drop_reason", "x y", True), ("drop_reason", "", True), ("drop_reason", "null", True),
+        ("disposition", None, True), ("drop_stage", -(10**30), True),
+    ], ids=["comma", "quote", "return", "newline", "backslash", "escaped", "inf", "nan", "float", "bool", "array",
+            "space", "empty", "null-string", "null", "huge-int"])
+    def test_hand_built_value_is_written_as_csv_writer_does_or_refused(self, column, value, written):
+        # The woven text of a cell is csv.writer's.  A value that csv.writer would quote, or write as other text
+        # than JSON's, is refused, as are the other types and the strings JSON escapes; none is written otherwise.
+        report = classic_report(n_frames=3)
+        getattr(report.frames, column)[1] = value
+        if written:
+            assert_rows_woven(report)
+        else:
+            with pytest.raises(InvalidSpecError):
+                export_tabular(report)
+
+
+def row_cases(report) -> list:
+    """What a run's tabular rows hold besides delivered frames: dropped and in-flight frames, and a
+    stage that no frame reached, whose cells are all empty."""
+    t = report.frames
+    cases = [d for d in ("dropped", "in_flight") if d in t.disposition]
+    if t.frame_id and any(set(ingress) == {None} for ingress in t.ingress_ns):
+        cases.append("unreached_stage")
+    return cases
+
+
+def assert_rows_woven(report) -> None:
+    """export_tabular's frame table is csv.writer's (tabular_table), and the metric block follows it."""
+    text, table = export_tabular(report), tabular_table(report)
+    assert text[:len(table)] == table and text[len(table):].startswith("metric,value\n")
 
 
 def _verdict(reader, text: str) -> str:
