@@ -52,14 +52,16 @@ from .topology import (
     CUT_THROUGH,
     STORE_AND_FORWARD,
     BufferStage,
+    FixedProcessing,
     FrameGrabber,
     HostMemory,
     InvalidTopologyError,
     LinkStage,
-    ProcessingModel,
+    NormalProcessing,
     Processor,
     Sensor,
     Topology,
+    UniformProcessing,
     build_classic,
     build_direct,
     copy_count,

@@ -269,10 +269,16 @@ class USB3If(Link):
         return _USB3_GBPS
 
 
+class Kinds(dict):
+    """Record classes by their class attribute tag, which names them under the key tag in JSON (default if absent)."""
+
+    def __init__(self, classes, tag: str = "kind", default=None):
+        super().__init__((getattr(cls, tag), cls) for cls in classes)
+        self.tag, self.default = tag, default
+
+
 # Link classes by the "kind" tag that names them in JSON.
-LINK_KINDS = {
-    cls.kind: cls for cls in (PCIeLink, CameraLinkIf, CoaXPressIf, GigEVisionIf, CLHSIf, USB3If)
-}
+LINK_KINDS = Kinds((PCIeLink, CameraLinkIf, CoaXPressIf, GigEVisionIf, CLHSIf, USB3If))
 
 
 # --- Rate arithmetic ------------------------------------------------------

@@ -11,8 +11,6 @@ implementation of the same definition reproduces them exactly.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, partial
@@ -21,7 +19,7 @@ from typing import NamedTuple
 
 from .linkmodel import InvalidSpecError
 from .simcore import DISPOSITION_DELIVERED, DISPOSITION_DROPPED, DISPOSITION_IN_FLIGHT, FRAME_VALUES, FrameTable
-from .simcore import SimConfig
+from .simcore import SimConfig, link_busy_ns
 from .timing import DeadlineMisses, check_deadlines, timestamp_rms
 from .topology import CANONICAL, INT_KEYED, JSON_FORMS, Topology, check_columns, check_int_keyed, check_runnable
 from .topology import copy_count, decode_int_keyed, from_dict, one, to_dict, topology_digest
@@ -286,10 +284,14 @@ class _Column:
     tokens = lambda self, lo, hi: self.text(lo, hi).split(",")
 
     def cells(self, lo: int, hi: int) -> list:
-        """Cells as csv.writer writes them.  Refused: other types, a string with a comma or a JSON escape."""
+        """Cells as csv.writer writes them, and a column of bools as 0/1.  Refused: other types, a bool
+        beside another value, a string with a comma or a JSON escape."""
         text = ("," + self.text(lo, hi)).replace(",null", ",").replace('"', "")
+        if self.types == {bool}:
+            return text[1:].replace("true", "1").replace("false", "0").split(",")
         if not self.types <= {int, str, type(None)} or "\\" in text:
-            raise InvalidSpecError("a CSV cell must be an integer, null, or a string that JSON does not escape")
+            raise InvalidSpecError("a CSV cell must be an integer, null, a string that JSON does not escape, "
+                                   "or one of a column of bools")
         return text[1:].split(",")
 
 
@@ -389,9 +391,9 @@ _Ends.latency_ns = FrameTable.latency_ns
 
 
 def _import(text: str) -> tuple:
-    """A structured report of this schema version, whose topology, config and deadline misses are as
-    the export writes them and whose digest and name are its topology's, with its frames still their
-    checked JSON objects, and those frames' columns (check_frames)."""
+    """A structured report of this schema version, whose topology, config, deadline misses and link
+    busy times are as the export writes them and whose digest and name are its topology's, with its
+    frames still their checked JSON objects, and those frames' columns (check_frames)."""
     try:
         doc = json.loads(text)
     except RecursionError as exc:  # nested past the decoder's limit
@@ -414,6 +416,8 @@ def _import(text: str) -> tuple:
            or a == "float" and [*map(type, records[k])] != [*map(type, getattr(misses, k))]
            for k, a in _VIOLATION_KEYS.items()):
         raise InvalidSpecError("aggregates.violations are not the deadline misses of the report's frames")
+    if report.link_busy_ns != link_busy_ns(report.topology, lambda i: [s[i][0] for s in spans]):
+        raise InvalidSpecError("link_busy_ns is not one serialization time per transmission of the report's frames")
     return report, columns
 
 
@@ -450,23 +454,19 @@ def import_summary(text: str) -> ReportSummary:
 def export_tabular(report: SimReport) -> str:
     """Flat per-frame table, a blank line, then a metric/value block.  The frame rows are woven from
     CSV cells (_weaver), 1,000 rows at a time, each distinct column's slice encoded once (_Slots)."""
-    t, slot, n = report.frames, _Slots(), len(report.frames.frame_id)
+    t, slot, n, a = report.frames, _Slots(), len(report.frames.frame_id), report.aggregates
     header = [*_FRAME_SCALARS, "latency_ns"]
-    columns = [*(list(map(int, getattr(t, key))) if a == "bool" else getattr(t, key)
-                 for key, a in _FRAME_SCALARS.items()), t.latency_ns()]  # a bool column is written as 0/1
+    columns = [*(getattr(t, key) for key in _FRAME_SCALARS), t.latency_ns()]
     for i in range(len(report.topology.stages)):
         header += (f"stage{i}_{name}" for name in _STAGE_COLUMNS)
         columns += (getattr(t, name)[i] for name in _STAGE_COLUMNS)
     weave = _weaver([part for values in columns for part in (",", slot(values, _Column.cells))][1:] + ["\n"])
-    w = csv.writer(out := io.StringIO(), lineterminator="\n")
-    w.writerow(header)
-    out.writelines(weave(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
-    a = report.aggregates
-    w.writerows([[], ["metric", "value"], ["empty", int(a.empty)]])
-    w.writerows([name, getattr(a, name)] for name in _SCALAR_METRICS)  # csv writes a float as its repr
-    w.writerow(["elapsed_ns", report.elapsed_ns])
-    w.writerows([f"high_water_stage{idx}_bytes", a.high_water_bytes[idx]] for idx in sorted(a.high_water_bytes))
-    return out.getvalue()
+    # The lines csv.writer writes for these names and numbers: each name as it is, each number as its repr.
+    block = [("metric", "value"), ("empty", int(a.empty)), *((name, getattr(a, name)) for name in _SCALAR_METRICS),
+             ("elapsed_ns", report.elapsed_ns),
+             *((f"high_water_stage{idx}_bytes", a.high_water_bytes[idx]) for idx in sorted(a.high_water_bytes))]
+    return "".join([",".join(header), "\n", *(weave(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)),
+                    "\n", *(f"{name},{value}\n" for name, value in block)])
 
 
 # --- Comparison -------------------------------------------------------------

@@ -17,8 +17,8 @@ from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, OverheadModel, 
 from .simcore import SimConfig, check_generable
 from .timing import DeadlineSpec
 from .topology import (
+    PROCESSING_KINDS,
     STAGE_KINDS,
-    ProcessingModel,
     Topology,
     build_classic,
     build_direct,
@@ -46,7 +46,7 @@ _TOP_LEVEL_KEYS = {
     "camera_buffer_forwarding": "str",
     "sensor_latency_ns": "int",
     "host_latency_ns": "int",
-    "processing_time_ns": None,  # an integer or a ProcessingModel object
+    "processing_time_ns": None,  # an integer or a processing object (PROCESSING_KINDS)
     "processor_latency_ns": "int",
     "stages": None,
     "overhead": None,
@@ -109,12 +109,10 @@ def _with_overhead(doc, overhead: Optional[OverheadModel]):
     return doc
 
 
-def _parse_processing(value) -> ProcessingModel:
-    if type(value) is int:
-        return ProcessingModel.fixed(value)
-    if isinstance(value, dict):
-        return from_dict(ProcessingModel, value)
-    raise ScenarioError(f"processing_time_ns must be an integer or a distribution object, got {value!r}")
+def _parse_processing(value):
+    if type(value) is not int and not isinstance(value, dict):
+        raise ScenarioError(f"processing_time_ns must be an integer or a distribution object, got {value!r}")
+    return from_dict(PROCESSING_KINDS, {"fixed_ns": value} if type(value) is int else value)
 
 
 def parse_scenario(doc: dict) -> Scenario:

@@ -123,6 +123,14 @@ def serialization_time_ns(size_bytes: int, link: Link) -> int:
     return math.ceil(Fraction(size_bytes * 8) / rate)
 
 
+def link_busy_ns(topo: Topology, ingress) -> dict:
+    """Stage index -> ns each link stage of topo spent serializing: one serialization time per completed transmission,
+    each of which sets its frame's ingress at the link.  ingress(i) is stage i's column of frame ingress times."""
+    size = topo.camera.frame_size_bytes
+    return {i: serialization_time_ns(size, s.link) * (len(column := ingress(i)) - column.count(None))
+            for i, s in enumerate(topo.stages) if isinstance(s, LinkStage)}
+
+
 # --- Engine ----------------------------------------------------------------
 
 
@@ -170,6 +178,7 @@ class _Passes:
     """
 
     def __init__(self, topo: Topology, cfg: SimConfig):
+        self.topo = topo
         self.stages = stages = topo.stages
         self.cfg = cfg
         self.size = size = topo.camera.frame_size_bytes
@@ -201,10 +210,7 @@ class _Passes:
                 arrivals = self._hold(idx, arrivals)
                 idx += 1
         elapsed = self.last if self.cfg.duration_ns is None else self.cfg.duration_ns
-        # A link is busy one serialization time per completed transmission; each sets its frame's link ingress.
-        ingress = self.frames.ingress_ns
-        busy = {i: ser * (len(ingress[i]) - ingress[i].count(None)) for i, (ser, _, _) in self.links.items()}
-        return self.frames, elapsed, self.traces, busy
+        return self.frames, elapsed, self.traces, link_busy_ns(self.topo, self.frames.ingress_ns.__getitem__)
 
     def _generate(self) -> list:
         """Draw the camera stamps in frame order and build the frame table; returns

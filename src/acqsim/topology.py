@@ -25,7 +25,7 @@ from operator import itemgetter
 from random import Random
 from typing import Optional
 
-from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, Link
+from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, Kinds, Link
 from .timing import DeadlineSpec
 
 STORE_AND_FORWARD = "store_and_forward"
@@ -33,62 +33,55 @@ CUT_THROUGH = "cut_through"
 
 DEFAULT_BUFFER_CAPACITY = 64 * 1024 * 1024  # 64 MiB, holds any in-envelope frame
 
-# The parameters each processing distribution reads; the others stay zero.
-_PROCESSING_PARAMS = {
-    "fixed": ("fixed_ns",),
-    "uniform": ("low_ns", "high_ns"),
-    "normal": ("mean_ns", "sigma_ns"),
-}
+# --- Processing: per-frame compute time, fixed or a seeded random draw ---------
 
 
 @dataclass(frozen=True)
-class ProcessingModel:
-    """Per-frame compute time: fixed, or a seeded random distribution."""
-
-    distribution: str = "fixed"  # "fixed" | "uniform" | "normal"
+class FixedProcessing:
     fixed_ns: int = 0
+
+    distribution = "fixed"
+
+    def __post_init__(self):
+        if self.fixed_ns < 0:
+            raise InvalidSpecError("fixed processing time must be >= 0")
+
+    def draw(self, rng: Random) -> int:
+        return self.fixed_ns
+
+
+@dataclass(frozen=True)
+class UniformProcessing:
     low_ns: int = 0
     high_ns: int = 0
+
+    distribution = "uniform"
+
+    def __post_init__(self):
+        if not 0 <= self.low_ns <= self.high_ns:
+            raise InvalidSpecError("uniform processing time needs 0 <= low <= high")
+
+    def draw(self, rng: Random) -> int:
+        return rng.randint(self.low_ns, self.high_ns)
+
+
+@dataclass(frozen=True)
+class NormalProcessing:
     mean_ns: float = 0.0
     sigma_ns: float = 0.0
 
+    distribution = "normal"
+
     def __post_init__(self):
-        params = _PROCESSING_PARAMS.get(self.distribution)
-        if params is None:
-            raise InvalidSpecError(f"unknown processing distribution {self.distribution!r}")
-        unused = [
-            n for p in _PROCESSING_PARAMS.values() if p is not params for n in p if getattr(self, n)
-        ]
-        if unused:
-            raise InvalidSpecError(f"{self.distribution} processing takes no {', '.join(unused)}")
-        if self.distribution == "fixed":
-            if self.fixed_ns < 0:
-                raise InvalidSpecError("fixed processing time must be >= 0")
-        elif self.distribution == "uniform":
-            if not 0 <= self.low_ns <= self.high_ns:
-                raise InvalidSpecError("uniform processing time needs 0 <= low <= high")
-        elif self.sigma_ns < 0 or self.mean_ns < 0:
+        if self.sigma_ns < 0 or self.mean_ns < 0:
             raise InvalidSpecError("normal processing time needs mean, sigma >= 0")
 
-    @classmethod
-    def fixed(cls, ns: int) -> "ProcessingModel":
-        return cls(distribution="fixed", fixed_ns=ns)
-
-    @classmethod
-    def uniform(cls, low_ns: int, high_ns: int) -> "ProcessingModel":
-        return cls(distribution="uniform", low_ns=low_ns, high_ns=high_ns)
-
-    @classmethod
-    def normal(cls, mean_ns: float, sigma_ns: float) -> "ProcessingModel":
-        return cls(distribution="normal", mean_ns=mean_ns, sigma_ns=sigma_ns)
-
     def draw(self, rng: Random) -> int:
-        if self.distribution == "fixed":
-            return self.fixed_ns
-        if self.distribution == "uniform":
-            return rng.randint(self.low_ns, self.high_ns)
-        # normal, clamped at zero
-        return max(0, round(rng.gauss(self.mean_ns, self.sigma_ns)))
+        return max(0, round(rng.gauss(self.mean_ns, self.sigma_ns)))  # clamped at zero
+
+
+# Processing records by the "distribution" tag that names them in JSON; an untagged object is fixed.
+PROCESSING_KINDS = Kinds((FixedProcessing, UniformProcessing, NormalProcessing), "distribution", "fixed")
 
 
 # --- Stage kinds -----------------------------------------------------------
@@ -165,7 +158,7 @@ class HostMemory(Stage):
 class Processor(Stage):
     """Single-server consumer; service time = fixed latency + drawn compute."""
 
-    processing: ProcessingModel = field(default_factory=ProcessingModel)
+    processing: FixedProcessing | UniformProcessing | NormalProcessing = field(default_factory=FixedProcessing)
 
     kind = "processor"
 
@@ -237,7 +230,7 @@ def build_direct(
     camera_buffer_forwarding: str = CUT_THROUGH,
     sensor_latency_ns: int = 0,
     host_latency_ns: int = 0,
-    processing: Optional[ProcessingModel] = None,
+    processing: Optional[FixedProcessing | UniformProcessing | NormalProcessing] = None,
     processor_latency_ns: int = 0,
     deadlines: Optional[DeadlineSpec] = None,
 ) -> Topology:
@@ -255,7 +248,7 @@ def build_direct(
         ),
         LinkStage(link=pcie),
         HostMemory(fixed_latency_ns=host_latency_ns),
-        Processor(processing=processing or ProcessingModel(), fixed_latency_ns=processor_latency_ns),
+        Processor(processing=processing or FixedProcessing(), fixed_latency_ns=processor_latency_ns),
     )
     return Topology(name=name, stages=stages, camera=cam, deadlines=deadlines or DeadlineSpec())
 
@@ -286,14 +279,13 @@ def build_classic(
 # --- JSON codec ------------------------------------------------------------
 #
 # A record crosses the JSON boundary as one key per dataclass field, plus
-# the class's "kind" tag for links and stages.  JSON_FORMS lists, per
+# the class's tag for links, stages and processing (a kinds table's).  JSON_FORMS lists, per
 # class, only the fields whose JSON form differs from the Python value,
 # as (encode, decode) pairs; simcore and metrics add their own records.
 
-STAGE_KINDS = {
-    cls.kind: cls for cls in (Sensor, BufferStage, LinkStage, FrameGrabber, HostMemory, Processor)
-}
-_TAGGED = frozenset(LINK_KINDS.values()) | frozenset(STAGE_KINDS.values())
+STAGE_KINDS = Kinds((Sensor, BufferStage, LinkStage, FrameGrabber, HostMemory, Processor))
+# Each tagged record class -> the key of its tag.
+_TAGS = {cls: kinds.tag for kinds in (LINK_KINDS, STAGE_KINDS, PROCESSING_KINDS) for cls in kinds.values()}
 
 # JSON types a scalar annotation accepts.  type() is matched exactly, so a
 # bool is never an int; float values must also be finite.
@@ -330,37 +322,34 @@ def _field_checks(cls) -> tuple:
 
 def to_dict(obj) -> dict:
     """The JSON object of a record: one key per field (in the form JSON_FORMS
-    gives it), plus "kind" for links and stages."""
+    gives it), plus its tag for a class of a kinds table (_TAGS)."""
     cls = type(obj)
-    if cls is ProcessingModel:  # sparse: only its own distribution's parameters
-        names = ("distribution", *_PROCESSING_PARAMS[obj.distribution])
-        d = {name: getattr(obj, name) for name in names}
-    else:
-        d = dict(vars(obj))  # a dataclass instance holds exactly its fields
+    d = dict(vars(obj))  # a dataclass instance holds exactly its fields
     forms = JSON_FORMS.get(cls)
     if forms:
         for name, (encode, _) in forms.items():
             d[name] = encode(d[name])
-    if cls in _TAGGED:
-        d["kind"] = cls.kind
+    if cls in _TAGS:
+        d[_TAGS[cls]] = getattr(cls, _TAGS[cls])
     return d
 
 
 def from_dict(cls_or_kinds, d):
-    """Decode a JSON object into a record of the given class, or of the
-    class its "kind" names in a kinds table (LINK_KINDS, STAGE_KINDS).
+    """Decode a JSON object into a record of the given class, or of the class
+    its tag names in a kinds table (LINK_KINDS, STAGE_KINDS, PROCESSING_KINDS).
 
     Unknown or missing keys and wrongly typed values raise InvalidSpecError.
     """
+    tagged = isinstance(cls_or_kinds, Kinds)
     if not isinstance(d, dict):
-        what = "a link or stage" if isinstance(cls_or_kinds, dict) else cls_or_kinds.__name__
+        what = f"a {cls_or_kinds.tag!r} record" if tagged else cls_or_kinds.__name__
         raise InvalidSpecError(f"{what} must be a JSON object, got {d!r}")
-    if isinstance(cls_or_kinds, dict):
+    if tagged:
         d = dict(d)
-        kind = d.pop("kind", None)
-        cls = cls_or_kinds.get(kind) if isinstance(kind, str) else None
+        tag = d.pop(cls_or_kinds.tag, cls_or_kinds.default)
+        cls = cls_or_kinds.get(tag) if isinstance(tag, str) else None
         if cls is None:
-            raise InvalidSpecError(f"unknown kind {kind!r} (expected one of {sorted(cls_or_kinds)})")
+            raise InvalidSpecError(f"unknown {cls_or_kinds.tag} {tag!r} (expected one of {sorted(cls_or_kinds)})")
     else:
         cls = cls_or_kinds
     check_json_types(cls.__name__, _field_checks(cls), d)
@@ -383,16 +372,12 @@ def one(cls_or_kinds) -> tuple:
     return to_dict, functools.partial(from_dict, cls_or_kinds)
 
 
-def _check_array(docs) -> None:
-    if not isinstance(docs, list):
-        raise InvalidSpecError(f"a sequence of records must be a JSON array, got {type(docs).__name__}")
-
-
 def many(cls_or_kinds) -> tuple:
     """JSON form of a field holding a tuple of records."""
 
     def decode(docs):
-        _check_array(docs)
+        if not isinstance(docs, list):
+            raise InvalidSpecError(f"a sequence of records must be a JSON array, got {type(docs).__name__}")
         return tuple(from_dict(cls_or_kinds, doc) for doc in docs)
 
     return lambda records: [to_dict(r) for r in records], decode
@@ -461,7 +446,7 @@ JSON_FORMS: dict = {
         "stages": many(STAGE_KINDS),
     },
     LinkStage: {"link": one(LINK_KINDS)},
-    Processor: {"processing": one(ProcessingModel)},
+    Processor: {"processing": one(PROCESSING_KINDS)},
 }
 
 

@@ -15,11 +15,13 @@ from acqsim import (
     ClockModel,
     CoaXPressIf,
     DeadlineSpec,
+    FixedProcessing,
     FrameTable,
     GigEVisionIf,
+    NormalProcessing,
     PCIeLink,
-    ProcessingModel,
     SimConfig,
+    UniformProcessing,
     USB3If,
     build_classic,
     build_direct,
@@ -80,14 +82,14 @@ def make_link(rng: Random):
     return USB3If(cable_length_m=length, protocol_efficiency=eff)
 
 
-def make_processing(rng: Random) -> ProcessingModel:
+def make_processing(rng: Random):
     pick = rng.randrange(3)
     if pick == 0:
-        return ProcessingModel.fixed(rng.randint(0, 50_000))
+        return FixedProcessing(rng.randint(0, 50_000))
     if pick == 1:
         lo = rng.randint(0, 10_000)
-        return ProcessingModel.uniform(lo, lo + rng.randint(0, 20_000))
-    return ProcessingModel.normal(rng.uniform(0, 20_000), rng.uniform(0, 5_000))
+        return UniformProcessing(lo, lo + rng.randint(0, 20_000))
+    return NormalProcessing(rng.uniform(0, 20_000), rng.uniform(0, 5_000))
 
 
 def make_topology(rng: Random, generous_capacity: bool = False) -> Topology:

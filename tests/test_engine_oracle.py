@@ -20,15 +20,16 @@ from acqsim import (
     BufferStage,
     CameraSpec,
     ClockModel,
+    FixedProcessing,
     FrameGrabber,
     HostMemory,
     LinkStage,
     PCIeLink,
-    ProcessingModel,
     Processor,
     Sensor,
     SimConfig,
     Topology,
+    UniformProcessing,
     load_scenario,
     parse_scenario,
     run,
@@ -144,8 +145,8 @@ def tie_cases(draw):
     stages += [holder(emitter=False) for _ in range(draw(st.integers(0, 2)))]
     processing = draw(
         st.sampled_from(
-            [ProcessingModel.fixed(0), ProcessingModel.fixed(ser), ProcessingModel.fixed(period),
-             ProcessingModel.uniform(0, 2 * period)]
+            [FixedProcessing(0), FixedProcessing(ser), FixedProcessing(period),
+             UniformProcessing(0, 2 * period)]
         )
     )
     stages.append(Processor(processing, fixed_latency_ns=fixed()))

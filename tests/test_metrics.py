@@ -42,6 +42,7 @@ from acqsim import (
 )
 from acqsim import metrics
 from acqsim.metrics import import_summary, nearest_rank
+from acqsim.simcore import serialization_time_ns
 from acqsim.topology import Topology, from_dict, to_dict, topology_digest
 from conftest import (
     assert_tabular_matches_structured,
@@ -542,11 +543,16 @@ class TestTabularExport:
         ("frame_id", True, False), ("drop_stage", [1], False),
         ("drop_reason", "x y", True), ("drop_reason", "", True), ("drop_reason", "null", True),
         ("disposition", None, True), ("drop_stage", -(10**30), True),
+        # A column of bools is written as 0/1; a bool beside any other value is refused, and so is the value.
+        ("timestamp_clamped", 2.5, False), ("timestamp_clamped", None, False), ("timestamp_clamped", "x", False),
+        ("timestamp_clamped", 1, False), ("timestamp_clamped", True, True),
     ], ids=["comma", "quote", "return", "newline", "backslash", "escaped", "inf", "nan", "float", "bool", "array",
-            "space", "empty", "null-string", "null", "huge-int"])
+            "space", "empty", "null-string", "null", "huge-int",
+            "clamped-float", "clamped-null", "clamped-string", "clamped-int", "clamped-true"])
     def test_hand_built_value_is_written_as_csv_writer_does_or_refused(self, column, value, written):
-        # The woven text of a cell is csv.writer's.  A value that csv.writer would quote, or write as other text
-        # than JSON's, is refused, as are the other types and the strings JSON escapes; none is written otherwise.
+        # The woven text of a cell is csv.writer's (a flag's int()).  A value that csv.writer would quote, or write as
+        # other text than JSON's, is refused, as are the other types and the strings JSON escapes; none is written
+        # otherwise.
         report = classic_report(n_frames=3)
         getattr(report.frames, column)[1] = value
         if written:
@@ -632,16 +638,18 @@ class TestReportReaders:
                 reader(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "path, value",
-        [(("topology", "stages", -1, "processing"), {}), (("topology", "stages", -1, "processing", "low_ns"), 0),
-         (("config", "clock"), {})],
+        "path, value, match",
+        [(("topology", "stages", -1, "processing"), {}, "must hold each field of its records, and only those"),
+         # A parameter of another distribution is a key the record does not have, zero or not.
+         (("topology", "stages", -1, "processing", "low_ns"), 0, r"FixedProcessing: unknown keys \['low_ns'\]"),
+         (("config", "clock"), {}, "must hold each field of its records, and only those")],
         ids=["processing-defaulted", "processing-zero-parameter", "clock-defaulted"],
     )
-    def test_record_not_written_in_full_refused(self, path, value):
-        # Each decodes to the report's own record, which the export writes with other keys.
+    def test_record_not_written_in_full_refused(self, path, value, match):
+        # Each but the foreign parameter decodes to the report's own record, which the export writes with other keys.
         doc = replace_node(json.loads(json.dumps(FUZZ_REPORT)), path, value)
         for reader in (import_structured, import_summary):
-            with pytest.raises(InvalidSpecError, match="must hold each field of its records, and only those"):
+            with pytest.raises(InvalidSpecError, match=match):
                 reader(json.dumps(doc))
 
     @pytest.mark.parametrize("report", ["fuzz", "deep"])
@@ -702,6 +710,28 @@ class TestReportReaders:
                 reader(json.dumps(doc))
         doc["frames"][-1]["disposition"] = "in_flight"  # the same egress is no latency end of a frame in flight
         assert import_structured(json.dumps(doc)).frames.disposition[-1] == "in_flight"
+
+    @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")
+    @pytest.mark.parametrize("edit", [("2", 1), ("4", -1), ("4", None), ("3", 0)],
+                             ids=["camera-link-longer", "pcie-shorter", "link-left-out", "non-link-added"])
+    def test_link_busy_other_than_the_transmissions_refused(self, edit):
+        # Once accepted and written back with the edit, where a link utilisation would have read it.
+        scenario = parse_scenario(WORKLOADS["classic-congested"](1, 1_000))
+        report = run(scenario.pipelines[0], scenario.configs()[0])
+        assert None in report.frames.ingress_ns[2] and report.link_busy_ns.keys() == {2, 4}
+        size = report.topology.camera.frame_size_bytes
+        for i, busy in report.link_busy_ns.items():  # one serialization time per frame that reached the link
+            reached = [t for t in report.frames.ingress_ns[i] if t is not None]
+            assert busy == len(reached) * serialization_time_ns(size, report.topology.stages[i].link) > 0
+        doc = json.loads(export_structured(report))
+        key, delta = edit
+        if delta is None:
+            del doc["link_busy_ns"][key]
+        else:
+            doc["link_busy_ns"][key] = doc["link_busy_ns"].get(key, 0) + delta
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match="^link_busy_ns is not one serialization time per transmission"):
+                reader(json.dumps(doc))
 
     def test_summary_matches_full_import(self):
         text = json.dumps(FUZZ_REPORT)

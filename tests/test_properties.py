@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from acqsim import (
     CameraSpec,
     ClockModel,
+    FixedProcessing,
     OverheadModel,
     PCIeLink,
-    ProcessingModel,
     SimConfig,
     build_classic,
     build_direct,
@@ -191,7 +191,7 @@ class TestEngineProperties:
         # processing draws, so with zero jitter and fixed processing two seeds
         # give one run.  The chain and the config are otherwise generated.
         topo = make_topology(rng)
-        proc = dataclasses.replace(topo.stages[-1], processing=ProcessingModel.fixed(rng.randint(0, 50_000)))
+        proc = dataclasses.replace(topo.stages[-1], processing=FixedProcessing(rng.randint(0, 50_000)))
         topo = dataclasses.replace(topo, stages=(*topo.stages[:-1], proc))
         cfg = make_config(rng)
         cfg = dataclasses.replace(cfg, clock=dataclasses.replace(cfg.clock, jitter_sigma_ns=0.0))

@@ -15,11 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from acqsim import CameraSpec, ClockModel, DeadlineSpec, OverheadModel, ProcessingModel, SimConfig
+from acqsim import CameraSpec, ClockModel, DeadlineSpec, OverheadModel, SimConfig
 from acqsim.cli import main
 from acqsim.linkmodel import LINK_KINDS, Link
 from acqsim.scenario import _parse_processing
-from acqsim.topology import Topology, check_runnable, from_dict
+from acqsim.topology import PROCESSING_KINDS, Topology, check_runnable, from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -95,7 +95,7 @@ SCHEMA_DECODERS = {
     "Overhead": (functools.partial(from_dict, OverheadModel), OverheadModel),
     "Clock": (functools.partial(from_dict, ClockModel), ClockModel),
     "Deadlines": (functools.partial(from_dict, DeadlineSpec), DeadlineSpec),
-    "Processing": (_parse_processing, ProcessingModel),
+    "Processing": (_parse_processing, tuple(PROCESSING_KINDS.values())),
     "Sim": (functools.partial(from_dict, SimConfig), SimConfig),
 }
 

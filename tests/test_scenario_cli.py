@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,9 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acqsim import (
+    CameraSpec,
+    FixedProcessing,
     InvalidSpecError,
     OverheadModel,
+    PCIeLink,
     ScenarioError,
+    SimConfig,
+    build_direct,
     compare,
     import_structured,
     parse_scenario,
@@ -32,8 +38,8 @@ from acqsim import (
 from acqsim import cli, metrics
 from acqsim.cli import main
 from acqsim.scenario import load_scenario
-from acqsim.topology import Topology, from_dict, topology_digest
-from conftest import base_doc, json_nodes, replace_node
+from acqsim.topology import PROCESSING_KINDS, Topology, from_dict, to_dict, topology_digest
+from conftest import base_doc, json_nodes, make_processing, replace_node
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -88,11 +94,11 @@ MALFORMED_DOCUMENTS = dict(
         ),
         (
             lambda d: d.update(processing_time_ns={"distribution": "fixed", "fixed": 5}),
-            r"ProcessingModel: unknown keys \['fixed'\]",
+            r"FixedProcessing: unknown keys \['fixed'\]",
         ),
         (
             lambda d: d.update(processing_time_ns={"distribution": "fixed", "low_ns": 5}),
-            "fixed processing takes no low_ns",
+            r"FixedProcessing: unknown keys \['low_ns'\]",
         ),
         (lambda d: d["sim"].update(clock={"jitter_sigma_ns": 20.0}), "'clock' is a top-level key, not a sim key"),
         # Objects and arrays of the wrong shape.
@@ -100,7 +106,7 @@ MALFORMED_DOCUMENTS = dict(
         (lambda d: d.update(cameras=3) or d.pop("camera"), "'cameras' must be a non-empty array"),
         (lambda d: d.update(clock="x"), "ClockModel must be a JSON object"),
         (lambda d: d.update(overhead=5), "OverheadModel must be a JSON object"),
-        (lambda d: d.update(custom_doc(processing=7)) or d.pop("pcie"), "ProcessingModel must be a JSON object"),
+        (lambda d: d.update(custom_doc(processing=7)) or d.pop("pcie"), "'distribution' record must be a JSON object"),
         (
             lambda d: d.update(architecture="custom", stages=5) or d.pop("pcie"),
             "'stages' must be an array of stages",
@@ -131,6 +137,10 @@ MALFORMED_DOCUMENTS = dict(
             lambda d: d.update(processing_time_ns={"distribution": "normal", "mean_ns": 1.0, "sigma_ns": -1.0}),
             "normal processing time needs mean, sigma >= 0",
         ),
+        # A distribution that is named must be one of the three, by its name.
+        *((lambda d, tag=tag: d.update(processing_time_ns={"distribution": tag, "fixed_ns": 1}),
+           rf"^unknown distribution {tag!r} \(expected one of \['fixed', 'normal', 'uniform'\]\)$")
+          for tag in (None, 3, "pareto", "Fixed")),
     ]
 )
 
@@ -260,6 +270,32 @@ class TestScenarioParsing:
         sc = parse_scenario(base_doc(processing_time_ns=150_000))
         proc = sc.pipelines[0].stages[-1]
         assert proc.processing.fixed_ns == 150_000
+
+    def test_processing_without_distribution_is_fixed(self):
+        for doc in (base_doc(processing_time_ns={"fixed_ns": 7}), custom_doc(processing={"fixed_ns": 7})):
+            assert parse_scenario(doc).pipelines[0].stages[-1].processing == FixedProcessing(7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), value=st.sampled_from([0, 0.0, 5]))
+    def test_processing_round_trips_and_refuses_a_foreign_parameter(self, rng, value):
+        processing = make_processing(rng)
+        doc = to_dict(processing)
+        assert from_dict(PROCESSING_KINDS, doc) == processing
+        report = json.loads(metrics.export_structured(run(build_direct(
+            CameraSpec(1_000, 8, 1000), PCIeLink(3, 1), processing=processing), SimConfig(seed=1, n_frames=1))))
+        assert report["topology"]["stages"][-1]["processing"] == doc
+        # A parameter of another distribution is a key the record does not have, whatever its value.
+        foreign = [f.name for cls in PROCESSING_KINDS.values() if cls is not type(processing) for f in fields(cls)]
+        for name in foreign:
+            bad = dict(doc, **{name: value})
+            match = rf"{type(processing).__name__}: unknown keys \['{name}'\]"
+            for scenario in (base_doc(processing_time_ns=bad), custom_doc(processing=bad)):
+                with pytest.raises(ScenarioError, match=match):
+                    parse_scenario(scenario)
+            text = json.dumps(replace_node(copy.deepcopy(report), ("topology", "stages", -1, "processing"), bad))
+            for reader in (import_structured, metrics.import_summary):
+                with pytest.raises(InvalidSpecError, match=match):
+                    reader(text)
 
     @pytest.mark.parametrize("mutate", list(MALFORMED_DOCUMENTS))
     def test_malformed_documents_rejected(self, mutate):
@@ -1023,6 +1059,8 @@ def failing_inputs(tmp_path_factory):
     direct = json.loads((SCENARIOS / "direct-1mpx.json").read_text(encoding="utf-8"))
     (tmp_path / "direct.json").write_text(json.dumps(direct), encoding="utf-8")
     (tmp_path / "two-frames.json").write_text(json.dumps(dict(direct, sim=dict(direct["sim"], n_frames=2))), encoding="utf-8")
+    other_camera = dict(direct, camera=dict(direct["camera"], bit_depth=16))
+    (tmp_path / "other-camera.json").write_text(json.dumps(other_camera), encoding="utf-8")
     for forwarding in ("cut_through", "store_and_forward"):  # a camera buffer smaller than one frame
         tiny = dict(direct, camera_buffer_capacity_bytes=1000, camera_buffer_forwarding=forwarding)
         (tmp_path / f"tiny-{forwarding}.json").write_text(json.dumps(tiny), encoding="utf-8")
@@ -1032,15 +1070,13 @@ def failing_inputs(tmp_path_factory):
     (tmp_path / "latin1.json").write_bytes(b"\xff{}")
     (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
     (tmp_path / "folder").mkdir()
-    for stem in ("direct", "two-frames"):
+    for stem in ("direct", "two-frames", "other-camera"):
         assert main(["simulate", str(tmp_path / f"{stem}.json"), "-o", str(tmp_path / f"r-{stem}")]) == 0
     doc = json.loads((tmp_path / "r-direct.json").read_text(encoding="utf-8"))
-    # Each edited report keeps the digest of its topology, so that only the named fault is found.
-    for name, edit in (("other-camera", ("camera", "bit_depth", 16)), ("tiny", ("stages", 1, "capacity_bytes", 1000))):
-        *path, value = edit
-        topology = replace_node(copy.deepcopy(doc["topology"]), path, value)
-        edited = dict(doc, topology=topology, digest=topology_digest(from_dict(Topology, topology)))
-        (tmp_path / f"r-{name}.json").write_text(json.dumps(edited), encoding="utf-8")
+    # The edited report keeps the digest of its topology, so that only the named fault is found.
+    topology = replace_node(copy.deepcopy(doc["topology"]), ("stages", 1, "capacity_bytes"), 1000)
+    edited = dict(doc, topology=topology, digest=topology_digest(from_dict(Topology, topology)))
+    (tmp_path / "r-tiny.json").write_text(json.dumps(edited), encoding="utf-8")
     return tmp_path
 
 

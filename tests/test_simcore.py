@@ -13,13 +13,14 @@ from acqsim import (
     CLHSIf,
     CoaXPressIf,
     DeadlineSpec,
+    FixedProcessing,
     FrameGrabber,
     HostMemory,
     InvalidSpecError,
     InvalidTopologyError,
     LinkStage,
+    NormalProcessing,
     PCIeLink,
-    ProcessingModel,
     Processor,
     Sensor,
     SimConfig,
@@ -310,9 +311,9 @@ class TestStopConditions:
                 "CameraSpec 'resolution_pixels' must be an integer, got 1000000.0",
             ),
             (
-                build_direct(CAM_1MPX, G3X1, processing=ProcessingModel.fixed(5.0)),
+                build_direct(CAM_1MPX, G3X1, processing=FixedProcessing(5.0)),
                 None,
-                "ProcessingModel 'fixed_ns' must be an integer, got 5.0",
+                "FixedProcessing 'fixed_ns' must be an integer, got 5.0",
             ),
             (build_direct(CAM_1MPX, G3X1), SimConfig(seed=1.5, n_frames=2), "SimConfig 'seed' must be an integer, got 1.5"),
         ],
@@ -340,7 +341,7 @@ class TestFixedLatencies:
 
     def test_processor_terms_add(self):
         assert (
-            self.base_latency(processor_latency_ns=7, processing=ProcessingModel.fixed(50))
+            self.base_latency(processor_latency_ns=7, processing=FixedProcessing(50))
             == 1_015_625 + 57
         )
 
@@ -469,7 +470,7 @@ class TestReferenceCycles:
             PCIeLink(1, 4),
             PCIeLink(1, 2),
             MIB,
-            processing=ProcessingModel.normal(20_000.0, 2_000.0),
+            processing=NormalProcessing(20_000.0, 2_000.0),
             deadlines=RELAXED,
         )
         cfg = SimConfig(seed=1, duration_ns=300 * 32_768 - 1, drop_policy=DROP_OLDEST)

@@ -14,20 +14,22 @@ from acqsim import (
     ClockModel,
     CoaXPressIf,
     DeadlineSpec,
+    FixedProcessing,
     FrameGrabber,
     GigEVisionIf,
     HostMemory,
     InvalidSpecError,
     InvalidTopologyError,
     LinkStage,
+    NormalProcessing,
     OverheadModel,
     PCIeLink,
-    ProcessingModel,
     Processor,
     Sensor,
     SimConfig,
     SimReport,
     Topology,
+    UniformProcessing,
     USB3If,
     build_classic,
     build_direct,
@@ -43,6 +45,7 @@ from acqsim.simcore import DISPOSITION_DELIVERED, serialization_time_ns
 from acqsim.topology import (
     CUT_THROUGH,
     JSON_FORMS,
+    PROCESSING_KINDS,
     STAGE_KINDS,
     STORE_AND_FORWARD,
     check_runnable,
@@ -203,21 +206,21 @@ class TestStageSpecs:
 
     def test_processing_model_validation(self):
         with pytest.raises(InvalidSpecError):
-            ProcessingModel.fixed(-1)
+            FixedProcessing(-1)
         with pytest.raises(InvalidSpecError):
-            ProcessingModel.uniform(10, 5)
+            UniformProcessing(10, 5)
         with pytest.raises(InvalidSpecError):
-            ProcessingModel(distribution="pareto")
+            from_dict(PROCESSING_KINDS, {"distribution": "pareto"})
 
     def test_processing_draws(self):
         rng = Random(3)
-        fixed = ProcessingModel.fixed(42)
+        fixed = FixedProcessing(42)
         assert [fixed.draw(rng) for _ in range(3)] == [42, 42, 42]
-        uni = ProcessingModel.uniform(10, 20)
+        uni = UniformProcessing(10, 20)
         draws = [uni.draw(Random(5)) for _ in range(3)]
         assert draws[0] == draws[1] == draws[2]
         assert all(10 <= uni.draw(rng) <= 20 for _ in range(100))
-        norm = ProcessingModel.normal(5.0, 50.0)
+        norm = NormalProcessing(5.0, 50.0)
         assert all(norm.draw(rng) >= 0 for _ in range(200))
 
 
@@ -227,7 +230,7 @@ _OWN_FIELDS = {
     "buffer": {"capacity_bytes": 1024, "forwarding": STORE_AND_FORWARD},
     "frame_grabber": {"capacity_bytes": 1024},
     "host_memory": {},
-    "processor": {"processing": ProcessingModel()},
+    "processor": {"processing": FixedProcessing()},
 }
 
 
@@ -245,7 +248,7 @@ def test_stage_shared_fields_checked(kind):
 class TestSerialization:
     def test_round_trip_builders(self):
         for t in (
-            build_classic(CAM, CL, G3X4, 4096, grabber_latency_ns=7, processing=ProcessingModel.fixed(5)),
+            build_classic(CAM, CL, G3X4, 4096, grabber_latency_ns=7, processing=FixedProcessing(5)),
             build_direct(CAM, PCIeLink(5, 16, cable_length_m=300.0), host_latency_ns=3),
         ):
             assert from_dict(Topology, to_dict(t)) == t
@@ -260,7 +263,7 @@ class TestSerialization:
                 FrameGrabber(8192, fixed_latency_ns=1),
                 LinkStage(PCIeLink(2, 8, protocol_efficiency=0.5)),
                 HostMemory(fixed_latency_ns=9),
-                Processor(processing=ProcessingModel.normal(10.0, 2.0), fixed_latency_ns=6),
+                Processor(processing=NormalProcessing(10.0, 2.0), fixed_latency_ns=6),
             ),
             CAM,
         )
@@ -270,7 +273,7 @@ class TestSerialization:
     def codec_samples():
         """(class or kinds table, record) for every record class the codec handles."""
         topo = build_classic(
-            CAM, CL, G3X4, 64 * 1024 * 1024, processing=ProcessingModel.uniform(10, 20),
+            CAM, CL, G3X4, 64 * 1024 * 1024, processing=UniformProcessing(10, 20),
             deadlines=DeadlineSpec(safety_ns=1_000, control_ns=2_000_000, timestamp_rms_ns=1.0),
         )
         config = SimConfig(seed=3, n_frames=3, clock=ClockModel(5.0, 1.5, 2.0))
@@ -291,15 +294,15 @@ class TestSerialization:
             LinkStage(CameraLinkIf("medium", cable_length_m=4.5)),
             FrameGrabber(8192, fixed_latency_ns=1),
             HostMemory(fixed_latency_ns=9),
-            Processor(processing=ProcessingModel.normal(10.0, 2.0), fixed_latency_ns=6),
+            Processor(processing=NormalProcessing(10.0, 2.0), fixed_latency_ns=6),
         ]
         return (
             [(LINK_KINDS, link) for link in links]
             + [(STAGE_KINDS, stage) for stage in stages]
             + [
-                (ProcessingModel, ProcessingModel.fixed(5)),
-                (ProcessingModel, ProcessingModel.uniform(1, 9)),
-                (ProcessingModel, ProcessingModel.normal(3.5, 0.5)),
+                (PROCESSING_KINDS, FixedProcessing(5)),
+                (PROCESSING_KINDS, UniformProcessing(1, 9)),
+                (PROCESSING_KINDS, NormalProcessing(3.5, 0.5)),
                 (CameraSpec, CAM),
                 (OverheadModel, OverheadModel(512, 20, 0.75)),
                 (ClockModel, config.clock),
