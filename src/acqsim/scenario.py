@@ -22,10 +22,9 @@ from .topology import (
     Topology,
     build_classic,
     build_direct,
-    check_json_types,
+    check_column,
     check_runnable,
     from_dict,
-    scalar_checks,
 )
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -54,7 +53,6 @@ _TOP_LEVEL_KEYS = {
     "deadlines": None,
     "sim": None,
 }
-_TOP_LEVEL_CHECKS = scalar_checks(_TOP_LEVEL_KEYS)
 
 # Per architecture: its builder (None for custom, whose document lists the
 # stages), the keys it requires (a builder's links, in argument order) and
@@ -131,7 +129,9 @@ def _parse(doc: dict) -> Scenario:
     unknown = set(doc) - set(_TOP_LEVEL_KEYS)
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-    check_json_types("scenario", _TOP_LEVEL_CHECKS, doc)
+    for key, annotation in _TOP_LEVEL_KEYS.items():
+        if key in doc:
+            check_column("scenario", key, annotation, [doc[key]])
     version = doc.get("schema_version")
     if version != SCENARIO_SCHEMA_VERSION:
         raise ScenarioError(

@@ -290,34 +290,29 @@ _TAGS = {cls: kinds.tag for kinds in (LINK_KINDS, STAGE_KINDS, PROCESSING_KINDS)
 # JSON types a scalar annotation accepts.  type() is matched exactly, so a
 # bool is never an int; float values must also be finite.
 _SCALARS = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a finite number"),
-    "str": ((str,), "a string"),
-    "bool": ((bool,), "a boolean"),
-    "Optional[int]": ((int, type(None)), "an integer or null"),
-    "Optional[str]": ((str, type(None)), "a string or null"),
+    "int": ({int}, "an integer"),
+    "float": ({int, float}, "a finite number"),
+    "str": ({str}, "a string"),
+    "bool": ({bool}, "a boolean"),
+    "Optional[int]": ({int, type(None)}, "an integer or null"),
+    "Optional[str]": ({str, type(None)}, "a string or null"),
 }
 
 
-def scalar_checks(annotations: dict) -> tuple:
-    """(key, JSON types, description) for each scalar annotation of a key -> annotation map."""
-    return tuple((key, *_SCALARS[a]) for key, a in annotations.items() if a in _SCALARS)
-
-
-def check_json_types(owner: str, checks: tuple, d: dict) -> None:
-    """Raise InvalidSpecError unless each key of d that checks names holds its JSON type."""
-    for key, types, what in checks:
-        if key in d:
-            value = d[key]
-            t = type(value)
-            if t not in types or (t is float and not math.isfinite(value)):
-                raise InvalidSpecError(f"{owner} {key!r} must be {what}, got {value!r}")
-
-
-@functools.cache
-def _field_checks(cls) -> tuple:
-    """The scalar checks of a record class's fields."""
-    return scalar_checks({f.name: f.type for f in dataclasses.fields(cls)})
+def check_column(owner: str, key: str, annotation, column: list, allowed=None) -> list:
+    """column itself, once each of its values is checked to be of annotation's JSON type (_SCALARS; any
+    other annotation is not checked) and, given allowed, one of those values.  InvalidSpecError names the
+    first bad value of the first broken rule."""
+    if annotation in _SCALARS:
+        types, what = _SCALARS[annotation]
+        kinds = set(map(type, column))
+        if not kinds <= types or float in kinds and not all(math.isfinite(v) for v in column if type(v) is float):
+            bad = next(v for v in column if type(v) not in types or type(v) is float and not math.isfinite(v))
+            raise InvalidSpecError(f"{owner} {key!r} must be {what}, got {bad!r}")
+    if allowed is not None and not set(column) <= set(allowed):
+        bad = next(v for v in column if v not in allowed)
+        raise InvalidSpecError(f"{owner} {key!r} must be one of {', '.join(map(json.dumps, allowed))}, got {bad!r}")
+    return column
 
 
 def to_dict(obj) -> dict:
@@ -352,7 +347,9 @@ def from_dict(cls_or_kinds, d):
             raise InvalidSpecError(f"unknown {cls_or_kinds.tag} {tag!r} (expected one of {sorted(cls_or_kinds)})")
     else:
         cls = cls_or_kinds
-    check_json_types(cls.__name__, _field_checks(cls), d)
+    for f in dataclasses.fields(cls):
+        if f.name in d:
+            check_column(cls.__name__, f.name, f.type, [d[f.name]])
     forms = JSON_FORMS.get(cls)
     if forms:
         d = dict(d)
@@ -385,9 +382,8 @@ def many(cls_or_kinds) -> tuple:
 
 def check_columns(owner: str, keys: dict, values: dict, docs) -> dict:
     """Key -> column of docs, a JSON array of owner objects, once checked a column at a time, building
-    no record: each object holds exactly the keys of keys (a key -> annotation map), each scalar of its
-    annotation's JSON type and each key of values (a key -> allowed values map) one of its values.
-    A wrong type raises check_json_types' InvalidSpecError for the first bad object."""
+    no record: each object holds exactly the keys of keys (a key -> annotation map), and each column is
+    checked by check_column against its annotation and its allowed values in values, if any."""
     if not isinstance(docs, list):
         raise InvalidSpecError(f"{owner}s must be a JSON array, got {type(docs).__name__}")
     bad_keys = f"{owner} must be a JSON object with exactly the keys {sorted(keys)}"
@@ -397,18 +393,7 @@ def check_columns(owner: str, keys: dict, values: dict, docs) -> dict:
         columns = {key: list(map(itemgetter(key), docs)) for key in keys}
     except KeyError:  # an object of the right size holds a key of another name
         raise InvalidSpecError(bad_keys) from None
-    checks = scalar_checks(keys)
-    for key, types, _ in checks:
-        kinds = set(map(type, columns[key]))
-        if not kinds <= set(types) or float in kinds and not all(
-                math.isfinite(v) for v in columns[key] if type(v) is float):  # an int is always finite
-            for doc in docs:
-                check_json_types(owner, checks, doc)  # raises at the first bad object
-    for key, allowed in values.items():
-        if not set(columns[key]) <= set(allowed):
-            bad = next(v for v in columns[key] if v not in allowed)
-            raise InvalidSpecError(f"{owner} {key!r} must be one of {', '.join(map(json.dumps, allowed))}, got {bad!r}")
-    return columns
+    return {key: check_column(owner, key, a, columns[key], values.get(key)) for key, a in keys.items()}
 
 
 def check_int_keyed(m) -> dict:
