@@ -22,7 +22,7 @@ from .simcore import DISPOSITION_DELIVERED, DISPOSITION_DROPPED, DISPOSITION_IN_
 from .simcore import SimConfig, link_busy_ns
 from .timing import DeadlineMisses, check_deadlines, timestamp_rms
 from .topology import CANONICAL, INT_KEYED, JSON_FORMS, Topology, check_columns, check_int_keyed, check_runnable
-from .topology import copy_count, decode_int_keyed, from_dict, one, to_dict, topology_digest
+from .topology import copy_count, decode_int_keyed, from_dict, holding_stages, one, to_dict, topology_digest
 
 SCHEMA_VERSION = 1
 
@@ -173,17 +173,17 @@ def _pairs(items, types: set) -> bool:
             and set(map(type, chain.from_iterable(items))) <= types)
 
 
-def check_frames(docs, n_stages: int) -> dict:
+def check_frames(docs, topology: Topology) -> dict:
     """Key -> column of docs, once checked to be a JSON array of frames of the exported shape: the
-    frame keys and scalars as check_columns checks them, stage_times n_stages [ingress, egress] pairs
-    of integers or nulls, with both latency ends set in a delivered frame, and buffer_bytes an object
-    from stage index to an integer, a column at a time."""
+    frame keys and scalars as check_columns checks them, stage_times one [ingress, egress] pair of
+    integers or nulls per stage of topology, with both latency ends set in a delivered frame, and
+    buffer_bytes an object from a holding stage's index to an integer, a column at a time."""
     columns = check_columns("frame", _FRAME_KEYS, FRAME_VALUES, docs)
     spans = columns["stage_times"]
     if not set(map(type, spans)) <= {list} or not _pairs(list(chain.from_iterable(spans)), {int, type(None)}):
         raise InvalidSpecError("a frame's stage_times must be a JSON array of [ingress, egress] pairs, "
                                "each an integer or null")
-    if set(map(len, spans)) - {n_stages}:
+    if set(map(len, spans)) - {len(topology.stages)}:
         raise InvalidSpecError("a frame's stage_times must hold one [ingress, egress] pair per topology stage")
     # A delivered frame's latency runs from the sensor's egress to the processor's (FrameTable.latency_ns).
     if any(s[0][1] is None or s[-1][1] is None
@@ -193,11 +193,11 @@ def check_frames(docs, n_stages: int) -> dict:
     if not set(map(type, held)) <= {dict}:
         check_int_keyed(next(m for m in held if type(m) is not dict))  # raises, naming the first non-object
     keys = dict.fromkeys(chain.from_iterable(held))  # every frame's keys at once
-    stage_keys = set(map(str, range(n_stages)))
-    if not keys.keys() <= stage_keys:
+    holding = holding_stages(topology)
+    if not keys.keys() <= (names := set(map(str, holding))):
         check_int_keyed(keys)  # names a key that is no stage index at all
-        past = next(k for k in keys if k not in stage_keys)
-        raise InvalidSpecError(f"a frame's buffer_bytes names stage {past} of a {n_stages}-stage topology")
+        other = next(k for k in keys if k not in names)
+        raise InvalidSpecError(f"a frame's buffer_bytes names stage {other}, not one of the holding stages {holding}")
     if not set(map(type, chain.from_iterable(map(dict.values, held)))) <= {int}:
         raise InvalidSpecError("a frame's buffer_bytes must map each stage index to an integer")
     return columns
@@ -275,7 +275,7 @@ def _weaver(layout: list):
 
 class _Column:
     """A distinct column of one _Slots: its values, their types, and the C encoder's text of a chunk's
-    slice, brackets off, from which its forms (_Slots) are made: its JSON tokens and its CSV cells."""
+    slice, brackets off, from which its forms (_Slots) are made: its JSON tokens and its CSV cells or flags."""
 
     def __init__(self, values):
         self.values, self.text = values, lru_cache(1)(lambda lo, hi: _IN_ORDER(values[lo:hi])[1:-1])
@@ -284,15 +284,17 @@ class _Column:
     tokens = lambda self, lo, hi: self.text(lo, hi).split(",")
 
     def cells(self, lo: int, hi: int) -> list:
-        """Cells as csv.writer writes them, and a column of bools as 0/1.  Refused: other types, a bool
-        beside another value, a string with a comma or a JSON escape."""
+        """Cells as csv.writer writes them.  Refused: other types, a string with a comma or a JSON escape."""
         text = ("," + self.text(lo, hi)).replace(",null", ",").replace('"', "")
-        if self.types == {bool}:
-            return text[1:].replace("true", "1").replace("false", "0").split(",")
         if not self.types <= {int, str, type(None)} or "\\" in text:
-            raise InvalidSpecError("a CSV cell must be an integer, null, a string that JSON does not escape, "
-                                   "or one of a column of bools")
+            raise InvalidSpecError("a CSV cell must be an integer, null, or a string that JSON does not escape")
         return text[1:].split(",")
+
+    def flags(self, lo: int, hi: int) -> list:
+        """Cells of a column of bools, as 0/1.  Refused: any other value."""
+        if not self.types <= {bool}:
+            raise InvalidSpecError("a CSV flag column must hold only bools")
+        return self.text(lo, hi).replace("true", "1").replace("false", "0").split(",")
 
 
 class _Slots(dict):
@@ -407,7 +409,10 @@ def _import(text: str) -> tuple:
     for key in ("topology", "config"):  # as the export writes them, so that no default is filled in
         if to_dict(getattr(report, key)) != doc[key]:
             raise InvalidSpecError(f"report {key} must hold each field of its records, and only those")
-    columns = check_frames(report.frames, len(report.topology.stages))
+    holding = holding_stages(report.topology)
+    if not report.occupancy.keys() == report.aggregates.high_water_bytes.keys() == set(holding):
+        raise InvalidSpecError(f"report occupancy and high_water_bytes must be keyed by the holding stages {holding}")
+    columns = check_frames(report.frames, report.topology)
     spans = columns["stage_times"]
     ends = _Ends(columns["frame_id"], columns["disposition"], ([s[0][1] for s in spans], [s[-1][1] for s in spans]))
     misses = check_deadlines(ends, report.topology.deadlines, report.aggregates.timestamp_rms_ns)
@@ -460,7 +465,10 @@ def export_tabular(report: SimReport) -> str:
     for i in range(len(report.topology.stages)):
         header += (f"stage{i}_{name}" for name in _STAGE_COLUMNS)
         columns += (getattr(t, name)[i] for name in _STAGE_COLUMNS)
-    weave = _weaver([part for values in columns for part in (",", slot(values, _Column.cells))][1:] + ["\n"])
+    # timestamp_clamped, FrameTable's one bool field, is written as flags; no other column may hold a bool.
+    cells = [slot(values, _Column.flags if _FRAME_SCALARS.get(name) == "bool" else _Column.cells)
+             for name, values in zip(header, columns)]
+    weave = _weaver([part for cell in cells for part in (",", cell)][1:] + ["\n"])
     # The lines csv.writer writes for these names and numbers: each name as it is, each number as its repr.
     block = [("metric", "value"), ("empty", int(a.empty)), *((name, getattr(a, name)) for name in _SCALAR_METRICS),
              ("elapsed_ns", report.elapsed_ns),

@@ -43,8 +43,8 @@ from typing import Optional
 
 from .linkmodel import InvalidSpecError, Link, effective_rate_fraction, propagation_delay_ns
 from .timing import ClockModel, sample_timestamp_detailed
-from .topology import CUT_THROUGH, JSON_FORMS, BufferStage, LinkStage, Processor, Topology, check_runnable
-from .topology import from_dict, one, to_dict
+from .topology import CUT_THROUGH, JSON_FORMS, BufferStage, LinkStage, Topology, check_runnable, from_dict
+from .topology import holding_stages, one, to_dict
 
 DROP_NEWEST = "drop_newest"
 DROP_OLDEST = "drop_oldest"
@@ -192,7 +192,7 @@ class _Passes:
             for i, s in enumerate(stages)
             if isinstance(s, LinkStage)
         }
-        self.traces = {i: [] for i, s in enumerate(stages) if not isinstance(s, (LinkStage, Processor))}
+        self.traces = {i: [] for i in holding_stages(topo)}
         self.memo = {}
         self.last = 0  # time of the latest event that ran
         self.proc_rng = Random(f"{cfg.seed}:processing")

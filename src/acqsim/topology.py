@@ -38,7 +38,7 @@ DEFAULT_BUFFER_CAPACITY = 64 * 1024 * 1024  # 64 MiB, holds any in-envelope fram
 
 @dataclass(frozen=True)
 class FixedProcessing:
-    fixed_ns: int = 0
+    fixed_ns: int
 
     distribution = "fixed"
 
@@ -52,8 +52,8 @@ class FixedProcessing:
 
 @dataclass(frozen=True)
 class UniformProcessing:
-    low_ns: int = 0
-    high_ns: int = 0
+    low_ns: int
+    high_ns: int
 
     distribution = "uniform"
 
@@ -67,8 +67,8 @@ class UniformProcessing:
 
 @dataclass(frozen=True)
 class NormalProcessing:
-    mean_ns: float = 0.0
-    sigma_ns: float = 0.0
+    mean_ns: float
+    sigma_ns: float
 
     distribution = "normal"
 
@@ -158,7 +158,7 @@ class HostMemory(Stage):
 class Processor(Stage):
     """Single-server consumer; service time = fixed latency + drawn compute."""
 
-    processing: FixedProcessing | UniformProcessing | NormalProcessing = field(default_factory=FixedProcessing)
+    processing: FixedProcessing | UniformProcessing | NormalProcessing = FixedProcessing(0)
 
     kind = "processor"
 
@@ -221,6 +221,11 @@ def copy_count(t: Topology) -> int:
     return sum(1 for s in t.stages if isinstance(s, COPY_KINDS))
 
 
+def holding_stages(t: Topology) -> list:
+    """The indices of t's holding stages, each with an occupancy trace: every stage but a link or the processor."""
+    return [i for i, s in enumerate(t.stages) if not isinstance(s, (LinkStage, Processor))]
+
+
 def build_direct(
     cam: CameraSpec,
     pcie: Link,
@@ -248,7 +253,7 @@ def build_direct(
         ),
         LinkStage(link=pcie),
         HostMemory(fixed_latency_ns=host_latency_ns),
-        Processor(processing=processing or FixedProcessing(), fixed_latency_ns=processor_latency_ns),
+        Processor(processing=processing or FixedProcessing(0), fixed_latency_ns=processor_latency_ns),
     )
     return Topology(name=name, stages=stages, camera=cam, deadlines=deadlines or DeadlineSpec())
 

@@ -288,6 +288,17 @@ def replace_node(doc, path, value):
     return doc
 
 
+# Edits of a direct report's stage-keyed maps, each once accepted by both readers: in a direct chain,
+# stages 0, 1 and 3 hold frames and stage 2 is the link.
+HOLDING_STAGE_EDITS = {
+    "occupancy-unknown-stage": lambda doc: doc["occupancy"].update({"99": [[0, 5]]}),
+    "occupancy-link-stage": lambda doc: doc["occupancy"].update({"2": []}),
+    "occupancy-stage-left-out": lambda doc: doc["occupancy"].pop("1"),
+    "high-water-unknown-stage": lambda doc: doc["aggregates"]["high_water_bytes"].update({"99": 1}),
+    "buffer-bytes-link-stage": lambda doc: doc["frames"][0]["buffer_bytes"].update({"2": 5}),
+}
+
+
 @pytest.fixture(scope="session")
 def run_pool():
     """1000 randomized (topology, config, report) cases, shared by suites."""

@@ -45,6 +45,7 @@ from acqsim.metrics import import_summary, nearest_rank
 from acqsim.simcore import serialization_time_ns
 from acqsim.topology import Topology, from_dict, to_dict, topology_digest
 from conftest import (
+    HOLDING_STAGE_EDITS,
     assert_tabular_matches_structured,
     benchmark_workloads,
     frame_table,
@@ -288,7 +289,7 @@ class TestStructuredExport:
             (("link_busy_ns",), {"x": 1}, "non-index key"),
             (("frames", 0, "buffer_bytes"), {"-1": 5}, "non-index key"),
             (("frames", 0, "buffer_bytes"), {"01": 5}, "non-index key"),
-            (("frames", 0, "buffer_bytes"), {"7": 5}, "names stage 7 of a 7-stage topology"),
+            (("frames", 0, "buffer_bytes"), {"7": 5}, r"names stage 7, not one of the holding stages \[0, 1, 3, 5\]"),
             (("frames", 0, "buffer_bytes"), {"0": None}, "to an integer"),
             (("link_busy_ns",), {"\u0661": 7}, "non-index key"),
             (("aggregates", "high_water_bytes"), {"01": 5, "1": 6}, "non-index key"),
@@ -561,6 +562,18 @@ class TestTabularExport:
             with pytest.raises(InvalidSpecError):
                 export_tabular(report)
 
+    @pytest.mark.parametrize("column", [*(k for k in metrics._FRAME_SCALARS if k != "timestamp_clamped"),
+                                        *metrics._STAGE_COLUMNS])
+    def test_bool_column_other_than_timestamp_clamped_refused(self, column):
+        # Once written as 1 cells, where export_structured writes true.  Only timestamp_clamped holds bools.
+        report = classic_report(n_frames=3)
+        if column in metrics._STAGE_COLUMNS:
+            getattr(report.frames, column)[1] = [True] * 3
+        else:
+            setattr(report.frames, column, [True] * 3)
+        with pytest.raises(InvalidSpecError, match="^a CSV cell must be"):
+            export_tabular(report)
+
 
 def row_cases(report) -> list:
     """What a run's tabular rows hold besides delivered frames: dropped and in-flight frames, and a
@@ -639,14 +652,15 @@ class TestReportReaders:
 
     @pytest.mark.parametrize(
         "path, value, match",
-        [(("topology", "stages", -1, "processing"), {}, "must hold each field of its records, and only those"),
+        [(("topology", "stages", -1, "processing"), {}, "missing 1 required positional argument: 'fixed_ns'"),
          # A parameter of another distribution is a key the record does not have, zero or not.
          (("topology", "stages", -1, "processing", "low_ns"), 0, r"FixedProcessing: unknown keys \['low_ns'\]"),
          (("config", "clock"), {}, "must hold each field of its records, and only those")],
         ids=["processing-defaulted", "processing-zero-parameter", "clock-defaulted"],
     )
     def test_record_not_written_in_full_refused(self, path, value, match):
-        # Each but the foreign parameter decodes to the report's own record, which the export writes with other keys.
+        # A processing object states exactly its own parameters; a clock decodes to the report's own record, which
+        # the export writes with other keys.
         doc = replace_node(json.loads(json.dumps(FUZZ_REPORT)), path, value)
         for reader in (import_structured, import_summary):
             with pytest.raises(InvalidSpecError, match=match):
@@ -731,6 +745,23 @@ class TestReportReaders:
             doc["link_busy_ns"][key] = doc["link_busy_ns"].get(key, 0) + delta
         for reader in (import_structured, import_summary):
             with pytest.raises(InvalidSpecError, match="^link_busy_ns is not one serialization time per transmission"):
+                reader(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit", sorted(HOLDING_STAGE_EDITS))
+    def test_stage_map_other_than_the_holding_stages_refused(self, edit):
+        # Once accepted; the high-water edit was written back, by export_tabular as a high_water_stage99_bytes row.
+        doc = json.loads(export_structured(run(build_direct(CAM, PCIeLink(5, 16)), SimConfig(seed=1, n_frames=3))))
+        assert sorted(doc["occupancy"]) == sorted(doc["aggregates"]["high_water_bytes"]) == ["0", "1", "3"]
+        HOLDING_STAGE_EDITS[edit](doc)
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match=r"the holding stages \[0, 1, 3\]$"):
+                reader(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [5, [], None, "x"], ids=["number", "array", "null", "string"])
+    def test_aggregates_not_an_object_refused(self, value):
+        doc = replace_node(json.loads(json.dumps(FUZZ_REPORT)), ("aggregates",), value)
+        for reader in (import_structured, import_summary):
+            with pytest.raises(InvalidSpecError, match="^Aggregates must be a JSON object, got "):
                 reader(json.dumps(doc))
 
     def test_summary_matches_full_import(self):

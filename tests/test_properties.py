@@ -29,8 +29,8 @@ from acqsim import (
 )
 from acqsim.linkmodel import NoFeasibleWidthError
 from acqsim.timing import sample_timestamp_detailed
-from acqsim.topology import BufferStage, FrameGrabber, Topology, check_runnable, from_dict, to_dict
-from conftest import frame_table, make_camera, make_config, make_link, make_topology
+from acqsim.topology import BufferStage, FrameGrabber, Topology, check_runnable, from_dict, holding_stages, to_dict
+from conftest import frame_table, insert_stage, insertable_buffer, make_camera, make_config, make_link, make_topology
 
 generations = st.integers(min_value=1, max_value=5)
 lane_widths = st.sampled_from([1, 2, 4, 8, 16])
@@ -153,6 +153,20 @@ class TestEngineProperties:
                 if isinstance(stage, (BufferStage, FrameGrabber)):
                     assert all(b <= stage.capacity_bytes for _, b in trace)
                 assert all(b >= 0 for _, b in trace)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_stage_maps_follow_the_holding_stages(self, rng):
+        # The rule both readers enforce: an occupancy trace and a high water for each stage but a link or the
+        # processor, and resident bytes at no other stage.
+        topo = make_topology(rng)
+        if rng.random() < 0.5:  # a buffer anywhere between the sensor and the processor
+            topo = insert_stage(topo, insertable_buffer(rng), rng.randint(1, len(topo.stages) - 1))
+        report = run(topo, make_config(rng))
+        holding = [i for i, s in enumerate(topo.stages) if s.kind not in ("link", "processor")]
+        assert holding_stages(topo) == holding
+        assert sorted(report.occupancy) == sorted(report.aggregates.high_water_bytes) == holding
+        assert all(set(held) <= {None} for i, held in enumerate(report.frames.buffer_bytes) if i not in holding)
 
     def test_link_busy_within_elapsed(self):
         rng = Random(12)

@@ -39,7 +39,7 @@ from acqsim import cli, metrics
 from acqsim.cli import main
 from acqsim.scenario import load_scenario
 from acqsim.topology import PROCESSING_KINDS, Topology, from_dict, to_dict, topology_digest
-from conftest import base_doc, json_nodes, make_processing, replace_node
+from conftest import HOLDING_STAGE_EDITS, base_doc, json_nodes, make_processing, replace_node
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -141,6 +141,15 @@ MALFORMED_DOCUMENTS = dict(
         *((lambda d, tag=tag: d.update(processing_time_ns={"distribution": tag, "fixed_ns": 1}),
            rf"^unknown distribution {tag!r} \(expected one of \['fixed', 'normal', 'uniform'\]\)$")
           for tag in (None, 3, "pareto", "Fixed")),
+        # A processing object states every parameter of its distribution: each was once read as 0.
+        *((lambda d, value=value: d.update(processing_time_ns=value), rf"^{cls}: .*missing .*{missing}$")
+          for value, cls, missing in (
+              ({"distribution": "uniform"}, "UniformProcessing", "'low_ns' and 'high_ns'"),
+              ({"distribution": "normal", "mean_ns": 5.0}, "NormalProcessing", "'sigma_ns'"),
+              ({"distribution": "fixed"}, "FixedProcessing", "'fixed_ns'"),
+              ({}, "FixedProcessing", "'fixed_ns'"))),
+        (lambda d: d.update(custom_doc(processing={"distribution": "uniform", "low_ns": 5})) or d.pop("pcie"),
+         r"^UniformProcessing: .*missing 1 required positional argument: 'high_ns'$"),
     ]
 )
 
@@ -812,6 +821,22 @@ class TestCompareCommand:
         capsys.readouterr()
         assert main(["compare", str(good), str(bad)]) == 1
         assert capsys.readouterr() == ("", f"error: cannot load reports: {bad}: {message}\n")
+
+    @pytest.mark.parametrize("edit", sorted(HOLDING_STAGE_EDITS))
+    def test_stage_map_other_than_the_holding_stages_one_error_line(self, tmp_path, capsys, edit):
+        scenario = tmp_path / "direct.json"
+        scenario.write_text(json.dumps(base_doc(pcie={"kind": "pcie", "generation": 5, "lanes": 16},
+                                                sim={"seed": 1, "n_frames": 3})), encoding="utf-8")
+        assert main(["simulate", str(scenario), "-o", str(tmp_path / "good")]) == 0
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        doc = json.loads(good.read_text(encoding="utf-8"))
+        HOLDING_STAGE_EDITS[edit](doc)
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compare", str(good), str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot load reports: {bad}: ") and err.count("\n") == 1
+        assert err.endswith("the holding stages [0, 1, 3]\n")
 
 
 class TestParallelRead:

@@ -230,7 +230,7 @@ _OWN_FIELDS = {
     "buffer": {"capacity_bytes": 1024, "forwarding": STORE_AND_FORWARD},
     "frame_grabber": {"capacity_bytes": 1024},
     "host_memory": {},
-    "processor": {"processing": FixedProcessing()},
+    "processor": {"processing": FixedProcessing(0)},
 }
 
 
