@@ -3,9 +3,8 @@
 Each case compares every FrameTable column, each link's busy time, the
 elapsed time and each holding stage's occupancy changes per nanosecond.
 Beyond the shipped scenarios, the run pool and the benchmark workloads,
-tie_cases builds chains whose events meet at one nanosecond: periods,
-latencies and cable delays on one grid, tight buffers under both drop
-policies, and cutoffs on an event time.
+tie_cases builds chains whose events meet at one nanosecond
+(conftest.tie_case).
 """
 
 from collections import Counter
@@ -16,32 +15,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from acqsim import (
-    BufferStage,
-    CameraSpec,
-    ClockModel,
-    FixedProcessing,
-    FrameGrabber,
-    HostMemory,
-    LinkStage,
-    PCIeLink,
-    Processor,
-    Sensor,
-    SimConfig,
-    Topology,
-    UniformProcessing,
-    load_scenario,
-    parse_scenario,
-    run,
-)
-from acqsim.simcore import DROP_NEWEST, DROP_OLDEST, serialization_time_ns
-from acqsim.timing import DeadlineSpec
-from acqsim.topology import CUT_THROUGH, STORE_AND_FORWARD
-from conftest import benchmark_workloads, insert_stage, insertable_buffer, make_config, make_topology
+from acqsim import load_scenario, parse_scenario, run
+from conftest import benchmark_workloads, insert_stage, insertable_buffer, make_config, make_topology, tie_case
 from tandem_oracle import predict
 
 ROOT = Path(__file__).resolve().parent.parent
-RELAXED = DeadlineSpec(safety_ns=10**9, control_ns=10**10, timestamp_rms_ns=50.0)
 WORKLOADS = benchmark_workloads()
 
 
@@ -106,65 +84,8 @@ def test_inserted_stages():
 
 @st.composite
 def tie_cases(draw):
-    """A valid chain whose event times share one grid, and a config on it."""
-    size = draw(st.sampled_from([64, 256, 1000, 4096]))
-    links = [
-        PCIeLink(
-            draw(st.sampled_from([1, 2])),
-            draw(st.sampled_from([1, 2, 4, 8])),
-            cable_length_m=draw(st.sampled_from([0.0, 0.0, 2.0, 10.0])),
-        )
-        for _ in range(draw(st.integers(1, 2)))
-    ]
-    # The frame period: a small multiple or fraction of one link's serialization time.
-    ser = serialization_time_ns(size, draw(st.sampled_from(links)))
-    period = max(1, draw(st.sampled_from([ser, ser, 2 * ser, 3 * ser, ser // 2])))
-    grid = [0, 0, ser, period, period // 2, 2 * period]
-
-    def fixed():
-        return draw(st.sampled_from(grid))
-
-    def capacity():
-        return draw(st.sampled_from([size, 2 * size, 3 * size, 8 * size, 64 * 2**20]))
-
-    def holder(emitter):
-        kind = draw(st.sampled_from(["buffer", "grabber"] if emitter else ["buffer", "grabber", "host"]))
-        if kind == "buffer":
-            forwarding = draw(st.sampled_from([STORE_AND_FORWARD, CUT_THROUGH]))
-            return BufferStage(capacity(), forwarding, fixed_latency_ns=fixed())
-        if kind == "grabber":
-            return FrameGrabber(capacity(), fixed_latency_ns=fixed())
-        return HostMemory(fixed_latency_ns=fixed())
-
-    stages = [Sensor(fixed_latency_ns=fixed())]
-    for n, link in enumerate(links):
-        # A link is preceded by the sensor, a buffer or a grabber.
-        extra = draw(st.integers(0 if n == 0 else 1, 2))
-        stages += [holder(emitter=i == extra - 1) for i in range(extra)]
-        stages.append(LinkStage(link))
-    stages += [holder(emitter=False) for _ in range(draw(st.integers(0, 2)))]
-    processing = draw(
-        st.sampled_from(
-            [FixedProcessing(0), FixedProcessing(ser), FixedProcessing(period),
-             UniformProcessing(0, 2 * period)]
-        )
-    )
-    stages.append(Processor(processing, fixed_latency_ns=fixed()))
-
-    camera = CameraSpec(size, 8, 1e9 / period)
-    topo = Topology("ties", tuple(stages), camera, RELAXED)
-
-    policy = draw(st.sampled_from([DROP_NEWEST, DROP_OLDEST]))
-    clock = ClockModel(jitter_sigma_ns=draw(st.sampled_from([0.0, 5.0])))
-    seed = draw(st.integers(0, 2**16))
-    if draw(st.booleans()):
-        cfg = SimConfig(seed=seed, n_frames=draw(st.integers(0, 40)), drop_policy=policy, clock=clock)
-    else:
-        # Cutoffs on the grid land exactly on an event time.
-        offset = draw(st.sampled_from(grid + [ser + fixed(), 10, 50]))
-        duration = draw(st.integers(0, 40)) * period + offset
-        cfg = SimConfig(seed=seed, duration_ns=duration, drop_policy=policy, clock=clock)
-    return topo, cfg
+    """conftest.tie_case, drawn by hypothesis."""
+    return tie_case(lambda values: draw(st.sampled_from(values)), lambda lo, hi: draw(st.integers(lo, hi)))
 
 
 @settings(max_examples=400, deadline=None)

@@ -6,7 +6,9 @@ exporters, and checks that importing each structured export writes it
 back unchanged.  Each entry is (scenario stem, pipeline index) ->
 (sha256 of export_structured, sha256 of export_tabular), run at the
 scenario file's own seed; the benchmark workloads are pinned the same
-way, by name, at seed 1 and 2,000 frames.  A change to exported bytes
+way, by name, at seed 1 and 2,000 frames, and the 2,000 chains of
+conftest's tie_pool, whose equal-time events pin the engine's push order,
+by one sha256 of all their exports.  A change to exported bytes
 needs a schema doc edit and a schema_version bump, and then new digests
 here.
 """
@@ -71,6 +73,9 @@ WORKLOAD_GOLDEN = {
 }
 
 
+TIE_POOL_GOLDEN = "eef6c3adb587152d73d7449ea5949d5d38ea7877baa1691d23e3b5d5c3316835"
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -111,3 +116,13 @@ def test_workload_digests(name):
     scenario = parse_scenario(benchmark_workloads()[name](1, 2_000))
     report = run(scenario.pipelines[0], scenario.configs()[0])
     assert (_sha256(export_structured(report)), _sha256(export_tabular(report))) == WORKLOAD_GOLDEN[name]
+
+
+def test_tie_pool_digest(tie_pool):
+    # The tandem oracle takes the engine's outcome wherever equal-time order decides, so these bytes are
+    # what pins that order across the many chains whose events meet at one nanosecond.
+    digest = hashlib.sha256()
+    for _, _, report in tie_pool:
+        digest.update(export_structured(report).encode("utf-8"))
+        digest.update(export_tabular(report).encode("utf-8"))
+    assert digest.hexdigest() == TIE_POOL_GOLDEN

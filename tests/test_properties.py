@@ -168,6 +168,16 @@ class TestEngineProperties:
         assert sorted(report.occupancy) == sorted(report.aggregates.high_water_bytes) == holding
         assert all(set(held) <= {None} for i, held in enumerate(report.frames.buffer_bytes) if i not in holding)
 
+    @pytest.mark.parametrize("pool", ["run_pool", "tie_pool"])
+    def test_stage_hand_off(self, pool, request):
+        # A stage's egress is the next stage's ingress wherever both are set, and a frame reaches a stage
+        # only once it has left the one before.
+        for _, _, report in request.getfixturevalue(pool):
+            ingress, egress = report.frames.ingress_ns, report.frames.egress_ns
+            for left, reached in zip(egress, ingress[1:]):
+                for out, into in zip(left, reached):
+                    assert into is None or out == into
+
     def test_link_busy_within_elapsed(self):
         rng = Random(12)
         for _ in range(150):
