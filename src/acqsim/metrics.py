@@ -175,10 +175,15 @@ def _pairs(items, types: set) -> bool:
 
 def check_frames(docs, topology: Topology) -> dict:
     """Key -> column of docs, once checked to be a JSON array of frames of the exported shape: the
-    frame keys and scalars as check_columns checks them, stage_times one [ingress, egress] pair of
-    integers or nulls per stage of topology, with both latency ends set in a delivered frame, and
-    buffer_bytes an object from a holding stage's index to an integer, a column at a time."""
+    frame keys and scalars as check_columns checks them, each frame_id its index and each size_bytes
+    the camera's frame size, stage_times one [ingress, egress] pair of integers or nulls per stage of
+    topology, with both latency ends set in a delivered frame, and buffer_bytes an object from a
+    holding stage's index to an integer, a column at a time."""
     columns = check_columns("frame", _FRAME_KEYS, FRAME_VALUES, docs)
+    if columns["frame_id"] != list(range(len(docs))):
+        raise InvalidSpecError("a frame's frame_id must be its index in frames")
+    if set(columns["size_bytes"]) - {size := topology.camera.frame_size_bytes}:
+        raise InvalidSpecError(f"a frame's size_bytes must be the camera's frame size, {size}")
     spans = columns["stage_times"]
     if not set(map(type, spans)) <= {list} or not _pairs(list(chain.from_iterable(spans)), {int, type(None)}):
         raise InvalidSpecError("a frame's stage_times must be a JSON array of [ingress, egress] pairs, "

@@ -201,9 +201,10 @@ class _Passes:
         """The frame table, elapsed ns, occupancy traces and link busy ns, in build_report's order."""
         stages = self.stages
         arrivals = self._generate()
-        idx = 0 if isinstance(stages[1], LinkStage) else 1
-        while arrivals is not None:  # validated chains end in the one processor
-            if idx + 1 < len(stages) and isinstance(stages[idx + 1], LinkStage):
+        idx = 1
+        # Stage 1 and every stage after a link hold frames, and validated chains end in the one processor after a holder.
+        while arrivals is not None:
+            if isinstance(stages[idx + 1], LinkStage):
                 arrivals = self._emit(idx, arrivals)
                 idx += 2
             else:
@@ -213,8 +214,7 @@ class _Passes:
         return self.frames, elapsed, self.traces, link_busy_ns(self.topo, self.frames.ingress_ns.__getitem__)
 
     def _generate(self) -> list:
-        """Draw the camera stamps in frame order and build the frame table; returns
-        the arrivals at the sensor's holder (a link follows it) or at stage 1."""
+        """Draw the camera stamps in frame order and build the frame table; returns the arrivals at stage 1."""
         cfg, period, stages = self.cfg, self.period_ns, self.stages
         # check_generable lets a camera without a period through only for a run of no frames.
         n = 0 if period is None else cfg.n_frames if cfg.n_frames is not None else cfg.duration_ns // period + 1
@@ -231,14 +231,12 @@ class _Passes:
         frames.ingress_ns[0] = times[:]
         frames.egress_ns[0] = [t + fixed for t in times]
         # A generation queues the next one first (rank -1), then moves its
-        # frame on: at once into the sensor's readout register when a link
-        # follows, else to stage 1 at readout completion.
-        queued = fixed and not isinstance(stages[1], LinkStage)
+        # frame on to stage 1 at readout completion.
         arrivals, key = [], ()
         for f, t in enumerate(times):
             key = (t, key, -1)
             ready = t + fixed
-            arrivals.append((ready, (ready, key, 0), f, ready) if queued else (t, key, f, ready))
+            arrivals.append((ready, (ready, key, 0), f, ready) if fixed else (t, key, f, ready))
         return arrivals
 
     def _drop(self, f: int, idx: int, reason: str, t: int) -> None:
@@ -252,18 +250,14 @@ class _Passes:
         """Holder idx and the link after it; returns the arrivals past the link.
 
         Each arrival is admitted, dropped, or admitted after evicting queued
-        frames; the sensor's readout register (stage 0) admits everything
-        and offers a frame to the link at readout completion.  Every event
-        that ran ends by offering the FIFO head to the link.  Pending events
-        are transmission ends (frame, first byte when the arrival past a
-        zero-propagation link is fused in, bytes held) and retries at the
-        head's ready time (frame None).
+        frames.  Every event that ran ends by offering the FIFO head to the
+        link.  Pending events are transmission ends (frame, first byte when
+        the arrival past a zero-propagation link is fused in, bytes held)
+        and retries at the head's ready time (frame None).
         """
         holder, size, limit, memo, frames = self.stages[idx], self.size, self.limit, self.memo, self.frames
         ser, prop, rate = self.links[idx + 1]
-        sensor = idx == 0
-        fixed = 0 if sensor else holder.fixed_latency_ns
-        capacity = math.inf if sensor else holder.capacity_bytes
+        fixed, capacity = holder.fixed_latency_ns, holder.capacity_bytes
         ct = isinstance(holder, BufferStage) and holder.forwarding == CUT_THROUGH
         oldest = self.cfg.drop_policy == DROP_OLDEST
         ing, eg, held = frames.ingress_ns, frames.egress_ns, frames.buffer_bytes[idx]
@@ -284,8 +278,7 @@ class _Passes:
                 if now > limit:
                     break
                 if f is not None:  # transmission end
-                    if not sensor:  # the sensor's egress stays at readout completion
-                        eg[f] = now
+                    eg[f] = now
                     link_ing[f] = now
                     link_eg[f] = now + prop
                     occupancy -= amount
@@ -321,10 +314,7 @@ class _Passes:
                 held[f] = amount
                 occupancy += amount
                 trace((now, occupancy))
-                fifo.append((f, first_byte if sensor else now, first_byte, amount))
-                if sensor and first_byte > now:
-                    heappush(pending, (first_byte, o, (first_byte, key, 0), None, None, None))
-                    continue
+                fifo.append((f, now, first_byte, amount))
             if sending or not fifo:
                 continue
             f, arrived, first_byte, amount = fifo[0]
@@ -354,19 +344,17 @@ class _Passes:
         for its fixed latency, then hands it on (the next stage's arrivals are
         returned); adjacent memories copy at unmodeled (infinite) bandwidth.
         The single-server processor runs in the pass of the memory before
-        it, which holds each frame until the processor picks it up, or in
-        its own pass right after a link.  Pending events are hand-ons
-        (frame) and releases (None).
+        it, which holds each frame until the processor picks it up.  Pending
+        events are hand-ons (frame) and releases (None).
         """
         stages, size, limit, memo, frames = self.stages, self.size, self.limit, self.memo, self.frames
         holder, proc = stages[idx], stages[-1]
         fixed = holder.fixed_latency_ns
         capacity = getattr(holder, "capacity_bytes", math.inf)  # host memory is unbounded
-        is_proc = holder is proc  # right after a link
         to_proc = idx + 1 == len(stages) - 1
         ing, eg, held, delivered = frames.ingress_ns, frames.egress_ns, frames.buffer_bytes[idx], frames.disposition
         ing, eg, proc_ing, proc_eg = ing[idx], eg[idx], ing[-1], eg[-1]
-        trace = None if is_proc else self.traces[idx].append
+        trace = self.traces[idx].append
         rng, draw, proc_fixed = self.proc_rng, proc.processing.draw, proc.fixed_latency_ns
         pending: list = []
         out: list = []
@@ -389,40 +377,34 @@ class _Passes:
             else:
                 now, key, f = at, akey, af
                 at, akey, af, _ = next(arrivals)
-                if not is_proc:
-                    ing[f] = now
-                    if occupancy + size > capacity:
-                        self._drop(f, idx, REASON_OVERFLOW, now)
-                        continue
-                    held[f] = size
-                    occupancy += size
-                    trace((now, occupancy))
-                    if fixed:
-                        heappush(pending, (now + fixed, o, (now + fixed, key, idx), f))
-                        continue
-            start = now
-            if not is_proc:
-                if to_proc and proc_free_at > now:
-                    start = proc_free_at
-                eg[f] = start
-                if start > now:
-                    heappush(pending, (start, o, (start, key, idx), None))
-                else:
-                    occupancy -= size
-                    trace((now, occupancy))
-                if not to_proc:
-                    out.append((now, key, f, now))
+                ing[f] = now
+                if occupancy + size > capacity:
+                    self._drop(f, idx, REASON_OVERFLOW, now)
                     continue
+                held[f] = size
+                occupancy += size
+                trace((now, occupancy))
+                if fixed:
+                    heappush(pending, (now + fixed, o, (now + fixed, key, idx), f))
+                    continue
+            start = proc_free_at if to_proc and proc_free_at > now else now
+            eg[f] = start
+            if start > now:
+                heappush(pending, (start, o, (start, key, idx), None))
+            else:
+                occupancy -= size
+                trace((now, occupancy))
+            if not to_proc:
+                out.append((now, key, f, now))
+                continue
             # The processor takes frame f; its delivery runs if it falls within the run.
-            if proc_free_at > start:
-                start = proc_free_at
             proc_free_at = start + proc_fixed + draw(rng)
             proc_ing[f] = start
             if proc_free_at <= limit:
                 proc_eg[f] = proc_free_at
                 delivered[f] = DISPOSITION_DELIVERED
         self.last = max(self.last, now, proc_free_at)
-        return None if is_proc or to_proc else out
+        return None if to_proc else out
 
 
 def check_generable(topo: Topology, cfg: SimConfig) -> None:

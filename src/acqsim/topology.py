@@ -166,7 +166,7 @@ class Processor(Stage):
 # The link kinds a LinkStage can carry: the bare Link base has no raw rate.
 _LINK_CLASSES = tuple(LINK_KINDS.values())
 # Stages that can hold a complete frame and feed a downstream link.
-EMITTER_KINDS = (Sensor, BufferStage, FrameGrabber)
+EMITTER_KINDS = (BufferStage, FrameGrabber)
 # Stages where a full frame is materialized in a memory.
 COPY_KINDS = (BufferStage, FrameGrabber, HostMemory)
 
@@ -205,6 +205,8 @@ def check_runnable(t: Topology) -> None:
             broken.append(f"Processor only at the tail (stage {i})")
         if isinstance(s, LinkStage) and (i == 0 or not isinstance(stages[i - 1], EMITTER_KINDS)):
             broken.append(f"LinkStage preceded by an emitting stage (stage {i})")
+        if isinstance(s, LinkStage) and i + 1 < len(stages) and isinstance(stages[i + 1], Processor):
+            broken.append(f"LinkStage followed by a holding stage (stage {i})")
         if isinstance(s, LinkStage) and not isinstance(s.link, _LINK_CLASSES):
             broken.append(f"LinkStage carries a link of a known kind (stage {i})")
         # A buffer holds a whole frame, except a cut-through one fed by a link, which holds only the residue.

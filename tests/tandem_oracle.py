@@ -82,17 +82,10 @@ class _Run:
         frames["egress_ns"][0] = [t + fixed for t in generated]
         self.occupancy = {i: Counter() for i, s in enumerate(stages) if s.kind not in ("link", "processor")}
         self.link_busy_ns, self.ties = {}, 0
-        # Arrivals are (time, first byte, frame).  A sensor feeding a link admits each
-        # frame to its readout register at generation; else stage 1 takes it at readout.
-        emits = stages[1].kind == "link"
-        arrivals = [(t, t + fixed, f) if emits else (t + fixed, t + fixed, f) for f, t in enumerate(generated)]
-        idx = 0 if emits else 1
+        # Arrivals are (time, first byte, frame): stage 1 takes each frame at readout.
+        arrivals = [(t + fixed, t + fixed, f) for f, t in enumerate(generated)]
+        idx = 1
         while arrivals is not None:
-            if stages[idx].kind == "processor":  # right after a link
-                for t, _, f in arrivals:
-                    if t <= self.limit:
-                        self.process(f, t)
-                break
             if stages[idx + 1].kind == "link":
                 arrivals, idx = self.emit(idx, arrivals), idx + 2
             else:
@@ -130,11 +123,8 @@ class _Run:
         rate = _RAW_GBPS[link.kind](link) * Fraction(link.protocol_efficiency)
         ser = -(-size * 8 * rate.denominator // rate.numerator)
         prop = round(link.cable_length_m * 5)
-        sensor = idx == 0
-        fixed = 0 if sensor else holder.fixed_latency_ns
-        capacity = getattr(holder, "capacity_bytes", math.inf)  # the sensor's readout register is unbounded
-        # The register offers a frame from readout completion, its first byte.
-        cut_through = sensor or getattr(holder, "forwarding", None) == "cut_through"
+        fixed, capacity = holder.fixed_latency_ns, holder.capacity_bytes
+        cut_through = getattr(holder, "forwarding", None) == "cut_through"
         oldest = self.config.drop_policy == "drop_oldest"
         ingress, egress, held = frames["ingress_ns"], frames["egress_ns"], frames["buffer_bytes"][idx]
         changes = self.occupancy[idx]
@@ -155,8 +145,7 @@ class _Run:
                 if end <= limit:  # the transmission end runs
                     changes[end, -sent] += 1
                     busy += ser
-                    if not sensor:  # the sensor's egress stays at readout completion
-                        egress[idx][f] = end
+                    egress[idx][f] = end
                     ingress[idx + 1][f], egress[idx + 1][f] = end, end + prop
                     out.append((end + prop, start + prop, f))
 

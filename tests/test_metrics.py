@@ -297,6 +297,8 @@ class TestStructuredExport:
             (("topology", "stages", 0), {"kind": "host_memory"}, "not runnable: first stage is Sensor"),
             (("digest",), "0000000000000000", "report digest '0000000000000000' is not its topology's"),
             (("scenario",), "other", "report scenario 'other' is not its topology's"),
+            (("frames", 1, "frame_id"), 7, "^a frame's frame_id must be its index in frames$"),
+            (("frames", 1, "size_bytes"), 5, "^a frame's size_bytes must be the camera's frame size, 1000000$"),
             *((("frames", 1, "stage_times", 6, 1), value, "an integer or null") for value in ("late", 2.5, True)),
             *((path, value, "map each index to an integer")
               for path in (("link_busy_ns", "2"), ("aggregates", "high_water_bytes", "1"))
@@ -321,6 +323,8 @@ class TestStructuredExport:
             "topology-without-sensor",
             "digest-of-another-topology",
             "scenario-of-another-name",
+            "frame-id-not-the-index",
+            "size-not-the-frame-size",
             "stage-times-string",
             "stage-times-float",
             "stage-times-bool",

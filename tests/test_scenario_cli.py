@@ -7,6 +7,7 @@ import functools
 import gc
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -31,6 +32,7 @@ from acqsim import (
     SimConfig,
     build_direct,
     compare,
+    export_structured,
     import_structured,
     parse_scenario,
     run,
@@ -837,6 +839,37 @@ class TestCompareCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: cannot load reports: {bad}: ") and err.count("\n") == 1
         assert err.endswith("the holding stages [0, 1, 3]\n")
+
+
+# Custom chains whose link is not between two holders: the stage of custom_doc() left out, and the rule broken.
+LINK_SHAPES = {
+    "sensor-feeds-link": (1, "LinkStage preceded by an emitting stage (stage 1)"),
+    "link-feeds-processor": (3, "LinkStage followed by a holding stage (stage 2)"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LINK_SHAPES))
+def test_link_between_holders(shape, tmp_path, capsys):
+    # The scenario reader refuses the chain, simulate exits 1 with one error line and writes no report, and
+    # both report readers refuse a report whose topology is the chain.
+    left_out, rule = LINK_SHAPES[shape]
+    message = f"topology is not runnable: {rule}"
+    doc = custom_doc()
+    del doc["stages"][left_out]
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(doc)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", str(path), "-o", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.glob("r*")) == []
+    scenario = parse_scenario(custom_doc())
+    report = json.loads(export_structured(run(scenario.pipelines[0], scenario.configs()[0])))
+    del report["topology"]["stages"][left_out]
+    report["digest"] = topology_digest(from_dict(Topology, report["topology"]))
+    for reader in (import_structured, metrics.import_summary):
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            reader(json.dumps(report))
 
 
 class TestParallelRead:

@@ -1,6 +1,7 @@
 """Pipeline construction, validation rules, copy counting, serialization."""
 
 import json
+import re
 from random import Random
 
 import pytest
@@ -136,16 +137,16 @@ class TestValidate:
         assert check_runnable(Topology("residue", (Sensor(), *stages, HostMemory(), Processor()), CAM)) is None
 
     def test_missing_sensor_head(self):
-        t = Topology("bad", (BufferStage(1024), LinkStage(G3X4), Processor()), CAM)
+        t = Topology("bad", (BufferStage(1024), LinkStage(G3X4), HostMemory(), Processor()), CAM)
         assert_not_runnable(t, "first stage is Sensor (stage 0)", "buffer holds a whole frame (stage 0)")
 
     def test_two_processors(self):
         t = Topology(
             "bad",
-            (Sensor(), BufferStage(1024), LinkStage(G3X4), Processor(), Processor()),
+            (Sensor(), BufferStage(1024), LinkStage(G3X4), HostMemory(), Processor(), Processor()),
             CAM,
         )
-        assert_not_runnable(t, "buffer holds a whole frame (stage 1)", "Processor only at the tail (stage 3)")
+        assert_not_runnable(t, "buffer holds a whole frame (stage 1)", "Processor only at the tail (stage 4)")
 
     def test_missing_link(self):
         t = Topology("bad", (Sensor(), BufferStage(1024), HostMemory(), Processor()), CAM)
@@ -154,10 +155,24 @@ class TestValidate:
     def test_link_needs_emitter(self):
         t = Topology(
             "bad",
-            (Sensor(), BufferStage(1024), LinkStage(G3X4), HostMemory(), LinkStage(G3X4), Processor()),
+            (Sensor(), BufferStage(1024), LinkStage(G3X4), HostMemory(), LinkStage(G3X4), HostMemory(), Processor()),
             CAM,
         )
         assert_not_runnable(t, "buffer holds a whole frame (stage 1)", "LinkStage preceded by an emitting stage (stage 4)")
+
+    @pytest.mark.parametrize(
+        "stages, rule",
+        [
+            ((Sensor(), LinkStage(G3X4), HostMemory(), Processor()), "LinkStage preceded by an emitting stage (stage 1)"),
+            ((Sensor(), BufferStage(10**6), LinkStage(G3X4), Processor()), "LinkStage followed by a holding stage (stage 2)"),
+        ],
+        ids=["sensor-feeds-link", "link-feeds-processor"],
+    )
+    def test_link_between_holders(self, stages, rule):
+        t = Topology("bad", stages, CAM)
+        assert_not_runnable(t, rule)
+        with pytest.raises(InvalidTopologyError, match=rf"^topology is not runnable: {re.escape(rule)}$"):
+            run(t, SimConfig(seed=1, n_frames=1))
 
     def test_sensor_mid_chain(self):
         t = Topology(
