@@ -202,7 +202,7 @@ class _Passes:
         stages = self.stages
         arrivals = self._generate()
         idx = 1
-        # Stage 1 and every stage after a link hold frames, and validated chains end in the one processor after a holder.
+        # Stage 1 and every stage after a link hold frames; validated chains end in the one processor.
         while arrivals is not None:
             if isinstance(stages[idx + 1], LinkStage):
                 arrivals = self._emit(idx, arrivals)

@@ -163,8 +163,10 @@ class TestValidate:
     @pytest.mark.parametrize(
         "stages, rule",
         [
-            ((Sensor(), LinkStage(G3X4), HostMemory(), Processor()), "LinkStage preceded by an emitting stage (stage 1)"),
-            ((Sensor(), BufferStage(10**6), LinkStage(G3X4), Processor()), "LinkStage followed by a holding stage (stage 2)"),
+            ((Sensor(), LinkStage(G3X4), HostMemory(), Processor()),
+             "LinkStage preceded by an emitting stage (stage 1)"),
+            ((Sensor(), BufferStage(10**6), LinkStage(G3X4), Processor()),
+             "LinkStage followed by a holding stage (stage 2)"),
         ],
         ids=["sensor-feeds-link", "link-feeds-processor"],
     )
