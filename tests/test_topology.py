@@ -1,6 +1,11 @@
-"""Pipeline construction, validation rules, copy counting, serialization."""
+"""Pipeline construction, validation rules, copy counting, serialization, record semantics."""
 
+import copy
+import dataclasses
+import importlib
 import json
+import pickle
+import pkgutil
 import re
 from random import Random
 
@@ -14,8 +19,10 @@ from acqsim import (
     CLHSIf,
     ClockModel,
     CoaXPressIf,
+    DeadlineMisses,
     DeadlineSpec,
     FixedProcessing,
+    FrameTable,
     FrameGrabber,
     GigEVisionIf,
     HostMemory,
@@ -26,18 +33,21 @@ from acqsim import (
     OverheadModel,
     PCIeLink,
     Processor,
+    Scenario,
     Sensor,
     SimConfig,
     SimReport,
     Topology,
     UniformProcessing,
     USB3If,
+    budget_table,
     build_classic,
     build_direct,
     check_deadlines,
     copy_count,
     export_structured,
     import_structured,
+    parse_scenario,
     run,
     topology_digest,
 )
@@ -49,10 +59,12 @@ from acqsim.topology import (
     PROCESSING_KINDS,
     STAGE_KINDS,
     STORE_AND_FORWARD,
+    Stage,
     check_runnable,
     from_dict,
     to_dict,
 )
+from conftest import base_doc
 
 CAM = CameraSpec(1_000_000, 8, 1000)
 CL = CameraLinkIf(config="full")
@@ -378,3 +390,94 @@ class TestSerialization:
         c = build_classic(CAM, CL, G3X4, 1024)
         assert topology_digest(a) == topology_digest(b)
         assert topology_digest(a) != topology_digest(c)
+
+
+def _record_classes() -> list:
+    """Every dataclass that a module of acqsim defines."""
+    import acqsim
+
+    modules = [importlib.import_module(f"acqsim.{m.name}") for m in pkgutil.iter_modules(acqsim.__path__)
+               if m.name != "__main__"]
+    found = {cls for m in modules for cls in vars(m).values()
+             if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == m.__name__}
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+RECORD_CLASSES = _record_classes()
+# The records that a run's outputs and a scenario are built of, which callers fill in place: unhashable.
+TABLES = {FrameTable, DeadlineMisses, Aggregates, SimReport, Scenario}
+
+
+@pytest.fixture(scope="module")
+def record_samples():
+    """Per record class: one sample, and a field with a value that differs from the sample's."""
+    topo = build_classic(CAM, CL, G3X4)
+    sensor, buffer, ci, grabber, pcie, host, processor = topo.stages
+    config = SimConfig(seed=4, n_frames=3, clock=ClockModel(jitter_sigma_ns=1.0))
+    report = run(topo, config)
+    misses = check_deadlines(report.frames, DeadlineSpec(safety_ns=1), report.aggregates.timestamp_rms_ns)
+    samples = [
+        (topo.camera, "frame_rate", 500.0),
+        (topo.deadlines, "safety_ns", 1),
+        (sensor, "fixed_latency_ns", 7),
+        (buffer, "forwarding", CUT_THROUGH),
+        (ci, "link", G3X4),
+        (ci.link, "config", "base"),
+        (grabber, "capacity_bytes", grabber.capacity_bytes + 1),
+        (pcie.link, "lanes", 8),
+        (host, "fixed_latency_ns", 3),
+        (processor, "processing", FixedProcessing(5)),
+        (processor.processing, "fixed_ns", 9),
+        (topo, "name", "other"),
+        (config, "seed", 5),
+        (config.clock, "jitter_sigma_ns", 2.0),
+        (OverheadModel(), "max_payload_bytes", 128),
+        (budget_table()[0], "rate_gbps", 0.0),
+        (report, "scenario", "other"),
+        (report.frames, "frame_id", [0, 1, 7]),
+        (report.aggregates, "generated", 4),
+        (misses, "kind", ["control"] * len(misses.kind)),
+        (parse_scenario(base_doc()), "name", "other"),
+        (Link(cable_length_m=1.0), "protocol_efficiency", 0.5),
+        (CoaXPressIf(), "links", 2),
+        (GigEVisionIf(), "rate_preset", "10g"),
+        (CLHSIf(), "lanes", 2),
+        (USB3If(), "cable_length_m", 3.0),
+        (Stage(), "fixed_latency_ns", 1),
+        (UniformProcessing(1, 2), "high_ns", 3),
+        (NormalProcessing(1.0, 0.5), "sigma_ns", 0.0),
+    ]
+    return {type(x): (x, name, value) for x, name, value in samples}
+
+
+class TestRecordSemantics:
+    def test_every_record_class_has_a_sample(self, record_samples):
+        assert len(RECORD_CLASSES) == 29
+        assert set(record_samples) == set(RECORD_CLASSES)
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__qualname__)
+    def test_record_semantics(self, cls, record_samples):
+        x, name, value = record_samples[cls]
+        values = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+        assert x == dataclasses.replace(x) and not x != dataclasses.replace(x)
+        assert x != dataclasses.replace(x, **{name: value})
+        assert x.__eq__(values) is NotImplemented
+        fields = ", ".join(f"{f.name}={getattr(x, f.name)!r}" for f in dataclasses.fields(x))
+        assert repr(x) == f"{cls.__qualname__}({fields})"
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert copy.deepcopy(x) == x
+        if cls in TABLES:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(x)
+            y = copy.deepcopy(x)
+            setattr(y, name, value)
+            assert getattr(y, name) == value and y != x
+            return
+        assert hash(x) == hash(values) == hash(dataclasses.replace(x))
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(x, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'extra'$"):
+            x.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(x, name)
+        assert tuple(getattr(x, f.name) for f in dataclasses.fields(x)) == values and not hasattr(x, "extra")
