@@ -15,8 +15,9 @@ double a link's rate is reported as is that rate rounded once.
 from __future__ import annotations
 
 import math
+import reprlib
 import warnings
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -90,11 +91,66 @@ ENVELOPE_RESOLUTION_PX = (1_000_000, 8_000_000)
 ENVELOPE_FRAME_RATE_FPS = (50.0, 50_000.0)
 
 
+# --- Record bases -----------------------------------------------------------
+#
+# Every record class of the package is a @record, whose one generated
+# method is __init__, on one of the two bases below.  They implement once,
+# by the rules of the dataclasses docs, what @dataclass would otherwise
+# compile per class: Table the __eq__ and __repr__ of @dataclass, Record
+# also the __hash__, __setattr__ and __delattr__ of @dataclass(frozen=True).
+
+
+class Table:
+    """A dataclass compared and shown by its fields: equal to an instance of
+    its own class with equal field values, repr Qualname(field=value!r, ...).
+    Its fields can be reassigned, so it is unhashable."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__dataclass_fields__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__dataclass_fields__, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Record(Table):
+    """A frozen Table: __init__ sets each field once, after which assigning or
+    deleting any attribute raises FrozenInstanceError; hashed by its fields."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__ or name not in self.__dataclass_fields__:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+record = dataclass(eq=False, repr=False)
+
+
+class Kinds(dict):
+    """Record classes by their class attribute tag, which names them under the key tag in JSON (default if absent)."""
+
+    def __init__(self, classes, tag: str = "kind", default=None):
+        super().__init__((getattr(cls, tag), cls) for cls in classes)
+        self.tag, self.default = tag, default
+
+
 # --- Domain types ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CameraSpec:
+@record
+class CameraSpec(Record):
     """A camera as a data source: resolution, pixel depth, frame rate."""
 
     resolution_pixels: int
@@ -125,8 +181,8 @@ def warn_outside_envelope(cam: CameraSpec) -> None:
             warnings.warn(f"{what} {value} {unit} is outside the [{lo}, {hi}] {unit} envelope", EnvelopeWarning)
 
 
-@dataclass(frozen=True)
-class OverheadModel:
+@record
+class OverheadModel(Record):
     """Packetization overhead: usable payload per (payload + header) bytes.
 
     The derived efficiency multiplies the raw link rate.  Defaults model a
@@ -157,8 +213,8 @@ class OverheadModel:
         )
 
 
-@dataclass(frozen=True)
-class Link:
+@record
+class Link(Record):
     """A point-to-point link: the cable and protocol efficiency every kind shares.
 
     Each kind names its exact raw rate in Gb/s, before protocol efficiency,
@@ -186,7 +242,7 @@ class Link:
             )
 
 
-@dataclass(frozen=True)
+@record
 class PCIeLink(Link):
     """A PCI Express link: generation 1-5, lane width from the allowed set."""
 
@@ -203,7 +259,7 @@ class PCIeLink(Link):
         return self.lanes * _PCIE_RAW_GT[self.generation] * _ENCODING[self.generation]
 
 
-@dataclass(frozen=True)
+@record
 class CameraLinkIf(Link):
     """Classic Camera Link in base/medium/full configuration."""
 
@@ -216,7 +272,7 @@ class CameraLinkIf(Link):
         return Fraction(_CAMERALINK_BITS[self.config] * _CAMERALINK_CLOCK_HZ, 1_000_000_000)
 
 
-@dataclass(frozen=True)
+@record
 class CoaXPressIf(Link):
     """CoaXPress with a speed grade and 1..4 aggregated connections."""
 
@@ -233,7 +289,7 @@ class CoaXPressIf(Link):
         return self.links * _CXP_GBPS[self.speed_grade]
 
 
-@dataclass(frozen=True)
+@record
 class GigEVisionIf(Link):
     """GigE Vision at a 1 or 10 Gb/s rate preset."""
 
@@ -246,7 +302,7 @@ class GigEVisionIf(Link):
         return _GIGE_GBPS[self.rate_preset]
 
 
-@dataclass(frozen=True)
+@record
 class CLHSIf(Link):
     """Camera Link HS with 1..8 lanes at 10.3 Gb/s each."""
 
@@ -259,7 +315,7 @@ class CLHSIf(Link):
         return self.lanes * _CLHS_LANE_GBPS
 
 
-@dataclass(frozen=True)
+@record
 class USB3If(Link):
     """USB3 SuperSpeed, 5 Gb/s."""
 
@@ -267,14 +323,6 @@ class USB3If(Link):
 
     def raw_gbps(self) -> Fraction:
         return _USB3_GBPS
-
-
-class Kinds(dict):
-    """Record classes by their class attribute tag, which names them under the key tag in JSON (default if absent)."""
-
-    def __init__(self, classes, tag: str = "kind", default=None):
-        super().__init__((getattr(cls, tag), cls) for cls in classes)
-        self.tag, self.default = tag, default
 
 
 # Link classes by the "kind" tag that names them in JSON.
@@ -352,8 +400,11 @@ def min_lanes(cam: CameraSpec, generation: int, overhead: OverheadModel) -> int:
 # --- Link budget table ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BudgetRow:
+@record
+class BudgetRow(Record):
+    """One row of the link budget table: a link's label and kind tag, its PCIe
+    generation and lane count (None for a preset), and its effective rate in Gb/s."""
+
     label: str
     kind: str
     generation: Optional[int]

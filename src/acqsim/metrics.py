@@ -12,12 +12,12 @@ implementation of the same definition reproduces them exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import cached_property, lru_cache, partial
 from itertools import chain
 from typing import NamedTuple
 
-from .linkmodel import InvalidSpecError
+from .linkmodel import InvalidSpecError, Table, record
 from .simcore import DISPOSITION_DELIVERED, DISPOSITION_DROPPED, DISPOSITION_IN_FLIGHT, FRAME_VALUES, FrameTable
 from .simcore import SimConfig, link_busy_ns
 from .timing import DeadlineMisses, check_deadlines, timestamp_rms
@@ -40,8 +40,8 @@ def nearest_rank(sorted_values, percentile: int):
     return sorted_values[max(0, k - 1)]
 
 
-@dataclass
-class Aggregates:
+@record
+class Aggregates(Table):
     """Run-level metrics; a pure function of the run's recorded data."""
 
     empty: bool
@@ -112,8 +112,8 @@ def summarize(frames: FrameTable, topology: Topology, elapsed_ns: int, occupancy
     )
 
 
-@dataclass
-class SimReport:
+@record
+class SimReport(Table):
     """Everything a run produced, losslessly serializable."""
 
     scenario: str

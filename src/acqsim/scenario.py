@@ -10,10 +10,10 @@ seed + i so jitter streams differ per camera.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
-from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, OverheadModel, warn_outside_envelope
+from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, OverheadModel, Table, record, warn_outside_envelope
 from .simcore import SimConfig, check_generable
 from .timing import DeadlineSpec
 from .topology import (
@@ -83,8 +83,10 @@ class ScenarioError(ValueError):
     """The scenario document is malformed or internally inconsistent."""
 
 
-@dataclass
-class Scenario:
+@record
+class Scenario(Table):
+    """A parsed scenario: its cameras, one pipeline per camera, and the run configuration they share."""
+
     name: str
     cameras: list
     pipelines: list          # one Topology per camera

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from heapq import heappop, heappush
 from random import Random
 from typing import Optional
 
-from .linkmodel import InvalidSpecError, Link, effective_rate_fraction, propagation_delay_ns
+from .linkmodel import InvalidSpecError, Link, Record, Table, effective_rate_fraction, propagation_delay_ns, record
 from .timing import ClockModel, sample_timestamp_detailed
 from .topology import CUT_THROUGH, JSON_FORMS, BufferStage, LinkStage, Topology, check_runnable, from_dict
 from .topology import holding_stages, one, to_dict
@@ -60,8 +60,8 @@ FRAME_VALUES = {"disposition": (DISPOSITION_DELIVERED, DISPOSITION_DROPPED, DISP
                 "drop_reason": (REASON_OVERFLOW, REASON_BACKPRESSURE, None)}
 
 
-@dataclass
-class FrameTable:
+@record
+class FrameTable(Table):
     """A run's frames as columns: entry f of each list belongs to frame f.
 
     The fields define the report's frame record: each list[<scalar>] is a
@@ -91,8 +91,8 @@ class FrameTable:
         ]
 
 
-@dataclass(frozen=True)
-class SimConfig:
+@record
+class SimConfig(Record):
     """Run parameters.  Exactly one stop condition; the seed is mandatory."""
 
     seed: int

@@ -10,15 +10,14 @@ the run's timestamp RMS error against its own budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
-from .linkmodel import InvalidSpecError
+from .linkmodel import InvalidSpecError, Record, Table, record
 
 
-@dataclass(frozen=True)
-class ClockModel:
+@record
+class ClockModel(Record):
     """Timestamping clock imperfections; the zero model reads true time."""
 
     offset_ns: float = 0.0
@@ -30,8 +29,8 @@ class ClockModel:
             raise InvalidSpecError(f"jitter_sigma_ns must be >= 0, got {self.jitter_sigma_ns}")
 
 
-@dataclass(frozen=True)
-class DeadlineSpec:
+@record
+class DeadlineSpec(Record):
     """Real-time budgets: 100 us safety, 20 ms control, 50 ns(rms) stamps."""
 
     safety_ns: int = 100_000
@@ -43,8 +42,8 @@ class DeadlineSpec:
             raise InvalidSpecError("deadline budgets must be strictly positive")
 
 
-@dataclass
-class DeadlineMisses:
+@record
+class DeadlineMisses(Table):
     """A run's budget misses as columns, whose fields define the v1 violation record; frame_id is None at run level."""
 
     kind: list[str]  # "safety" | "control" | "timestamp"

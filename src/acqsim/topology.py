@@ -20,12 +20,12 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, field
 from operator import itemgetter
 from random import Random
 from typing import Optional
 
-from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, Kinds, Link
+from .linkmodel import LINK_KINDS, CameraSpec, InvalidSpecError, Kinds, Link, Record, record
 from .timing import DeadlineSpec
 
 STORE_AND_FORWARD = "store_and_forward"
@@ -36,8 +36,10 @@ DEFAULT_BUFFER_CAPACITY = 64 * 1024 * 1024  # 64 MiB, holds any in-envelope fram
 # --- Processing: per-frame compute time, fixed or a seeded random draw ---------
 
 
-@dataclass(frozen=True)
-class FixedProcessing:
+@record
+class FixedProcessing(Record):
+    """A processing time of fixed_ns for every frame."""
+
     fixed_ns: int
 
     distribution = "fixed"
@@ -50,8 +52,10 @@ class FixedProcessing:
         return self.fixed_ns
 
 
-@dataclass(frozen=True)
-class UniformProcessing:
+@record
+class UniformProcessing(Record):
+    """A processing time drawn uniformly from the integers low_ns..high_ns."""
+
     low_ns: int
     high_ns: int
 
@@ -65,8 +69,10 @@ class UniformProcessing:
         return rng.randint(self.low_ns, self.high_ns)
 
 
-@dataclass(frozen=True)
-class NormalProcessing:
+@record
+class NormalProcessing(Record):
+    """A processing time drawn from a normal distribution, rounded to ns and clamped at zero."""
+
     mean_ns: float
     sigma_ns: float
 
@@ -87,8 +93,8 @@ PROCESSING_KINDS = Kinds((FixedProcessing, UniformProcessing, NormalProcessing),
 # --- Stage kinds -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stage:
+@record
+class Stage(Record):
     """A stage that holds a frame: the fixed latency every kind but a link shares."""
 
     _: KW_ONLY
@@ -99,12 +105,14 @@ class Stage:
             raise InvalidSpecError("fixed_latency_ns must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class Sensor(Stage):
+    """The head of every chain: it generates the frames and hands each on whole once read out."""
+
     kind = "sensor"
 
 
-@dataclass(frozen=True)
+@record
 class BufferStage(Stage):
     """A frame memory with a forwarding discipline.
 
@@ -126,14 +134,16 @@ class BufferStage(Stage):
         super().__post_init__()
 
 
-@dataclass(frozen=True)
-class LinkStage:
+@record
+class LinkStage(Record):
+    """A link between two stages: it holds no frame and sends one at a time."""
+
     link: Link
 
     kind = "link"
 
 
-@dataclass(frozen=True)
+@record
 class FrameGrabber(Stage):
     """Capture card buffer; always store-and-forward by construction."""
 
@@ -147,14 +157,14 @@ class FrameGrabber(Stage):
         super().__post_init__()
 
 
-@dataclass(frozen=True)
+@record
 class HostMemory(Stage):
     """Infinite sink; holds frames until the next stage picks them up."""
 
     kind = "host_memory"
 
 
-@dataclass(frozen=True)
+@record
 class Processor(Stage):
     """Single-server consumer; service time = fixed latency + drawn compute."""
 
@@ -171,8 +181,10 @@ EMITTER_KINDS = (BufferStage, FrameGrabber)
 COPY_KINDS = (BufferStage, FrameGrabber, HostMemory)
 
 
-@dataclass(frozen=True)
-class Topology:
+@record
+class Topology(Record):
+    """A named chain of stages, head to tail, with its camera and its deadline budgets."""
+
     name: str
     stages: tuple
     camera: CameraSpec
@@ -243,9 +255,10 @@ def build_direct(
 ) -> Topology:
     """Camera streams straight onto the host bus; no grabber, no CI hop.
 
-    The camera buffer defaults to cut-through here (streaming DMA),
-    versus store-and-forward in the classic chain where a full frame is
-    assembled before the camera-interface transfer.
+    The camera buffer defaults to cut-through here and to store-and-forward
+    in the classic chain.  Forwarding acts only on a buffer fed by a link:
+    the sensor hands each frame on whole when its readout completes, so
+    the camera buffer's mode changes no time.
     """
     stages = (
         Sensor(fixed_latency_ns=sensor_latency_ns),

@@ -29,7 +29,8 @@ from acqsim import (
 )
 from acqsim.linkmodel import NoFeasibleWidthError
 from acqsim.timing import sample_timestamp_detailed
-from acqsim.topology import BufferStage, FrameGrabber, Topology, check_runnable, from_dict, holding_stages, to_dict
+from acqsim.topology import CUT_THROUGH, STORE_AND_FORWARD, BufferStage, FrameGrabber, Topology, check_runnable, from_dict
+from acqsim.topology import holding_stages, to_dict
 from conftest import frame_table, insert_stage, insertable_buffer, make_camera, make_config, make_link, make_topology
 
 generations = st.integers(min_value=1, max_value=5)
@@ -207,6 +208,21 @@ class TestEngineProperties:
             for latency_ct, latency_sf in zip(ct.frames.latency_ns(), sf.frames.latency_ns()):
                 if latency_ct is not None and latency_sf is not None:
                     assert latency_ct <= latency_sf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_forwarding_of_a_sensor_fed_buffer_changes_nothing(self, rng):
+        # The sensor hands each frame on whole once read out, so the camera buffer (stage 1) never holds part of
+        # a frame and its forwarding mode changes no time, drop or occupancy: forwarding acts only on a buffer fed
+        # by a link.
+        topo, cfg = make_topology(rng), make_config(rng)
+        sensor, buffer, *rest = topo.stages
+        other = STORE_AND_FORWARD if buffer.forwarding == CUT_THROUGH else CUT_THROUGH
+        flipped = dataclasses.replace(topo, stages=(sensor, dataclasses.replace(buffer, forwarding=other), *rest))
+        a, b = run(topo, cfg), run(flipped, cfg)
+        for part in ("frames", "occupancy", "link_busy_ns", "aggregates"):
+            assert getattr(a, part) == getattr(b, part), part
+        assert export_tabular(a) == export_tabular(b)
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))

@@ -481,3 +481,9 @@ class TestRecordSemantics:
         with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
             delattr(x, name)
         assert tuple(getattr(x, f.name) for f in dataclasses.fields(x)) == values and not hasattr(x, "extra")
+
+    def test_records_share_their_methods(self):
+        # @dataclass generates only each record's __init__: comparison, hashing, repr and immutability are
+        # the methods of the bases linkmodel.Table and linkmodel.Record, written once.
+        for cls in RECORD_CLASSES:
+            assert not {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"} & set(vars(cls)), cls
