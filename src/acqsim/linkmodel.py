@@ -1,5 +1,5 @@
 """Stream-rate and link-throughput arithmetic for camera acquisition paths,
-and the link budget table.
+the link budget table, and the two bases of every record class.
 
 All data rates in this package are decimal gigabits per second
 (1 Gb/s = 1e9 b/s), which conveniently equals bits per nanosecond.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+import sys
 import warnings
 from dataclasses import KW_ONLY, FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -120,14 +121,16 @@ class Table:
 
 
 class Record(Table):
-    """A frozen Table: __init__ sets each field once, after which assigning or
-    deleting any attribute raises FrozenInstanceError; hashed by its fields."""
+    """A frozen Table: only its class's own __init__ sets its fields, and any
+    other assignment or deletion raises FrozenInstanceError; hashed by its fields."""
 
     def __hash__(self):
         return hash(self._values())
 
     def __setattr__(self, name, value):
-        if name in self.__dict__ or name not in self.__dataclass_fields__:
+        # Asks the caller's code, not self.__dict__: reading that would turn every later attribute read of
+        # self from an inline value into a dict lookup, about 3x slower on CPython 3.11.
+        if sys._getframe(1).f_code is not type(self).__init__.__code__:
             raise FrozenInstanceError(f"cannot assign to field {name!r}")
         object.__setattr__(self, name, value)
 
