@@ -141,14 +141,6 @@ class Record(Table):
 record = dataclass(eq=False, repr=False)
 
 
-class Kinds(dict):
-    """Record classes by their class attribute tag, which names them under the key tag in JSON (default if absent)."""
-
-    def __init__(self, classes, tag: str = "kind", default=None):
-        super().__init__((getattr(cls, tag), cls) for cls in classes)
-        self.tag, self.default = tag, default
-
-
 # --- Domain types ---------------------------------------------------------
 
 
@@ -326,6 +318,14 @@ class USB3If(Link):
 
     def raw_gbps(self) -> Fraction:
         return _USB3_GBPS
+
+
+class Kinds(dict):
+    """Record classes by their class attribute tag, which names them under the key tag in JSON (default if absent)."""
+
+    def __init__(self, classes, tag: str = "kind", default=None):
+        super().__init__((getattr(cls, tag), cls) for cls in classes)
+        self.tag, self.default = tag, default
 
 
 # Link classes by the "kind" tag that names them in JSON.
