@@ -13,6 +13,13 @@ stdout: main holds what the command prints and writes it once, at the
 end, after any error line. Where os.fork exists, `simulate
 --format both` and `compare` split their work with a forked child, one
 core each (_parallel), to the same files, stdout and exit code.
+
+`simulate --format both` opens each pipeline's .json before the fork, so
+a .json that cannot be opened exits 3 before any .csv is written. The
+child then builds and writes the .csv while this process builds and
+writes the .json; a .csv that cannot be written comes back as the
+child's OSError and exits 3 once the .json is written. A .json write
+that fails partway (a full disk) may leave the .csv written.
 """
 
 from __future__ import annotations
@@ -277,11 +284,14 @@ def _cmd_simulate(args) -> int:
         base = bases[i]
         try:
             if parallel:
-                texts = _parallel(lambda: export_structured(report), lambda: export_tabular(report))
-            else:  # lazily, so that each text is built just before its write
-                texts = (exporters[suffix](report) for suffix in suffixes)
-            for suffix, text in zip(suffixes, texts):
-                _write(base + suffix, text)
+                # Opened before the fork, so that a .json that cannot be opened fails before the child writes
+                # the .csv. The child builds and writes the .csv itself, and sends back only None or its error.
+                with open(base + ".json", "w", encoding="utf-8") as fh:
+                    _parallel(lambda: fh.write(export_structured(report)),
+                              lambda: _write(base + ".csv", export_tabular(report)))
+            else:
+                for suffix in suffixes:
+                    _write(base + suffix, exporters[suffix](report))
         except OSError as exc:
             raise _Failure(EXIT_IO, f"cannot write report: {exc}")
         for suffix in suffixes:

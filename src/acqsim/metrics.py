@@ -82,7 +82,8 @@ def summarize(frames: FrameTable, topology: Topology, elapsed_ns: int, occupancy
     order.
     """
     disposition = frames.disposition
-    latencies = sorted(latency for latency in frames.latency_ns() if latency is not None)
+    latency_ns = frames.latency_ns()
+    latencies = sorted(latency for latency in latency_ns if latency is not None)
     high_water = {idx: max((b for _, b in trace), default=0) for idx, trace in occupancy.items()}
 
     delivered_bits = sum(s for s, d in zip(frames.size_bytes, disposition) if d == DISPOSITION_DELIVERED) * 8
@@ -108,7 +109,7 @@ def summarize(frames: FrameTable, topology: Topology, elapsed_ns: int, occupancy
         copy_count=copy_count(topology),
         high_water_bytes=high_water,
         timestamp_rms_ns=rms,
-        **_miss_counts(check_deadlines(frames, topology.deadlines, rms).kind),
+        **_miss_counts(check_deadlines(frames, topology.deadlines, rms, latency_ns).kind),
     )
 
 

@@ -88,17 +88,18 @@ def timestamp_rms(frames) -> float:
     return rms
 
 
-def check_deadlines(frames, deadlines: DeadlineSpec, rms: float) -> DeadlineMisses:
+def check_deadlines(frames, deadlines: DeadlineSpec, rms: float, latency_ns=None) -> DeadlineMisses:
     """All budget misses in a run of a FrameTable's frames, in frame order, safety before control.
 
     Latency checks apply to delivered frames only (dropped and in-flight
     frames have no end-to-end latency).  The timestamp check is run-level:
     a single miss comes last when rms, the run's timestamp_rms over all
-    generated frames (0.0 without frames), exceeds the budget.
+    generated frames (0.0 without frames), exceeds the budget.  latency_ns,
+    when given, is frames.latency_ns(), from a caller that already built it.
     """
     kind, frame_id, measured_ns, budget_ns = columns = ([], [], [], [])
     budgets = (("safety", deadlines.safety_ns), ("control", deadlines.control_ns))
-    for f, latency in zip(frames.frame_id, frames.latency_ns()):
+    for f, latency in zip(frames.frame_id, frames.latency_ns() if latency_ns is None else latency_ns):
         if latency is not None:
             for k, budget in budgets:
                 if latency > budget:

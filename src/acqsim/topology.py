@@ -339,7 +339,8 @@ def to_dict(obj) -> dict:
     """The JSON object of a record: one key per field (in the form JSON_FORMS
     gives it), plus its tag for a class of a kinds table (_TAGS)."""
     cls = type(obj)
-    d = dict(vars(obj))  # a dataclass instance holds exactly its fields
+    # Read field by field: vars(obj) would turn every later attribute read of obj into a dict lookup (Record).
+    d = {name: getattr(obj, name) for name in cls.__dataclass_fields__}
     forms = JSON_FORMS.get(cls)
     if forms:
         for name, (encode, _) in forms.items():

@@ -42,7 +42,7 @@ from acqsim import (
 )
 from acqsim import metrics
 from acqsim.metrics import import_summary, nearest_rank
-from acqsim.simcore import serialization_time_ns
+from acqsim.simcore import FrameTable, serialization_time_ns
 from acqsim.topology import Topology, from_dict, to_dict, topology_digest
 from conftest import (
     HOLDING_STAGE_EDITS,
@@ -182,6 +182,17 @@ class TestSummarize:
         a = run(topo, SimConfig(seed=1, n_frames=3)).aggregates
         assert len(calls) == len(built) == 1
         assert calls[0].kind == ["safety", "control"] * 3 and a.safety_violations == a.control_violations == 3
+
+    def test_builds_the_latency_column_once(self, monkeypatch):
+        # summarize hands the column it sorts to check_deadlines, which would otherwise build it again.
+        topo = build_direct(CAM, PCIeLink(3, 1), deadlines=DeadlineSpec(safety_ns=1_000, control_ns=1_000))
+        report = run(topo, SimConfig(seed=1, n_frames=3))
+        calls = []
+        latency_ns = FrameTable.latency_ns
+        monkeypatch.setattr(FrameTable, "latency_ns", lambda frames: calls.append(frames) or latency_ns(frames))
+        a = summarize(report.frames, topo, report.elapsed_ns, report.occupancy)
+        assert calls == [report.frames]
+        assert a == report.aggregates and a.safety_violations == a.control_violations == 3
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     @pytest.mark.filterwarnings("ignore::acqsim.linkmodel.EnvelopeWarning")

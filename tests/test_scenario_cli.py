@@ -999,7 +999,7 @@ class TestParallelRead:
 
 
 class TestParallelSimulate:
-    """simulate --format both builds the CSV text in a forked child while it builds the JSON text."""
+    """simulate --format both builds and writes the CSV in a forked child while it builds and writes the JSON."""
 
     @staticmethod
     def simulate_output(capsys, tmp_path, scenario, *flags):
@@ -1107,6 +1107,54 @@ class TestParallelSimulate:
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+    def test_csv_path_a_directory_exits_3(self, capsys, tmp_path, monkeypatch, forks, fork):
+        scenario = str(SCENARIOS / "classic-1mpx.json")
+        clean = self.simulate_output(capsys, tmp_path, scenario)[3]["r.json"]
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        forks.clear()
+        (tmp_path / "r.csv").mkdir()
+        code = main(["simulate", scenario, "-o", str(tmp_path / "r")])
+        captured = capsys.readouterr()
+        assert (code, captured.out, forks) == (3, "", [1] if fork else [])
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: cannot write report: [Errno 21] Is a directory: '{tmp_path / 'r.csv'}'"]
+        assert (tmp_path / "r.json").read_bytes() == clean  # written whole before the child's error is raised
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_csv_built_and_written_in_the_child(self, capsys, tmp_path, monkeypatch, forks):
+        scenario = str(SCENARIOS / "classic-1mpx.json")
+        expected = self.simulate_output(capsys, tmp_path, scenario)
+        log = tmp_path / "calls"
+        export_tabular, write = metrics.export_tabular, cli._write
+
+        def record(what):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{what} {os.getpid()}\n")
+
+        def recorded_export(report):
+            record("build")
+            return export_tabular(report)
+
+        def recorded_write(path, text):
+            record(f"write {os.path.basename(path)}")
+            write(path, text)
+
+        # Installed as the library's own exporter too, so that simulate still forks.
+        monkeypatch.setattr(metrics, "export_tabular", recorded_export)
+        monkeypatch.setattr(cli, "export_tabular", recorded_export)
+        monkeypatch.setattr(cli, "_write", recorded_write)
+        forks.clear()
+        assert self.simulate_output(capsys, tmp_path, scenario) == expected
+        assert forks == [1]
+        calls = [line.rsplit(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
+        builds = [pid for what, pid in calls if what == "build"]
+        assert len(builds) == 1 and int(builds[0]) != os.getpid()
+        assert [what for what, pid in calls if pid == builds[0]] == ["build", "write r.csv"]
+        assert not [what for what, pid in calls if what.endswith(".csv") and pid != builds[0]]
 
 
 @pytest.fixture(scope="module")
