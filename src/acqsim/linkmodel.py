@@ -357,9 +357,14 @@ def propagation_delay_ns(link: Link) -> int:
     return int(round(link.cable_length_m * PROPAGATION_NS_PER_M))
 
 
+def stream_rate_fraction(cam: CameraSpec) -> Fraction:
+    """Exact raw stream rate of a camera in Gb/s: pixels x depth x fps / 1e9."""
+    return Fraction(cam.resolution_pixels * cam.bit_depth) * Fraction(cam.frame_rate) / 10**9
+
+
 def camera_stream_rate(cam: CameraSpec) -> float:
-    """Raw stream rate of a camera in Gb/s: pixels x depth x fps / 1e9."""
-    return cam.resolution_pixels * cam.bit_depth * cam.frame_rate / 1e9
+    """Raw stream rate of a camera in Gb/s: the exact rate, rounded once."""
+    return float(stream_rate_fraction(cam))
 
 
 def aggregate_rate(cams: list[CameraSpec]) -> float:
@@ -373,13 +378,10 @@ class Feasibility(NamedTuple):
 
 
 def feasible(cam: CameraSpec, link: Link) -> Feasibility:
-    """Whether a link can carry a camera's stream, and by what margin.
-
-    margin = effective_link_rate(link) - camera_stream_rate(cam);
-    the pair is feasible iff the margin is non-negative.
-    """
-    margin = effective_link_rate(link) - camera_stream_rate(cam)
-    return Feasibility(margin >= 0.0, margin)
+    """Whether a link can carry a camera's stream: iff its exact effective rate is at least the exact stream
+    rate.  The margin is their difference in Gb/s, rounded once."""
+    margin = effective_rate_fraction(link) - stream_rate_fraction(cam)
+    return Feasibility(margin >= 0, float(margin))
 
 
 def min_lanes(cam: CameraSpec, generation: int, overhead: OverheadModel) -> int:
@@ -390,7 +392,7 @@ def min_lanes(cam: CameraSpec, generation: int, overhead: OverheadModel) -> int:
     InvalidSpecError; NoFeasibleWidthError when even x16 falls short.
     """
     lane_rate = PCIeLink(generation, 1).raw_gbps() * overhead._efficiency_fraction()
-    demand = Fraction(cam.resolution_pixels * cam.bit_depth) * Fraction(cam.frame_rate) / Fraction(10**9)
+    demand = stream_rate_fraction(cam)
     for lanes in PCIE_ALLOWED_LANES:
         if lanes * lane_rate >= demand:
             return lanes

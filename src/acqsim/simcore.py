@@ -13,9 +13,10 @@ went through one queue ordered by (time, push sequence).  An event's
 place in that queue is the key (time, key of the event that queued it,
 rank of the push within that event).  Within one event the pushes go
 upstream first, so the index of the pushing stage serves as the rank.  A
-pass runs its own stage's events in key order; only events of one stage
-at one nanosecond ever need comparing.  A frame whose event was queued
-earlier is thus admitted before an equal-time release: when a
+link hands a frame on when its transmission starts, as that event's next
+push.  A pass runs its own stage's events in key order; only events of
+one stage at one nanosecond ever need comparing.  A frame whose event
+was queued earlier is thus admitted before an equal-time release: when a
 transmission lasts exactly one frame period, the next frame's generation
 was queued before the previous frame's transmission end, so the buffer
 briefly holds both and its high water counts both frames.  An event runs
@@ -41,7 +42,7 @@ from heapq import heappop, heappush
 from random import Random
 from typing import Optional
 
-from .linkmodel import InvalidSpecError, Link, Record, Table, effective_rate_fraction, propagation_delay_ns, record
+from .linkmodel import CameraSpec, InvalidSpecError, Link, Record, Table, effective_rate_fraction, propagation_delay_ns, record
 from .timing import ClockModel, sample_timestamp_detailed
 from .topology import CUT_THROUGH, JSON_FORMS, BufferStage, LinkStage, Topology, check_runnable, from_dict
 from .topology import holding_stages, one, to_dict
@@ -168,13 +169,14 @@ _END = (math.inf, None, None, None)  # closes a pass's arrivals
 class _Passes:
     """One run: the run's FrameTable, whose columns the stage passes fill in chain order.
 
-    An event's key is (time, key of the event that queued it, rank); the
-    first generation's parent is ().  A pass takes its arrivals as (time,
-    key, frame, first-byte time) in key order; a frame handed on inside an
-    event carries that event's key.  A pass's own pending events start
-    with (time, ordinal of the event in this pass that queued them, key):
-    one event queues at most one of them, so the first two fields order
-    them and are unique.
+    An event's key is (time, key of the event that queued it, rank); the first
+    generation's parent is ().  A pass takes its arrivals as (time, key,
+    frame, first-byte time) in key order.  A link hands a frame on when its
+    transmission starts, as that event's next push; the event that ends a
+    readout or a memory's latency hands its frame on with its own key.  A
+    pass's own pending events start with (time, ordinal of the event in this
+    pass that queued them, key): one event queues at most one of them, so the
+    first two fields order them and are unique.
     """
 
     def __init__(self, topo: Topology, cfg: SimConfig):
@@ -182,9 +184,6 @@ class _Passes:
         self.stages = stages = topo.stages
         self.cfg = cfg
         self.size = size = topo.camera.frame_size_bytes
-        fps = topo.camera.frame_rate
-        # Sub-ns frame periods clamp to the 1 ns clock tick; a zero-rate camera has no period.
-        self.period_ns = max(1, round(1e9 / fps)) if fps > 0 else None
         self.limit = math.inf if cfg.duration_ns is None else cfg.duration_ns
         # Every frame has the camera's size, so link constants are fixed for the run.
         self.links = {
@@ -194,7 +193,6 @@ class _Passes:
         }
         self.traces = {i: [] for i in holding_stages(topo)}
         self.memo = {}
-        self.last = 0  # time of the latest event that ran
         self.proc_rng = Random(f"{cfg.seed}:processing")
 
     def run(self) -> tuple:
@@ -215,10 +213,9 @@ class _Passes:
 
     def _generate(self) -> list:
         """Draw the camera stamps in frame order and build the frame table; returns the arrivals at stage 1."""
-        cfg, period, stages = self.cfg, self.period_ns, self.stages
-        # check_generable lets a camera without a period through only for a run of no frames.
-        n = 0 if period is None else cfg.n_frames if cfg.n_frames is not None else cfg.duration_ns // period + 1
-        times = list(range(0, n * period, period)) if n else []
+        cfg, stages = self.cfg, self.stages
+        times = list(generation_times(self.topo.camera, cfg))
+        n = len(times)
         sample, clock, rng = sample_timestamp_detailed, cfg.clock, Random(f"{cfg.seed}:clock")
         stamps = [sample(clock, t, rng) for t in times]
         self.frames = frames = FrameTable(
@@ -226,7 +223,7 @@ class _Passes:
             [[None] * n for _ in stages], [[None] * n for _ in stages], [[None] * n for _ in stages],
             [DISPOSITION_IN_FLIGHT] * n, [None] * n, [None] * n, [None] * n,
         )
-        self.last = times[-1] if n else 0
+        self.last = times[-1] if n else 0  # time of the latest event that ran
         fixed = stages[0].fixed_latency_ns
         frames.ingress_ns[0] = times[:]
         frames.egress_ns[0] = [t + fixed for t in times]
@@ -251,9 +248,9 @@ class _Passes:
 
         Each arrival is admitted, dropped, or admitted after evicting queued
         frames.  Every event that ran ends by offering the FIFO head to the
-        link.  Pending events are transmission ends (frame, first byte when
-        the arrival past a zero-propagation link is fused in, bytes held)
-        and retries at the head's ready time (frame None).
+        link, whose transmission start pushes the transmission end, then hands
+        the frame on past the link.  Pending events are transmission ends
+        (frame, bytes held) and retries at the head's ready time (frame None).
         """
         holder, size, limit, memo, frames = self.stages[idx], self.size, self.limit, self.memo, self.frames
         ser, prop, rate = self.links[idx + 1]
@@ -274,7 +271,7 @@ class _Passes:
         while True:
             o += 1
             if pending and (pending[0][0] < at or pending[0][0] == at and _before(pending[0][2], akey, memo)):
-                now, _, key, f, first_byte, amount = heappop(pending)
+                now, _, key, f, amount = heappop(pending)
                 if now > limit:
                     break
                 if f is not None:  # transmission end
@@ -284,8 +281,6 @@ class _Passes:
                     occupancy -= amount
                     trace((now, occupancy))
                     sending = False
-                    if first_byte is not None:
-                        out.append((now, key, f, first_byte))
             elif at > limit or af is None:
                 break
             else:
@@ -320,7 +315,7 @@ class _Passes:
             f, arrived, first_byte, amount = fifo[0]
             ready = (first_byte if ct else arrived) + fixed
             if ready > now:
-                heappush(pending, (ready, o, (ready, key, idx), None, None, None))
+                heappush(pending, (ready, o, (ready, key, idx), None, None))
                 continue
             fifo.popleft()
             sending = True
@@ -331,11 +326,8 @@ class _Passes:
             free_at = start + ser
             if arrived + fixed > free_at:
                 free_at = arrived + fixed
-            if prop:
-                heappush(pending, (free_at, o, (free_at, key, idx), f, None, amount))
-                out.append((free_at + prop, (free_at + prop, key, idx + 1), f, start + prop))
-            else:
-                heappush(pending, (free_at, o, (free_at, key, idx), f, start, amount))
+            heappush(pending, (free_at, o, (free_at, key, idx), f, amount))
+            out.append((free_at + prop, (free_at + prop, key, idx + 1), f, start + prop))
         self.last = max(self.last, now)
         return out
 
@@ -407,13 +399,18 @@ class _Passes:
         return None if to_proc else out
 
 
-def check_generable(topo: Topology, cfg: SimConfig) -> None:
-    """Raise InvalidSpecError unless topo's camera can generate the frames cfg asks for."""
-    fps = topo.camera.frame_rate
-    if fps > 0 and 1e9 / fps == math.inf:
+def generation_times(camera: CameraSpec, cfg: SimConfig) -> range:
+    """cfg's frame k is generated at k x the camera's frame period, rounded to whole ns and at least 1 ns; a
+    duration run generates the frames whose time is at most duration_ns."""
+    fps = camera.frame_rate
+    if fps == 0:
+        if cfg.n_frames:
+            raise InvalidSpecError("cannot generate frames from a zero frame-rate camera")
+        return range(0)
+    if 1e9 / fps == math.inf:
         raise InvalidSpecError(f"frame_rate {fps} gives a frame period too long to count in ns")
-    if fps == 0 and cfg.n_frames:
-        raise InvalidSpecError("cannot generate frames from a zero frame-rate camera")
+    period = max(1, round(1e9 / fps))
+    return range(0, cfg.duration_ns + 1 if cfg.n_frames is None else cfg.n_frames * period, period)
 
 
 def run(topo: Topology, cfg: SimConfig):
@@ -424,7 +421,7 @@ def run(topo: Topology, cfg: SimConfig):
     (topology, config) produce byte-identical canonical reports.
     """
     check_runnable(topo)
-    check_generable(topo, cfg)
+    generation_times(topo.camera, cfg)
     # A field the report reader would reject (a float or a bool for an integer) fails here, with its message.
     from_dict(Topology, to_dict(topo))
     from_dict(SimConfig, to_dict(cfg))

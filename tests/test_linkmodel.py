@@ -261,6 +261,22 @@ class TestFeasibility:
         assert verdict.feasible
         assert verdict.margin_gbps == effective_link_rate(link)
 
+    def test_verdict_agrees_with_min_lanes_at_each_width_boundary(self):
+        # Frame rates one float step either side of, and at, the rate that fills each PCIe width exactly.  Each
+        # verdict compares the exact rates, as min_lanes does: 984.6153846153846 fps of 8 Mbit frames exceed
+        # gen 3 x1 by 3/14293651161088000 Gb/s, which vanishes when each rate is rounded to a float first.
+        for gen in (1, 2, 3, 4, 5):
+            for lanes in (1, 2, 4, 8, 16):
+                link = PCIeLink(gen, lanes)
+                edge = float(effective_rate_fraction(link) * 10**9 / 8_000_000)
+                for fps in (math.nextafter(edge, 0), edge, math.nextafter(edge, math.inf)):
+                    camera = CameraSpec(1_000_000, 8, fps)
+                    try:
+                        fits = min_lanes(camera, gen, TestMinLanes.IDENTITY) <= lanes
+                    except NoFeasibleWidthError:
+                        fits = False
+                    assert feasible(camera, link).feasible == fits, (gen, lanes, fps)
+
 
 class TestMinLanes:
     IDENTITY = OverheadModel(header_overhead_bytes=0)

@@ -1,10 +1,11 @@
 """Invariant checks over randomized inputs (hypothesis + seeded loops)."""
 
 import dataclasses
+from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from acqsim import (
@@ -27,11 +28,13 @@ from acqsim import (
     run,
     timestamp_rms,
 )
-from acqsim.linkmodel import NoFeasibleWidthError
+from acqsim.linkmodel import NoFeasibleWidthError, effective_rate_fraction, propagation_delay_ns
+from acqsim.simcore import serialization_time_ns
 from acqsim.timing import sample_timestamp_detailed
 from acqsim.topology import CUT_THROUGH, STORE_AND_FORWARD, BufferStage, FrameGrabber, Topology, check_runnable, from_dict
 from acqsim.topology import holding_stages, to_dict
-from conftest import frame_table, insert_stage, insertable_buffer, make_camera, make_config, make_link, make_topology
+from conftest import frame_table, insert_stage, insertable_buffer, make_camera, make_config, make_link, make_processing
+from conftest import make_topology
 
 generations = st.integers(min_value=1, max_value=5)
 lane_widths = st.sampled_from([1, 2, 4, 8, 16])
@@ -78,9 +81,9 @@ class TestLinkModelProperties:
         camera = CameraSpec(px, 8, fps)
         link = PCIeLink(gen, lanes)
         verdict = feasible(camera, link)
-        diff = effective_link_rate(link) - camera_stream_rate(camera)
+        diff = effective_rate_fraction(link) - Fraction(px * 8) * Fraction(fps) / 10**9
         assert verdict.feasible == (diff >= 0)
-        assert verdict.margin_gbps == diff
+        assert verdict.margin_gbps == float(diff)
 
     @given(
         st.integers(min_value=1_000, max_value=4_000_000),
@@ -255,3 +258,34 @@ class TestEngineProperties:
         topo = build_direct(camera, PCIeLink(5, 16))
         cfg = SimConfig(seed=3, n_frames=50)
         assert export_structured(run(topo, cfg)) == export_structured(run(topo, cfg))
+
+
+class TestArchitectureProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_classic_is_direct_plus_the_hop(self, rng):
+        # The paper's claim on generated chains: the classic chain is the direct one plus a camera-interface link
+        # and a frame grabber.  With buffers no frame overflows, every frame is delivered in both chains, in
+        # order, so both draw the same processing times, and the hop never makes a frame faster.
+        camera, ci, pcie = make_camera(rng), make_link(rng), make_link(rng)
+        grabber_latency = rng.randint(0, 1_000)
+        chain = dict(
+            camera_buffer_capacity_bytes=64 * 1024 * 1024,
+            sensor_latency_ns=rng.randint(0, 1_000),
+            host_latency_ns=rng.randint(0, 1_000),
+            processing=make_processing(rng),
+            processor_latency_ns=rng.randint(0, 1_000),
+        )
+        classic = build_classic(camera, ci, pcie, 64 * 1024 * 1024, grabber_latency_ns=grabber_latency, **chain)
+        cfg = SimConfig(seed=rng.getrandbits(32), n_frames=rng.randint(1, 30))
+        direct, classic = run(build_direct(camera, pcie, **chain), cfg).frames, run(classic, cfg).frames
+        for d, c in zip(direct.latency_ns(), classic.latency_ns(), strict=True):
+            assert d is not None and c is not None
+            assert c >= d
+        # Where every frame starts across the camera-interface link as it reaches the camera buffer, the grabber
+        # sees the direct chain's arrivals shifted by the hop, and so does every stage after it.
+        ser = serialization_time_ns(camera.frame_size_bytes, ci)
+        if all(out == into + ser for into, out in zip(classic.ingress_ns[1], classic.egress_ns[1])):
+            event("no frame waits at the camera-interface link")
+            hop = ser + propagation_delay_ns(ci) + grabber_latency
+            assert classic.latency_ns() == [latency + hop for latency in direct.latency_ns()]

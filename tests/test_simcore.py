@@ -236,7 +236,7 @@ class TestOverflow:
 
     @pytest.mark.parametrize("policy", [DROP_NEWEST, DROP_OLDEST])
     def test_holder_before_a_memory_drops_the_arrival(self, policy):
-        # Only a holder before a link queues frames to evict: a full grabber
+        # drop_oldest evicts only frames queued for a link: a full grabber
         # that feeds host memory drops the arriving frame under either policy.
         grabber = FrameGrabber(65_536, fixed_latency_ns=400_000)
         stages = (Sensor(), BufferStage(64 * MIB), LinkStage(PCIeLink(1, 1)), grabber, HostMemory(), Processor())
@@ -245,6 +245,17 @@ class TestOverflow:
         dropped = [f for f, d in enumerate(frames.disposition) if d == "dropped"]
         assert dropped == [2, 3, 6, 7, 10, 11]
         assert {(frames.drop_stage[f], frames.drop_reason[f]) for f in dropped} == {(3, REASON_OVERFLOW)}
+        # So does a buffer before the processor, though it holds the frames that wait for the processor: here
+        # two, its whole 65,536 B, while each frame takes 100 us against a 32,768 ns frame period.
+        stages = (Sensor(), BufferStage(64 * MIB), LinkStage(PCIeLink(3, 4)), BufferStage(65_536),
+                  Processor(processing=FixedProcessing(100_000)))
+        topo = Topology("buffer-to-processor", stages, CameraSpec(32_768, 8, 30517.578125), RELAXED)
+        report = run(topo, SimConfig(seed=1, n_frames=8, drop_policy=policy))
+        frames = report.frames
+        dropped = [f for f, d in enumerate(frames.disposition) if d == "dropped"]
+        assert dropped == [3, 5, 6]
+        assert {(frames.drop_stage[f], frames.drop_reason[f]) for f in dropped} == {(3, REASON_OVERFLOW)}
+        assert report.aggregates.high_water_bytes[3] == 65_536
 
     def test_buffer_smaller_than_frame_rejected(self):
         # A grabber that cannot hold one frame would drop every frame; the run is refused instead.
