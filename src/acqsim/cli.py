@@ -156,7 +156,7 @@ def _cmd_budget(args) -> int:
 # --- two parts at once -------------------------------------------------------
 
 
-_LOAD_ERRORS = (OSError, ValueError, KeyError)
+_LOAD_ERRORS = (OSError, ValueError)
 
 
 def _parallel(here, there) -> tuple:
@@ -273,10 +273,12 @@ def _cmd_simulate(args) -> int:
             if isinstance(stage, LinkStage):
                 verdict = feasible(topo.camera, stage.link)
                 if not verdict.feasible:
+                    excess = -verdict.margin_gbps
+                    # Three decimals, or three significant digits where three decimals would read 0.
+                    shown = f"{excess:.3f}" if excess >= 0.001 else f"{excess:.3g}"
                     print(
                         f"warning: {topo.name}: camera demand "
-                        f"{camera_stream_rate(topo.camera):.3f} Gb/s exceeds a link by "
-                        f"{-verdict.margin_gbps:.3f} Gb/s",
+                        f"{camera_stream_rate(topo.camera):.3f} Gb/s exceeds a link by {shown} Gb/s",
                         file=sys.stderr,
                     )
         report = run(topo, cfg)

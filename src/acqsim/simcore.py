@@ -20,7 +20,10 @@ was queued earlier is thus admitted before an equal-time release: when a
 transmission lasts exactly one frame period, the next frame's generation
 was queued before the previous frame's transmission end, so the buffer
 briefly holds both and its high water counts both frames.  An event runs
-if and only if its time is within duration_ns.
+if and only if its time is within duration_ns.  A link sends one frame at
+a time, so at most one event of its own is ever due; a memory keeps a heap,
+because before a busy processor a hand-on can fall due before a release
+queued earlier.
 
 Stage hand-off convention recorded per frame: a stage's egress is the
 instant the frame's last byte leaves it, which equals the next stage's
@@ -173,10 +176,7 @@ class _Passes:
     generation's parent is ().  A pass takes its arrivals as (time, key,
     frame, first-byte time) in key order.  A link hands a frame on when its
     transmission starts, as that event's next push; the event that ends a
-    readout or a memory's latency hands its frame on with its own key.  A
-    pass's own pending events start with (time, ordinal of the event in this
-    pass that queued them, key): one event queues at most one of them, so the
-    first two fields order them and are unique.
+    readout or a memory's latency hands its frame on with its own key.
     """
 
     def __init__(self, topo: Topology, cfg: SimConfig):
@@ -248,9 +248,9 @@ class _Passes:
 
         Each arrival is admitted, dropped, or admitted after evicting queued
         frames.  Every event that ran ends by offering the FIFO head to the
-        link, whose transmission start pushes the transmission end, then hands
-        the frame on past the link.  Pending events are transmission ends
-        (frame, bytes held) and retries at the head's ready time (frame None).
+        link.  The link's one due event, (time, key, frame, bytes held), is the end of the transmission in
+        progress or else a retry at the head's ready time (frame None), with the key of the first event that found
+        this head not ready.  A transmission start sets it to its end and hands the frame on past the link.
         """
         holder, size, limit, memo, frames = self.stages[idx], self.size, self.limit, self.memo, self.frames
         ser, prop, rate = self.links[idx + 1]
@@ -261,17 +261,16 @@ class _Passes:
         ing, eg, link_ing, link_eg = ing[idx], eg[idx], ing[idx + 1], eg[idx + 1]
         trace = self.traces[idx].append
         fifo: deque = deque()  # (frame, full arrival, first byte, bytes held)
-        pending: list = []
+        due = None
         out: list = []
-        occupancy = free_at = now = o = 0
+        occupancy = free_at = now = 0
         sending = False
         arrivals.append(_END)
         arrivals = iter(arrivals)
         at, akey, af, afb = next(arrivals)
         while True:
-            o += 1
-            if pending and (pending[0][0] < at or pending[0][0] == at and _before(pending[0][2], akey, memo)):
-                now, _, key, f, amount = heappop(pending)
+            if due and (due[0] < at or due[0] == at and _before(due[1], akey, memo)):
+                (now, key, f, amount), due = due, None
                 if now > limit:
                     break
                 if f is not None:  # transmission end
@@ -315,7 +314,8 @@ class _Passes:
             f, arrived, first_byte, amount = fifo[0]
             ready = (first_byte if ct else arrived) + fixed
             if ready > now:
-                heappush(pending, (ready, o, (ready, key, idx), None, None))
+                if due is None or due[0] < ready:  # an earlier retry was for a head since evicted
+                    due = (ready, (ready, key, idx), None, None)
                 continue
             fifo.popleft()
             sending = True
@@ -326,7 +326,7 @@ class _Passes:
             free_at = start + ser
             if arrived + fixed > free_at:
                 free_at = arrived + fixed
-            heappush(pending, (free_at, o, (free_at, key, idx), f, amount))
+            due = (free_at, (free_at, key, idx), f, amount)
             out.append((free_at + prop, (free_at + prop, key, idx + 1), f, start + prop))
         self.last = max(self.last, now)
         return out
@@ -336,8 +336,8 @@ class _Passes:
         for its fixed latency, then hands it on (the next stage's arrivals are
         returned); adjacent memories copy at unmodeled (infinite) bandwidth.
         The single-server processor runs in the pass of the memory before
-        it, which holds each frame until the processor picks it up.  Pending
-        events are hand-ons (frame) and releases (None).
+        it, which holds each frame until the processor picks it up.  Pending events, hand-ons (frame) and
+        releases (None), start with (time, ordinal of the event that queued them), unique as no event queues two.
         """
         stages, size, limit, memo, frames = self.stages, self.size, self.limit, self.memo, self.frames
         holder, proc = stages[idx], stages[-1]

@@ -53,7 +53,8 @@ def _stamp(clock, t: int, rng: Random) -> tuple:
 
 def predict(topology, config, engine_frames) -> "_Run":
     """The run of (topology, config), with frames (FrameTable columns by name), link_busy_ns,
-    elapsed_ns, occupancy (stage -> Counter of (t, change in bytes)) and ties (decisive ones)."""
+    elapsed_ns, occupancy (stage -> Counter of (t, change in bytes)), ties (decisive ones), waits (queue heads
+    that a free link waited for until their ready time) and waiting_evictions (such heads evicted first)."""
     return _Run(topology, config, engine_frames)
 
 
@@ -81,7 +82,7 @@ class _Run:
         frames["ingress_ns"][0] = generated[:]
         frames["egress_ns"][0] = [t + fixed for t in generated]
         self.occupancy = {i: Counter() for i, s in enumerate(stages) if s.kind not in ("link", "processor")}
-        self.link_busy_ns, self.ties = {}, 0
+        self.link_busy_ns, self.ties, self.waits, self.waiting_evictions = {}, 0, 0, 0
         # Arrivals are (time, first byte, frame): stage 1 takes each frame at readout.
         arrivals = [(t + fixed, t + fixed, f) for f, t in enumerate(generated)]
         idx = 1
@@ -139,6 +140,7 @@ class _Run:
             while queue and max(queue[0][1], free_at) < until:
                 f, ready, floor, sent = queue.popleft()
                 queued -= sent
+                self.waits += ready > max(free_at, floor - fixed)  # the link was free before the frame was ready
                 start = max(ready, free_at)
                 # A cut-through frame may start before its last byte arrived, but not end before.
                 free_at = end = max(start + ser, floor)
@@ -179,6 +181,8 @@ class _Run:
             dropped, evicted, amount = chosen = self.decide(idx, f, t, none_first, outcome(t, ready, first=True))
             if chosen is not none_first:
                 advance(t + 1)
+            # Whether the first frame evicted was a head that the free link waited for.
+            self.waiting_evictions += bool(evicted) and free_at < t < queue[0][1]
             for victim in evicted:
                 assert queue[0][0] == victim
                 victim_amount = queue.popleft()[3]

@@ -98,6 +98,8 @@ def test_equal_time_chains(case):
     times = {t for columns in (frames.ingress_ns, frames.egress_ns) for column in columns for t in column}
     paths = {
         "decisive tie": model.ties > 0,
+        "head waited for its ready time": model.waits > 0,
+        "waiting head evicted": model.waiting_evictions > 0,
         "eviction": "backpressure" in frames.drop_reason,
         "overflow drop": "buffer_overflow" in frames.drop_reason,
         "cut-through residue": any(b is not None and b < frames.size_bytes[0] for c in frames.buffer_bytes for b in c),

@@ -641,6 +641,14 @@ class TestSimulateCommand:
             "warning: overflow-8to4-cam1: camera demand 8.000 Gb/s exceeds a link by 4.000 Gb/s",
         ]
 
+    def test_tiny_link_excess_does_not_read_zero(self, tmp_path, capsys):
+        # At this rate the camera demands 3/14293651161088000 Gb/s more than gen 3 x1 carries.
+        camera = {"resolution_pixels": 1_000_000, "bit_depth": 8, "frame_rate": 984.6153846153846}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(base_doc(camera=camera)), encoding="utf-8")
+        assert main(["simulate", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_VIOLATIONS  # a safety miss
+        assert capsys.readouterr().err == "warning: unit: camera demand 7.877 Gb/s exceeds a link by 2.1e-16 Gb/s\n"
+
 
 class TestCompareCommand:
     @pytest.fixture()

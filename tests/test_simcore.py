@@ -1,6 +1,7 @@
 """Engine behavior: transmission times, forwarding modes, drops, traces."""
 
 import gc
+import hashlib
 import math
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from acqsim import (
 from acqsim.linkmodel import propagation_delay_ns
 from acqsim.simcore import DROP_NEWEST, DROP_OLDEST, REASON_BACKPRESSURE, REASON_OVERFLOW, serialization_time_ns
 from acqsim.topology import CUT_THROUGH, STORE_AND_FORWARD
+from test_engine_oracle import assert_matches
 
 CAM_1MPX = CameraSpec(1_000_000, 8, 1000)
 CL_FULL = CameraLinkIf(config="full")
@@ -429,6 +431,64 @@ class TestRecordsAndTraces:
         report = run(topo, SimConfig(seed=1, n_frames=4))
         for busy in report.link_busy_ns.values():
             assert 0 < busy <= report.elapsed_ns
+
+
+class TestLinkRetries:
+    """A queue head that waits out its holder's fixed latency while the link is free: the link retries it at its
+    ready time.  64 B frames every 128 ns; a gen 1 x8 link sends one in 32 ns.  Each chain is checked against the
+    tandem oracle, and its exports are pinned, so that the retry's time and key stay what they were."""
+
+    PERIOD = 128
+    CAMERA = CameraSpec(64, 8, 1e9 / PERIOD)
+
+    def check(self, stages, cfg, digest):
+        report, model = assert_matches(Topology("retries", stages, self.CAMERA, RELAXED), cfg)
+        text = export_structured(report) + export_tabular(report)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        return report.frames, model
+
+    def test_frames_arrive_while_the_head_waits(self):
+        # Frame 0 is ready at 320 ns; frames 1 and 2 arrive before then, and frame 3 while frame 1 waits.
+        p = self.PERIOD
+        stages = (Sensor(), BufferStage(512, fixed_latency_ns=5 * p // 2), LinkStage(PCIeLink(1, 8)), HostMemory(),
+                  Processor())
+        frames, model = self.check(stages, SimConfig(seed=1, n_frames=4),
+                                   "d23cb2ae99513c3c78a270a41a70a83bdce778150483bff068309e359cd84b2d")
+        assert model.waits == 4
+        assert frames.ingress_ns[1] == [0, 128, 256, 384]
+        assert frames.egress_ns[1] == [352, 480, 608, 736]  # each sent from its ready time, 32 ns long
+
+    def test_equal_time_arrival_starts_the_waiting_head(self):
+        # Frame 1 arrives at 384 ns, when frame 0 becomes ready. Its arrival, queued by its generation at 128 ns,
+        # runs before frame 0's retry, queued by frame 0's arrival at 256 ns, and starts frame 0 itself.
+        p = self.PERIOD
+        stages = (Sensor(fixed_latency_ns=2 * p), BufferStage(512, fixed_latency_ns=p), LinkStage(PCIeLink(1, 8)),
+                  HostMemory(), Processor())
+        frames, model = self.check(stages, SimConfig(seed=1, n_frames=3),
+                                   "4962e475ae31c32fb85bc6a5cc4d49bae999ddb225d8225e338970c375ea2e7a")
+        assert model.waits == 3
+        assert frames.ingress_ns[1] == [256, 384, 512]
+        assert frames.egress_ns[1] == [416, 544, 672]
+
+    def test_evicted_waiting_head_leaves_the_retry_to_the_next(self):
+        # The first buffer drops frame 2, so frames 0, 1 and 3 reach the grabber at 576, 704 and 960 ns, each
+        # arrival queued by host memory at 384, 512 and 768 ns. The grabber holds one frame: frame 1 evicts frame 0
+        # before its ready time (832 ns) and is ready itself at 960 ns. Its retry, queued by its arrival at 704 ns,
+        # runs before frame 3's arrival, queued at 768 ns: frame 1 starts and frame 3 finds the grabber full. Had
+        # frame 0's retry been kept, it would have run at 832 ns and queued frame 1's retry after frame 3's
+        # arrival, and frame 3 would have evicted frame 1.
+        p = self.PERIOD
+        stages = (Sensor(), BufferStage(128, fixed_latency_ns=3 * p), HostMemory(fixed_latency_ns=3 * p // 2),
+                  FrameGrabber(96, fixed_latency_ns=2 * p), LinkStage(PCIeLink(1, 8)), HostMemory(), Processor())
+        frames, model = self.check(stages, SimConfig(seed=1, n_frames=4, drop_policy=DROP_OLDEST),
+                                   "53b6775fb8728bc4a599697fa6c6255b6a4be029ea2a843923b556d502aba5f3")
+        # The oracle accepts either order of frame 1's start and frame 3's arrival; the digest pins the engine's.
+        assert (model.waits, model.waiting_evictions, model.ties) == (1, 1, 2)
+        assert frames.ingress_ns[3] == [576, 704, None, 960]
+        assert frames.disposition == ["dropped", "delivered", "dropped", "dropped"]
+        assert list(zip(frames.drop_stage, frames.drop_reason, frames.drop_time_ns)) == [
+            (3, REASON_BACKPRESSURE, 704), (None, None, None), (1, REASON_OVERFLOW, 256), (3, REASON_OVERFLOW, 960)]
+        assert frames.egress_ns[3][1] == 992
 
 
 class TestReferenceCycles:
